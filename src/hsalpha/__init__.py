@@ -28,7 +28,7 @@ from .eulerian import (
     make_multipeakon,
     validate,
 )
-from .evolution import EventSchedule, brute_force_oracle, events, evolve, total_energy
+from .evolution import EventSchedule, events, evolve, total_energy
 from .harness import (
     EocReport,
     ExperimentConfig,
@@ -104,7 +104,6 @@ __all__ = [
     "events",
     "evolve",
     "total_energy",
-    "brute_force_oracle",
     "to_eulerian",
     "eval_u",
     "eval_F",

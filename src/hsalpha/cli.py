@@ -17,17 +17,15 @@ import os
 import sys
 
 from .errors import ConfigError, NumericError
+from .evolution import evolve
 from .harness import (
     ExperimentConfig,
     config_from_dict,
-    datum_for,
+    initial_state,
     run_eoc,
     run_measure_rates,
-    run_solve,
     write_solution_csv,
 )
-from .lagrangian import to_lagrangian
-from .projection import ProjectionConfig, project
 from .pushforward import to_eulerian
 
 __all__ = ["main", "build_parser"]
@@ -145,8 +143,7 @@ def _report_lines(report):
 
 def _cmd_solve(args) -> int:
     cfg = _build_config(args)
-    sols = run_solve(cfg, args.dx, [cfg.T])
-    final = sols[-1]
+    final = to_eulerian(evolve(initial_state(cfg, args.dx), cfg.T))
     mass = final.mu.total_mass()
     print(
         f"solved example={cfg.example} alpha={cfg.alpha:g} dx={args.dx:g} "
@@ -163,8 +160,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_project(args) -> int:
     cfg = _build_config(args, need_T=False)
-    projected = project(datum_for(cfg), ProjectionConfig(dx=args.dx))
-    sol = to_eulerian(to_lagrangian(projected, alpha=cfg.alpha))
+    sol = to_eulerian(initial_state(cfg, args.dx))
     mass = sol.mu.total_mass()
     print(
         f"projected example={cfg.example} dx={args.dx:g}: "

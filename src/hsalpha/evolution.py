@@ -4,21 +4,35 @@ Between wave-breaking events every nodal trajectory obeys
 
     dy_j/dt = U_j,        dU_j/dt = (1/2) V_j - (1/4) V_inf,
 
-with the nodal energy values V_j and the total V_inf constant, so the motion
-is a polynomial in t and is advanced in closed form (no time stepping).  The
-per-cell derivative surrogates evolve alongside:
+with the nodal energy values V_j and the total V_inf constant, and a cell
+that breaks at tau only removes D_i = alpha * d_V_i * width_i of energy from
+V_j at the nodes j to its right and from V_inf.  The state at any time t is
+therefore one closed-form map of the state s at s.time (no event loop, no
+time stepping).  With dt = t - s.time and r_i = t - max(tau_i, s.time) for
+the cells i that break by t:
+
+    U_j(t) = U_j + dt acc_j - (1/2) sum_{i<j} D_i r_i + (1/4) sum_i D_i r_i,
+    y_j(t) = y_j + dt U_j + (dt^2/2) acc_j
+             - (1/2) sum_{i<j} D_i r_i^2/2 + (1/4) sum_i D_i r_i^2/2,
+
+where acc_j = V_j/2 - V_inf/4 at s.time; the sums over i < j are one prefix
+sum over the cells.  This is the B/J1/J2 structure of reference.py.  The
+per-cell derivative surrogates of a cell that does not break evolve as
 
     d_U(t) = d_U + (dt/2) d_V,
     d_y(t) = d_y + dt d_U + (dt^2/4) d_V.
 
 A cell with breaking time tau collapses exactly at t = tau: its d_y and d_U
-vanish there analytically, so the update writes zeros rather than trusting
-floating-point cancellation.  At the event the cell's retained energy density
-is scaled by (1 - alpha), the nodal V array is resummed from the cell data,
-and the motion continues with the updated coefficients.
+vanish there analytically, so the map restarts them from exact zeros,
 
-Event times closer than an absolute 1e-12 are merged into a single cluster
-and applied together at the cluster's earliest time.
+    d_U(t) = (r/2) (1 - alpha) d_V,    d_y(t) = (r^2/4) (1 - alpha) d_V,
+
+rather than trusting floating-point cancellation.  The nodal V array and
+V_inf are resummed once from the dissipated cell data.
+
+Breaking times closer than max(1e-12, 4 ulp(t)) are merged into a single
+cluster, which breaks at its earliest time (a tolerance that scales with t,
+so ties keep merging at large t where 1e-12 is below one ulp).
 """
 
 from __future__ import annotations
@@ -32,10 +46,16 @@ from .errors import ConfigError
 from .lagrangian import LagrangianState
 from .numerics import exact_cumsum, stable_sum
 
-__all__ = ["EventSchedule", "events", "evolve", "total_energy", "brute_force_oracle"]
+__all__ = ["EventSchedule", "events", "evolve", "total_energy"]
 
-#: Two breaking times within this absolute distance count as one event.
+#: Two breaking times within this distance count as one event (for t below
+#: 2048; from there on the tolerance is four ulps of t, see tie_tol).
 EVENT_TIE_TOL = 1e-12
+
+
+def tie_tol(t: float) -> float:
+    """Tie tolerance for breaking times up to t: max(1e-12, 4 ulp(t))."""
+    return max(EVENT_TIE_TOL, 4.0 * math.ulp(t))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,64 +81,50 @@ class EventSchedule:
                 raise ValueError("every event time needs a cell list")
 
 
-def _clustered_events(tau, eligible, lo_mask):
-    """Group eligible breaking times into tie-tolerance clusters.
+def _clusters(s: LagrangianState, t: float, side: str):
+    """Cells of s that break by time t, grouped into tie clusters.
 
-    ``lo_mask`` selects the cells that seed clusters; ``eligible`` marks the
-    cells allowed to join one (stragglers within EVENT_TIE_TOL of a cluster
-    are swept in even when they missed the seed cut).  Returns a list of
-    (event_time, index_array) pairs ordered by time, event_time being the
-    earliest breaking time in the cluster.
+    Eligible cells are those not yet broken with 0 < tau < inf (tau = 0
+    marks initial point masses, which never dissipate).  Cells with tau <= t
+    (side="right") or tau < t - tol (side="left") seed the clusters: sorted
+    by tau, a gap above tol starts a new cluster.  Eligible cells within tol
+    above the last seed join the last cluster even when they missed the cut.
+
+    Returns (cells, bounds, first): the member cells in tau order, the
+    offsets in ``cells`` where each cluster begins followed by cells.size,
+    and each cluster's earliest breaking time.
     """
-    seeds = np.flatnonzero(lo_mask)
-    if seeds.size == 0:
-        return []
-    order = seeds[np.argsort(tau[seeds], kind="stable")]
-    sorted_tau = tau[order]
-    breaks = np.flatnonzero(np.diff(sorted_tau) > EVENT_TIE_TOL) + 1
-    groups = np.split(np.arange(order.size), breaks)
-    elig_idx = np.flatnonzero(eligible)
-    elig_tau = tau[elig_idx]
-    out = []
-    claimed = np.zeros(tau.shape[0], dtype=bool)
-    for g in groups:
-        lo = sorted_tau[g[0]]
-        hi = sorted_tau[g[-1]]
-        members = elig_idx[(elig_tau >= lo - EVENT_TIE_TOL) & (elig_tau <= hi + EVENT_TIE_TOL)]
-        members = members[~claimed[members]]
-        if members.size == 0:
-            continue
-        claimed[members] = True
-        out.append((lo, members))
-    return out
+    tol = tie_tol(t)
+    tau = s.tau
+    cand = ((tau <= t + tol) & (tau > 0.0) & ~s.broken).nonzero()[0]
+    ct = tau[cand]
+    order = ct.argsort(kind="stable")
+    cand, ct = cand[order], ct[order]
+    if side == "right":
+        n_seed = int(ct.searchsorted(t, side="right"))
+    else:
+        n_seed = int(ct.searchsorted(t - tol, side="left"))
+    if n_seed == 0:
+        return cand[:0], np.zeros(1, dtype=np.intp), ct[:0]
+    n_member = int(ct.searchsorted(ct[n_seed - 1] + tol, side="right"))
+    gaps = (ct[1:n_seed] - ct[: n_seed - 1] > tol).nonzero()[0] + 1
+    bounds = np.concatenate(([0], gaps, [n_member]))
+    return cand[:n_member], bounds, ct[bounds[:-1]]
 
 
 def events(s: LagrangianState, T: float) -> EventSchedule:
-    """Breaking events of ``s`` with times in (0, T], clustered at 1e-12.
+    """Breaking events of ``s`` with times up to T, clustered by tie_tol(T).
 
     Cells already flagged broken, cells with tau = 0 (initial point masses,
     which never dissipate), and cells that never break are excluded.
     """
     if not np.isfinite(T):
         raise ConfigError("event horizon T must be finite")
-    tau = s.tau
-    eligible = (~s.broken) & (tau > 0.0) & np.isfinite(tau)
-    base = eligible & (tau <= T)
-    clusters = _clustered_events(tau, eligible, base)
-    times = tuple(t for t, _ in clusters)
-    cells = {t: idx for t, idx in clusters}
-    return EventSchedule(times=times, cells_at=cells)
-
-
-def _advance(y, U, V, d_y, d_U, d_V, V_inf, dt):
-    """Closed-form motion over a window of length dt with frozen V."""
-    if dt == 0.0:
-        return
-    acc = 0.5 * V - 0.25 * V_inf
-    y += dt * U + (0.5 * dt * dt) * acc
-    U += dt * acc
-    d_y += dt * d_U + (0.25 * dt * dt) * d_V
-    d_U += (0.5 * dt) * d_V
+    cells, bounds, first = _clusters(s, T, "right")
+    times = tuple(first.tolist())
+    bounds = bounds.tolist()
+    groups = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return EventSchedule(times=times, cells_at=dict(zip(times, groups)))
 
 
 def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState:
@@ -130,54 +136,66 @@ def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState
     d_y and d_U vanish there as a fact of the motion) but their energy is not
     yet scaled, giving the one-sided limit as time approaches t from below.
 
-    Raises ValueError when t precedes the state's current time.
+    Raises ConfigError when t is not finite or precedes the state's time.
     """
     if side not in ("left", "right"):
         raise ConfigError("side must be 'left' or 'right'")
     if not np.isfinite(t):
-        raise ValueError("target time must be finite")
+        raise ConfigError("target time must be finite")
     if t < s.time:
-        raise ValueError(f"cannot evolve backwards: state at {s.time}, requested {t}")
+        raise ConfigError(f"cannot evolve backwards: state at {s.time}, requested {t}")
     if t == s.time and side == "right":
         return s
 
-    y = s.y.copy()
-    U = s.U.copy()
-    V = s.V.copy()
-    d_y = s.d_y.copy()
-    d_U = s.d_U.copy()
-    d_V = s.d_V.copy()
-    broken = s.broken.copy()
-    tau = s.tau
+    # event-free motion from s.time
+    dt = t - s.time
+    acc = 0.5 * s.V - 0.25 * s.V_inf
+    y = s.y + (dt * s.U + (0.5 * dt * dt) * acc)
+    U = s.U + dt * acc
+    d_y = s.d_y + (dt * s.d_U + (0.25 * dt * dt) * s.d_V)
+    d_U = s.d_U + (0.5 * dt) * s.d_V
+    d_V = s.d_V
+    broken = s.broken
+    V = s.V
     V_inf = s.V_inf
-    V0 = V[0]
-    w = s.widths
 
-    eligible = (~broken) & (tau > 0.0) & np.isfinite(tau)
-    if side == "right":
-        base = eligible & (tau <= t)
-    else:
-        base = eligible & (tau < t - EVENT_TIE_TOL)
-    one_minus_alpha = 1.0 - s.alpha
+    cells, bounds, first = _clusters(s, t, side)
+    if cells.size:
+        w = s.widths
+        r = (t - np.maximum(first, s.time)).repeat(bounds[1:] - bounds[:-1])
+        order = cells.argsort()
+        cells, r = cells[order], r[order]
+        kept = (1.0 - s.alpha) * s.d_V[cells]
+        d_V = s.d_V.copy()
+        d_V[cells] = kept
+        # the collapse is exact: restart the cell from analytic zeros
+        d_y[cells] = (0.25 * r * r) * kept
+        d_U[cells] = (0.5 * r) * kept
+        broken = s.broken.copy()
+        broken[cells] = True
 
-    t_cur = s.time
-    for t_event, idx in _clustered_events(tau, eligible, base):
-        t_stop = max(t_event, s.time)
-        _advance(y, U, V, d_y, d_U, d_V, V_inf, t_stop - t_cur)
-        t_cur = t_stop
-        # The collapse is exact: write the analytic zeros instead of the
-        # rounded residue of the quadratic update.
-        d_y[idx] = 0.0
-        d_U[idx] = 0.0
-        d_V[idx] *= one_minus_alpha
-        broken[idx] = True
-        V = V0 + np.concatenate(([0.0], exact_cumsum(d_V * w)))
-        V_inf = V0 + stable_sum(d_V * w)
+        # the energy D_i lost at tau_i changes acc by -D_i/2 at the nodes
+        # right of cell i and by D_i/4 at every node; integrated once (r)
+        # and twice (r^2 / 2) these are prefix sums over the breaking cells
+        # in index order, constant between consecutive ones
+        D = (s.d_V[cells] - kept) * w[cells]
+        lost = np.zeros((2, cells.size + 1))
+        lost[0, 1:] = D * r
+        lost[1, 1:] = D * (0.5 * r * r)
+        lost.cumsum(axis=1, out=lost)
+        gain = 0.25 * lost[:, -1:] - 0.5 * lost
+        edges = np.concatenate(([-1], cells, [s.n_cells]))
+        counts = edges[1:] - edges[:-1]
+        U += gain[0].repeat(counts)
+        y += gain[1].repeat(counts)
 
-    _advance(y, U, V, d_y, d_U, d_V, V_inf, t - t_cur)
+        m = d_V * w
+        V = s.V[0] + np.concatenate(([0.0], exact_cumsum(m)))
+        V_inf = s.V[0] + stable_sum(m)
 
     if side == "left":
-        at_t = (~broken) & np.isfinite(tau) & (np.abs(tau - t) <= EVENT_TIE_TOL) & (tau > 0.0)
+        tau = s.tau
+        at_t = (~broken) & (np.abs(tau - t) <= tie_tol(t)) & (tau > 0.0)
         d_y[at_t] = 0.0
         d_U[at_t] = 0.0
 
@@ -198,78 +216,3 @@ def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState
 def total_energy(s: LagrangianState) -> float:
     """Current total energy sum(d_V * width) over all cells."""
     return stable_sum(s.d_V * s.widths)
-
-
-def brute_force_oracle(s: LagrangianState, t: float, n_steps: int) -> LagrangianState:
-    """Reference integrator for tests: classical RK4 on the nodal system.
-
-    Marches (y_j, U_j) with fixed step h = (t - s.time)/n_steps using the
-    textbook four-stage Runge-Kutta scheme, holding the nodal V values frozen
-    within each step.  Energy dissipation is quantized: each breaking cell has
-    its d_V scaled by (1 - alpha) at the first step boundary at or after its
-    breaking time.  Deliberately independent of evolve's closed-form updates;
-    agreement is limited by the O(h) event quantization.
-    """
-    if n_steps < 1:
-        raise ConfigError("n_steps must be a positive integer")
-    if t < s.time:
-        raise ValueError(f"cannot integrate backwards: state at {s.time}, requested {t}")
-
-    y = s.y.copy()
-    U = s.U.copy()
-    d_V = s.d_V.copy()
-    broken = s.broken.copy()
-    tau = s.tau
-    V0 = s.V[0]
-    w = s.widths
-    V = s.V.copy()
-    V_inf = s.V_inf
-    h = (t - s.time) / n_steps
-    one_minus_alpha = 1.0 - s.alpha
-
-    pending = np.flatnonzero(
-        (~broken) & (tau > 0.0) & np.isfinite(tau) & (tau <= t + EVENT_TIE_TOL)
-    )
-    pending = pending[np.argsort(tau[pending], kind="stable")]
-    ptr = 0
-
-    def rhs(y_arr, U_arr):
-        acc = 0.5 * V - 0.25 * V_inf
-        return U_arr, acc
-
-    for k in range(n_steps + 1):
-        t_k = t if k == n_steps else s.time + k * h
-        cut = ptr
-        while cut < pending.size and tau[pending[cut]] <= t_k + EVENT_TIE_TOL:
-            cut += 1
-        if cut > ptr:
-            idx = pending[ptr:cut]
-            d_V[idx] *= one_minus_alpha
-            broken[idx] = True
-            V = V0 + np.concatenate(([0.0], exact_cumsum(d_V * w)))
-            V_inf = V0 + stable_sum(d_V * w)
-            ptr = cut
-        if k == n_steps:
-            break
-        k1y, k1u = rhs(y, U)
-        k2y, k2u = rhs(y + 0.5 * h * k1y, U + 0.5 * h * k1u)
-        k3y, k3u = rhs(y + 0.5 * h * k2y, U + 0.5 * h * k2u)
-        k4y, k4u = rhs(y + h * k3y, U + h * k3u)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        U = U + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d_y_new = np.diff(y) / w
-        d_U_new = np.diff(U) / w
-    return dataclasses.replace(
-        s,
-        y=y,
-        U=U,
-        V=V,
-        d_y=d_y_new,
-        d_U=d_U_new,
-        d_V=d_V,
-        broken=broken,
-        time=t,
-        V_inf=V_inf,
-    )

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError
 from .eulerian import EulerianSolution, InitialDatum, eval_cumulative, make_multipeakon
 from .evolution import events, evolve
-from .lagrangian import to_lagrangian
+from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
 from .projection import ProjectionConfig, project
 from .pushforward import to_eulerian
@@ -49,6 +49,7 @@ __all__ = [
     "write_solution_csv",
     "datum_for",
     "reference_for",
+    "initial_state",
     "dx_of_level",
 ]
 
@@ -242,9 +243,9 @@ def _attach_eoc(triples):
     return tuple(rows)
 
 
-def _pipeline_state(cfg: ExperimentConfig, dx: float):
-    datum = datum_for(cfg)
-    projected = project(datum, ProjectionConfig(dx=dx))
+def initial_state(cfg: ExperimentConfig, dx: float) -> LagrangianState:
+    """Lagrangian state at time 0 of cfg's datum projected at mesh size dx."""
+    projected = project(datum_for(cfg), ProjectionConfig(dx=dx))
     return to_lagrangian(projected, alpha=cfg.alpha)
 
 
@@ -268,7 +269,7 @@ def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
     Breaking-event times up to max(t_list) are inserted automatically, so the
     returned list may be longer than t_list; each snapshot carries its time.
     """
-    s = _pipeline_state(cfg, dx)
+    s = initial_state(cfg, dx)
     out = []
     for t in _merged_times(s, t_list):
         s = evolve(s, float(t))
@@ -300,7 +301,7 @@ def run_eoc(cfg: ExperimentConfig) -> EocReport:
     triples = []
     for k in cfg.k_range:
         dx = dx_of_level(k)
-        s = _pipeline_state(cfg, dx)
+        s = initial_state(cfg, dx)
         grid = _merged_times(s, samples)
         worst = 0.0
         for t in grid:
@@ -338,8 +339,7 @@ def run_measure_rates(cfg: ExperimentConfig) -> EocReport:
     triples = []
     for k in cfg.k_range:
         dx = dx_of_level(k)
-        sols = run_solve(cfg, dx, [probe])
-        sol = sols[-1]
+        sol = to_eulerian(evolve(initial_state(cfg, dx), probe))
         prof = _profile_for(ref, probe, sol)
         dist = w1(prof.measure(), sol.mu)
         triples.append((k, dx, dist))

@@ -77,7 +77,7 @@ class LagrangianState:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.xi)
+        return self.xi[1:] - self.xi[:-1]
 
 
 def breaking_time(d_y: float, d_U: float) -> float:

@@ -21,13 +21,14 @@ def exact_cumsum(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return np.zeros(0)
-    s = np.cumsum(x)
+    s = x.cumsum()
     a = np.concatenate(([0.0], s[:-1]))
     z = s - a
     err = (a - (s - z)) + (x - z)
-    return s + np.cumsum(err)
+    return s + err.cumsum()
 
 
 def stable_sum(x: np.ndarray) -> float:
     """Exactly rounded sum (math.fsum) of a float array."""
-    return math.fsum(np.asarray(x, dtype=np.float64).tolist())
+    # fsum reads the buffer directly; no list of float objects is built
+    return math.fsum(np.ascontiguousarray(x, dtype=np.float64).ravel().data)

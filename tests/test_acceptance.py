@@ -13,7 +13,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, random_multipeakon
 from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear, make_multipeakon
-from hsalpha.evolution import brute_force_oracle, evolve, total_energy
+from hsalpha.evolution import evolve, total_energy
 from hsalpha.harness import (
     ExperimentConfig,
     dx_of_level,
@@ -31,6 +31,7 @@ from hsalpha.reference import (
     multipeakon_datum,
     multipeakon_exact,
 )
+from oracles import brute_force_oracle
 
 _EPS = float(np.finfo(np.float64).eps)
 

@@ -10,12 +10,15 @@ from hsalpha.harness import (
     ExperimentConfig,
     config_from_dict,
     dx_of_level,
+    initial_state,
     load_config,
     run_eoc,
     run_measure_rates,
     run_solve,
     write_solution_csv,
 )
+from hsalpha.evolution import evolve
+from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import ReferenceSolution, multipeakon_exact
 
 
@@ -82,6 +85,26 @@ def test_run_solve_matches_closed_form_at_collapse():
     u_ref, _ = multipeakon_exact(0.5, 2.0, xs)
     assert np.max(np.abs(final.u(xs) - u_ref)) <= 1e-12
     assert final.mu.atoms == ((0.75, 0.25),)
+
+
+@pytest.mark.parametrize(
+    "cfg, dx",
+    [
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0), 2.0**-6),
+        (ExperimentConfig(example="cosine", alpha=0.75, T=1.0), 2.0**-4),
+    ],
+)
+def test_final_snapshot_in_one_map_matches_run_solve(cfg, dx):
+    # the one-map final state equals the last snapshot of the event-by-event
+    # march up to round-off
+    direct = to_eulerian(evolve(initial_state(cfg, dx), cfg.T))
+    marched = run_solve(cfg, dx, [cfg.T])
+    assert len(marched) > 1  # the march stopped at breaking events
+    final = marched[-1]
+    assert direct.time == final.time == cfg.T
+    xs = np.union1d(direct.u.nodes, final.u.nodes)
+    assert np.max(np.abs(direct.u(xs) - final.u(xs))) <= 1e-12
+    assert direct.mu.total_mass() == pytest.approx(final.mu.total_mass(), rel=1e-14)
 
 
 def test_run_solve_validates_time_list():
