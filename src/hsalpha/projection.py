@@ -35,6 +35,7 @@ from .eulerian import (
 from . import metrics
 
 __all__ = [
+    "MAX_CELLS",
     "SignRule",
     "ProjectionConfig",
     "ProjectedDatum",
@@ -50,6 +51,11 @@ __all__ = [
 # F_inf ~ 19.7 at dx = 2^-14), so project() widens the floor by a provable
 # round-off allowance computed from the sampled values.
 RADICAND_CLAMP = 1e-12
+
+#: Largest number of grid cells project() accepts.  One float array over the
+#: nodes is then 512 MiB, and a solve holds a few dozen of them; a finer dx
+#: or a wider window is refused before anything is allocated.
+MAX_CELLS = 2**26
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -120,9 +126,15 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     round-off allowance, see :data:`RADICAND_CLAMP`) raises
     :class:`ConsistencyError`: the datum violates ``F_ac' >= u_x^2`` in the
     pair average.  Negative values inside the tolerance are clamped to zero.
+    A window of more than :data:`MAX_CELLS` cells raises :class:`ConfigError`.
     """
     dx = cfg.dx
     j_min, j_max = cfg.window if cfg.window is not None else default_window(d, dx)
+    if 2 * (j_max - j_min) > MAX_CELLS:
+        raise ConfigError(
+            f"dx = {dx:g} gives {2 * (j_max - j_min)} cells on this window, "
+            f"more than the {MAX_CELLS} allowed"
+        )
     lo, hi = _required_span(d)
     x_left, x_right = 2.0 * dx * j_min, 2.0 * dx * j_max
     if x_left > lo - dx or x_right < hi + dx:

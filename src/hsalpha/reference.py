@@ -24,6 +24,17 @@ branch formulas (multipeakon_exact).  For the cosine and cusp data the sets
 antiderivatives in closed form; only the final inversion x = y(t, z) is
 numerical (bracketed root finding to inv_tol, or a dense monotone table for
 whole-profile evaluation).
+
+Everything in these expressions except t and the dissipation integrals'
+dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
+cusp rho(z) = |z|^(1/3) on the broken branch.  A family's ``columns(z)``
+evaluates those once; B, J1, J2 and the three maps above read the columns.
+The dense table of ``ReferenceSolution.profile`` has a static part (a
+uniform bulk over the datum window and geometric ladders at fixed anchors)
+whose columns are kept between calls with the same n_base, and a moving
+part (tails, ladders at t-dependent anchors, the cosine's broken arcs)
+evaluated per call and merged in order; every table equals the one built
+from scratch point for point.
 """
 
 from __future__ import annotations
@@ -124,6 +135,33 @@ def multipeakon_datum() -> InitialDatum:
 
 
 # ---------------------------------------------------------------------------
+# Shared interface of the two table-backed families.
+# ---------------------------------------------------------------------------
+
+class _CharacteristicFamily:
+    """What the table builder needs from a family.
+
+    ``columns(z)`` evaluates everything about the characteristics starting at
+    z that does not depend on time: z itself, ubar(z) as "u", Fbar(z) as "F",
+    plus whatever else the family's dissipation integrals read.  ``_B``,
+    ``_J1`` and ``_J2`` take those columns, so a table evaluates the columns
+    once and reuses them at every time; ``B``, ``J1`` and ``J2`` are the same
+    integrals at raw points z.  ``fixed_anchors`` and ``moving_points(t, lo,
+    hi)`` say where the table refines: at points that never move, and at
+    points that move with t.
+    """
+
+    def B(self, t, z):
+        return self._B(t, self.columns(z))
+
+    def J1(self, t, z):
+        return self._J1(t, self.columns(z))
+
+    def J2(self, t, z):
+        return self._J2(t, self.columns(z))
+
+
+# ---------------------------------------------------------------------------
 # Cosine family: ubar = cos(pi x) on [0, 4], constants outside.
 # ---------------------------------------------------------------------------
 
@@ -132,7 +170,7 @@ def _lam(w):
     return 0.5 * _PI * _PI * w - 0.25 * _PI * np.sin(2.0 * _PI * w)
 
 
-class CosineFamily:
+class CosineFamily(_CharacteristicFamily):
     """Characteristic-form solution pieces for the cosine datum.
 
     The slope -pi sin(pi z) is negative on (0, 1) and (2, 3); by time
@@ -144,6 +182,8 @@ class CosineFamily:
 
     window = (0.0, 4.0)
     u_max = 1.0
+    #: datum edges and slope extrema
+    fixed_anchors = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0)
 
     def __init__(self, alpha):
         if not 0.0 <= alpha <= 1.0:
@@ -152,12 +192,11 @@ class CosineFamily:
         self.F_inf = float(_lam(4.0))
 
     @staticmethod
-    def initial_u(z):
-        return np.cos(_PI * np.clip(z, 0.0, 4.0))
-
-    @staticmethod
-    def initial_F(z):
-        return _lam(np.clip(z, 0.0, 4.0))
+    def columns(z):
+        # inside [0, 4] "u" is cos(pi z) and "F" is lam(z), the two
+        # transcendental terms of the antiderivatives below
+        w = np.clip(z, 0.0, 4.0)
+        return {"z": z, "u": np.cos(_PI * w), "F": _lam(w)}
 
     @staticmethod
     def breaking_arcs(t):
@@ -167,39 +206,59 @@ class CosineFamily:
         zeta = math.asin(min(1.0, 2.0 / (_PI * t))) / _PI
         return [(zeta, 1.0 - zeta), (2.0 + zeta, 3.0 - zeta)]
 
+    def moving_points(self, t, lo, hi):
+        """Ladders at the moving ends of the broken arcs, and a dense cover of each arc."""
+        arcs = self.breaking_arcs(t)
+        pieces = [_geometric_ladder([w for arc in arcs for w in arc], lo, hi)]
+        for a, b in arcs:
+            pieces.append(np.linspace(a - 0.05, b + 0.05, 6001))
+        return np.concatenate(pieces)
+
     # Antiderivatives of the broken-set integrands (valid inside the arcs,
-    # where tau(w) = 2/(pi sin(pi w))):
+    # where tau(w) = 2/(pi sin(pi w))), in w, lam = lam(w) and cos = cos(pi w):
     #   d/dw [t lam(w) + 2 cos(pi w)]              = (t - tau) ubar_x^2
     #   d/dw [t^2 lam(w) + 4 t cos(pi w) + 4 w]/2  = (t - tau)^2 ubar_x^2
     @staticmethod
-    def _g_b(w, t):
-        return _lam(w)
+    def _g_b(t, w, lam, cos):
+        return lam
 
     @staticmethod
-    def _g_j1(w, t):
-        return t * _lam(w) + 2.0 * np.cos(_PI * w)
+    def _g_j1(t, w, lam, cos):
+        return t * lam + 2.0 * cos
 
     @staticmethod
-    def _g_j2(w, t):
-        return 0.5 * (t * t * _lam(w) + 4.0 * t * np.cos(_PI * w) + 4.0 * w)
+    def _g_j2(t, w, lam, cos):
+        return 0.5 * (t * t * lam + 4.0 * t * cos + 4.0 * w)
 
-    def _arc_sum(self, g, t, z):
+    @staticmethod
+    def _g_at(g, t, w):
+        return g(t, w, _lam(w), np.cos(_PI * w))
+
+    def _arc_sum(self, g, t, c):
+        # sum over the arcs of g(clip(z, lo, hi)) - g(lo): inside an arc g
+        # reads the columns, outside it is g at the nearer end
+        z = c["z"]
         total = np.zeros_like(np.asarray(z, dtype=float))
         for lo, hi in self.breaking_arcs(t):
-            total = total + g(np.clip(z, lo, hi), t) - g(lo, t)
+            g_lo, g_hi = self._g_at(g, t, np.asarray([lo, hi]))
+            inside = g(t, z, c["F"], c["u"])
+            clipped = np.where(z < lo, g_lo, np.where(z > hi, g_hi, inside))
+            total = total + clipped - self._g_at(g, t, lo)
         return total
 
     def _arc_total(self, g, t):
-        return float(sum(g(hi, t) - g(lo, t) for lo, hi in self.breaking_arcs(t)))
+        return float(
+            sum(self._g_at(g, t, hi) - self._g_at(g, t, lo) for lo, hi in self.breaking_arcs(t))
+        )
 
-    def B(self, t, z):
-        return self._arc_sum(self._g_b, t, z)
+    def _B(self, t, c):
+        return self._arc_sum(self._g_b, t, c)
 
-    def J1(self, t, z):
-        return self._arc_sum(self._g_j1, t, z)
+    def _J1(self, t, c):
+        return self._arc_sum(self._g_j1, t, c)
 
-    def J2(self, t, z):
-        return self._arc_sum(self._g_j2, t, z)
+    def _J2(self, t, c):
+        return self._arc_sum(self._g_j2, t, c)
 
     def B_inf(self, t):
         return self._arc_total(self._g_b, t)
@@ -210,14 +269,6 @@ class CosineFamily:
     def J2_inf(self, t):
         return self._arc_total(self._g_j2, t)
 
-    def anchors(self, t):
-        """Refinement anchors for dense tables: datum edges, slope extrema,
-        and the moving endpoints of the broken arcs."""
-        pts = [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
-        for lo, hi in self.breaking_arcs(t):
-            pts.extend((lo, hi))
-        return pts
-
 
 # ---------------------------------------------------------------------------
 # Cusp family: ubar = |x|^(2/3) on [a, b], constants outside.
@@ -227,7 +278,7 @@ def _cbrt_signed(w):
     return np.sign(w) * np.abs(w) ** (1.0 / 3.0)
 
 
-class CuspFamily:
+class CuspFamily(_CharacteristicFamily):
     """Characteristic-form solution pieces for the cusped datum.
 
     ubar_x = (2/3) sgn(z) |z|^(-1/3) on (a, b), so breaking happens only on
@@ -245,37 +296,47 @@ class CuspFamily:
         self.b = float(b)
         self.alpha = alpha
         self.window = (self.a, self.b)
+        self.fixed_anchors = (self.a, 0.0, self.b)
         self._neg = min(self.a, 0.0)
+        self._cbrt_a = _cbrt_signed(self.a)
         self.F_inf = float((4.0 / 3.0) * (_cbrt_signed(b) - _cbrt_signed(a)))
         self.u_max = float(max(abs(a), abs(b)) ** (2.0 / 3.0))
 
-    def initial_u(self, z):
-        return np.abs(np.clip(z, self.a, self.b)) ** (2.0 / 3.0)
+    def columns(self, z):
+        # rho = |z|^(1/3) on the negative branch, clipped to [a, 0]
+        w = np.clip(z, self.a, self.b)
+        return {
+            "z": z,
+            "u": np.abs(w) ** (2.0 / 3.0),
+            "F": (4.0 / 3.0) * (_cbrt_signed(w) - self._cbrt_a),
+            "rho": (-np.clip(z, self._neg, 0.0)) ** (1.0 / 3.0),
+        }
 
-    def initial_F(self, z):
-        return (4.0 / 3.0) * (_cbrt_signed(np.clip(z, self.a, self.b)) - _cbrt_signed(self.a))
+    def moving_points(self, t, lo, hi):
+        """The ladder at the moving edge -r(t)^3 of the broken region."""
+        return _geometric_ladder([-self._r(t) ** 3] if self._neg < 0.0 else [], lo, hi)
 
     def _r(self, t):
         """Depth of the broken region in v = |z|^(1/3) units at time t."""
         return min((-self._neg) ** (1.0 / 3.0), t / 3.0)
 
-    def _rho(self, z):
-        return (-np.clip(z, self._neg, 0.0)) ** (1.0 / 3.0)
-
-    def B(self, t, z):
+    def _B(self, t, c):
         r = self._r(t)
-        rho = self._rho(z)
-        return (4.0 / 3.0) * np.maximum(r - rho, 0.0)
+        return (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0)
 
-    def J1(self, t, z):
+    def _J1(self, t, c):
         r = self._r(t)
-        rho = np.minimum(self._rho(z), r)
+        rho = np.minimum(c["rho"], r)
         return (4.0 / 3.0) * (t * (r - rho) - 1.5 * (r * r - rho * rho))
 
-    def J2(self, t, z):
+    def _J2(self, t, c):
         r = self._r(t)
-        rho = np.minimum(self._rho(z), r)
-        return (2.0 / 27.0) * ((t - 3.0 * rho) ** 3 - (t - 3.0 * r) ** 3)
+        rho = np.minimum(c["rho"], r)
+        # every point with rho = r has the base t - 3r, often 0 or a negative
+        # round-off, where pow is slow: cube it once and only the rest per point
+        cube = np.full(np.shape(rho), np.power([t - 3.0 * r], 3)[0])
+        np.power(t - 3.0 * rho, 3, out=cube, where=rho < r)
+        return (2.0 / 27.0) * (cube - (t - 3.0 * r) ** 3)
 
     def B_inf(self, t):
         return (4.0 / 3.0) * self._r(t)
@@ -288,38 +349,34 @@ class CuspFamily:
         r = self._r(t)
         return (2.0 / 27.0) * (t ** 3 - (t - 3.0 * r) ** 3)
 
-    def anchors(self, t):
-        pts = [self.a, 0.0, self.b]
-        if self._neg < 0.0:
-            pts.append(-self._r(t) ** 3)
-        return pts
 
+# The characteristic maps take a family and the columns c = fam.columns(z).
 
-def _char_velocity(fam, t, z):
+def _char_velocity(fam, t, c):
     a = fam.alpha
     return (
-        fam.initial_u(z)
-        + 0.5 * t * fam.initial_F(z)
+        c["u"]
+        + 0.5 * t * c["F"]
         - 0.25 * t * fam.F_inf
-        - 0.5 * a * fam.J1(t, z)
+        - 0.5 * a * fam._J1(t, c)
         + 0.25 * a * fam.J1_inf(t)
     )
 
 
-def _char_position(fam, t, z):
+def _char_position(fam, t, c):
     a = fam.alpha
     return (
-        z
-        + t * fam.initial_u(z)
-        + 0.25 * t * t * fam.initial_F(z)
+        c["z"]
+        + t * c["u"]
+        + 0.25 * t * t * c["F"]
         - 0.125 * t * t * fam.F_inf
-        - 0.5 * a * fam.J2(t, z)
+        - 0.5 * a * fam._J2(t, c)
         + 0.25 * a * fam.J2_inf(t)
     )
 
 
-def _char_cumulative(fam, t, z):
-    return fam.initial_F(z) - fam.alpha * fam.B(t, z)
+def _char_cumulative(fam, t, c):
+    return c["F"] - fam.alpha * fam._B(t, c)
 
 
 def _char_total(fam, t):
@@ -338,7 +395,8 @@ class ReferenceProfile:
     arrays; sup_u is the profile's max |u| (denominator of relative errors);
     v_inf the retained total energy; measure() the energy measure object;
     knots are the x positions where the profile's representation kinks
-    (useful as evaluation sites when comparing against other profiles).
+    (useful as evaluation sites when comparing against other profiles), and
+    knot_u the profile's u there.
     """
 
     time: float
@@ -348,44 +406,104 @@ class ReferenceProfile:
     v_inf: float
     _measure_factory: object
     knots: object = None
+    knot_u: object = None
 
     def measure(self) -> EnergyMeasure:
         return self._measure_factory()
 
 
-def _geometric_ladder(points, lo, hi):
-    """Refinement points accumulating geometrically at each anchor."""
-    offs = 2.0 ** (-np.arange(8.0, 95.0) / 2.0)
-    pts = []
-    for p in points:
-        pts.append(p + offs)
-        pts.append(p - offs)
-        pts.append(np.asarray([p]))
-    out = np.concatenate(pts)
+_LADDER = 2.0 ** (-np.arange(8.0, 95.0) / 2.0)
+#: offsets of a refinement ladder's points from its anchor
+_LADDER_STEPS = np.concatenate((_LADDER, -_LADDER, [0.0]))
+
+
+def _geometric_ladder(points, lo=-np.inf, hi=np.inf):
+    """Refinement points in [lo, hi] accumulating geometrically at each anchor."""
+    out = (np.asarray(points, dtype=float)[:, None] + _LADDER_STEPS).ravel()
     return out[(out >= lo) & (out <= hi)]
 
 
-def _family_profile(fam, t, x_lo, x_hi, n_base):
+def _static_table(fam, n_base):
+    """Columns at the table points that no time moves: n_base bulk points
+    over the window widened by 1, and the ladders at the fixed anchors."""
+    w_lo, w_hi = fam.window
+    z = np.unique(
+        np.concatenate(
+            (
+                np.linspace(w_lo - 1.0, w_hi + 1.0, n_base),
+                _geometric_ladder(fam.fixed_anchors),
+            )
+        )
+    )
+    return fam.columns(z)
+
+
+def _merged_columns(fam, static, z_lo, z_hi, moving):
+    """The static columns cut to [z_lo, z_hi], with the sorted moving points
+    that no static point equals inserted in order."""
+    # one array per column, none larger than the table: freeing a larger
+    # block would raise glibc's mmap threshold and with it the peak RSS
+    zs = static["z"]
+    if zs[0] < z_lo or zs[-1] > z_hi:
+        i0, i1 = np.searchsorted(zs, z_lo), np.searchsorted(zs, z_hi, side="right")
+        static = {key: col[i0:i1] for key, col in static.items()}
+        zs = static["z"]
+    pos = np.searchsorted(zs, moving)
+    new = zs[np.minimum(pos, zs.size - 1)] != moving
+    pos, extra = pos[new], fam.columns(moving[new])
+    # moving points [:a] go before every static point and [b:] after them;
+    # only the static stretch [p0, p1) spanned by the rest is interleaved
+    a, b = np.searchsorted(pos, (1, zs.size))
+    p0, p1 = (pos[a], pos[b - 1]) if a < b else (0, 0)
+    slots = pos[a:b] - p0 + np.arange(b - a)
+    old = np.ones(p1 - p0 + b - a, dtype=bool)
+    old[slots] = False
+    merged = {}
+    for key, col in static.items():
+        ext = extra[key]
+        mid = np.empty(old.size)
+        mid[old] = col[p0:p1]
+        mid[slots] = ext[a:b]
+        merged[key] = np.concatenate((ext[:a], col[:p0], mid, col[p1:], ext[b:]))
+    return merged
+
+
+def _running_max(v):
+    """np.maximum.accumulate(v), in place: the accumulation only runs over
+    the stretch where v decreases (round-off among collapsed points)."""
+    down = np.flatnonzero(v[1:] < v[:-1])
+    if down.size:
+        i, j = down[0], down[-1] + 2
+        v[i:j] = np.maximum.accumulate(v[i:j])
+        np.maximum(v[j:], v[j - 1], out=v[j:])
+    return v
+
+
+def _table_columns(fam, t, x_lo, x_hi, static):
+    """Columns at every point of the table for time t that covers [x_lo, x_hi]."""
     # Characteristics outside the datum window move rigidly (constant u,
     # constant F), so resolution is only spent on the window itself; sparse
     # tail points keep the table's x-range wide enough to cover [x_lo, x_hi].
+    # The bulk always lies inside [z_lo, z_hi] (margin >= 1), and so does a
+    # fixed-anchor ladder (at most 2^-4 wide) unless its anchor lies outside
+    # the window, as the cusp's 0 can; _merged_columns cuts those off.
     margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
     w_lo, w_hi = fam.window
     z_lo = min(x_lo, w_lo) - margin
     z_hi = max(x_hi, w_hi) + margin
-    pieces = [
-        np.linspace(w_lo - 1.0, w_hi + 1.0, max(int(n_base), 101)),
-        np.linspace(z_lo, w_lo - 1.0, 9),
-        np.linspace(w_hi + 1.0, z_hi, 9),
-        _geometric_ladder(fam.anchors(t), z_lo, z_hi),
-    ]
-    for lo, hi in getattr(fam, "breaking_arcs", lambda _t: [])(t):
-        pieces.append(np.linspace(lo - 0.05, hi + 0.05, 6001))
-    z = np.unique(np.concatenate(pieces))
-    y = np.maximum.accumulate(_char_position(fam, t, z))
-    u = _char_velocity(fam, t, z)
-    F = np.maximum.accumulate(_char_cumulative(fam, t, z))
-    keep = np.append(np.diff(y) > 0.0, True)
+    tails = np.linspace((z_lo, w_hi + 1.0), (w_lo - 1.0, z_hi), 9).ravel()
+    moving = np.unique(np.concatenate((tails, fam.moving_points(t, z_lo, z_hi))))
+    return _merged_columns(fam, static, z_lo, z_hi, moving)
+
+
+def _table_profile(fam, t, c):
+    """The profile at time t tabulated at the characteristics with columns c."""
+    y = _running_max(_char_position(fam, t, c))
+    u = _char_velocity(fam, t, c)
+    F = _running_max(_char_cumulative(fam, t, c))
+    keep = np.empty(y.size, dtype=bool)
+    np.greater(y[1:], y[:-1], out=keep[:-1])
+    keep[-1] = True
     y_k, u_k, F_k = y[keep], u[keep], F[keep]
     v_inf = _char_total(fam, t)
 
@@ -406,6 +524,7 @@ def _family_profile(fam, t, x_lo, x_hi, n_base):
         v_inf=v_inf,
         _measure_factory=measure,
         knots=y_k,
+        knot_u=u_k,
     )
 
 
@@ -456,6 +575,7 @@ def _multipeakon_profile(alpha, t, side="right"):
         v_inf=v_inf,
         _measure_factory=measure,
         knots=knots,
+        knot_u=u_at(knots),
     )
 
 
@@ -498,6 +618,12 @@ class ReferenceSolution:
             return CuspFamily(self.a, self.b, self.alpha)
         return None
 
+    @functools.cached_property
+    def _static(self):
+        # profile()'s one kept static table, the n_base it was built for, and
+        # the n_base of the previous call if that call missed it
+        return {"n_base": None, "table": None, "missed": None}
+
     def initial_datum(self) -> InitialDatum:
         if self.family == "multipeakon_appA":
             return multipeakon_datum()
@@ -516,7 +642,7 @@ class ReferenceSolution:
         lo, hi = x - margin, x + margin
 
         def g(z):
-            return float(_char_position(fam, t, np.asarray(z, dtype=float))) - x
+            return float(_char_position(fam, t, fam.columns(np.asarray(z, dtype=float)))) - x
 
         g_lo, g_hi = g(lo), g(hi)
         grow = margin
@@ -540,7 +666,7 @@ class ReferenceSolution:
         if self.family == "multipeakon_appA":
             return multipeakon_exact(self.alpha, t, float(x))[0]
         z = self._invert(t, float(x))
-        return float(_char_velocity(self._fam, t, np.asarray(z, dtype=float)))
+        return float(_char_velocity(self._fam, t, self._fam.columns(np.asarray(z, dtype=float))))
 
     def eval_F(self, t, x) -> float:
         if t < 0.0:
@@ -548,11 +674,27 @@ class ReferenceSolution:
         if self.family == "multipeakon_appA":
             return multipeakon_exact(self.alpha, t, float(x))[1]
         z = self._invert(t, float(x))
-        return float(_char_cumulative(self._fam, t, np.asarray(z, dtype=float)))
+        return float(_char_cumulative(self._fam, t, self._fam.columns(np.asarray(z, dtype=float))))
 
     def profile(self, t, x_lo=None, x_hi=None, n_base=4001, side="right") -> ReferenceProfile:
         """Dense whole-line evaluators at time t (table-backed for the
-        quadrature families, closed form for the two-peak benchmark)."""
+        quadrature families, closed form for the two-peak benchmark).
+
+        The table's characteristic starting points z are a static part, fixed
+        by n_base (max(n_base, 101) points spread over the datum window
+        widened by 1, plus geometric ladders at the family's fixed anchors),
+        and a moving part built per call (sparse tails out to the x-range
+        [x_lo, x_hi] widened by the distance characteristics travel by t,
+        the ladders at t-dependent anchors, and the cosine family's dense
+        cover of its broken arcs).  Everything about the static points that
+        does not depend on t (z, ubar, Fbar and the family's extra columns)
+        is evaluated once per n_base.  The instance keeps at most one static
+        table, replaced when two calls in a row miss with the same n_base: a
+        run of calls with one n_base reuses it, a lone call with another
+        n_base does not evict it, and a one-shot call keeps nothing.  The
+        moving points are merged in order, and the table is the one a
+        from-scratch build would give, value for value.
+        """
         if t < 0.0:
             raise ConfigError("time must be nonnegative")
         if self.family == "multipeakon_appA":
@@ -562,7 +704,22 @@ class ReferenceSolution:
             x_lo = fam.window[0]
         if x_hi is None:
             x_hi = fam.window[1]
-        return _family_profile(fam, t, x_lo, x_hi, n_base)
+        # a static table that is not kept is freed once merged, before the
+        # per-t arithmetic allocates its temporaries
+        c = _table_columns(fam, t, x_lo, x_hi, self._static_for(max(int(n_base), 101)))
+        return _table_profile(fam, t, c)
+
+    def _static_for(self, n_base):
+        # the static table for n_base, kept as profile() describes
+        memo = self._static
+        if memo["n_base"] == n_base:
+            memo["missed"] = None
+            return memo["table"]
+        static = _static_table(self._fam, n_base)
+        if memo["missed"] == n_base:
+            memo.update(n_base=n_base, table=static)
+        memo["missed"] = n_base
+        return static
 
 
 # ---------------------------------------------------------------------------

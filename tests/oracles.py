@@ -1,23 +1,36 @@
-"""Independent evolution schemes that the tests compare ``evolve`` against.
+"""Independent schemes that the tests compare the library against.
 
 ``sequential_evolve`` is the event-by-event scheme: it advances the whole
 state to each breaking cluster in turn, applies the dissipation there,
 resums the nodal energies and continues, so it costs O(events x cells).
-``brute_force_oracle`` is a fixed-step RK4 march of the nodal system.
-Neither shares any update formula with the closed-form map in
+``brute_force_oracle`` is a fixed-step RK4 march of the nodal system, and
+``brute_force_batch`` the same march over many states at once.  None of
+them shares any update formula with the closed-form map in
 ``hsalpha.evolution``; only the tie tolerance is taken from there.
+
+``oracle_profile`` builds a reference table from scratch at every call,
+with the cosine and cusp formulas written out in z (no precomputed
+columns, no reuse between calls), and ``union_sup_rel_err`` measures the
+sup error on the union of the solution's nodes and the table's knots.
+``ReferenceSolution.profile`` and ``harness.run_eoc`` must agree with them
+bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from hsalpha.errors import ConfigError
+from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear
 from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import exact_cumsum, stable_sum
+from hsalpha.reference import ReferenceProfile
+
+_PI = math.pi
 
 
 def _clustered_events(tau, eligible, lo_mask, tol):
@@ -196,3 +209,369 @@ def brute_force_oracle(s: LagrangianState, t: float, n_steps: int) -> Lagrangian
         time=t,
         V_inf=V_inf,
     )
+
+
+def brute_force_batch(states, t: float, n_steps: int) -> list:
+    """``[brute_force_oracle(s, t, n_steps) for s in states]`` in one march.
+
+    Within a step the right-hand side reads only the frozen nodal V and
+    V_inf, so the states' nodes march as one array with V_inf repeated per
+    node; the states must share their time, hence the step h.  Breaking
+    cells are taken from one list ordered by breaking time and tagged by
+    state, and each state's V and V_inf are resummed as in the single march.
+    The per-node arithmetic is that of brute_force_oracle (subexpressions
+    that stay equal between events are computed once), so every result
+    equals the single march's bit for bit.
+    """
+    if n_steps < 1:
+        raise ConfigError("n_steps must be a positive integer")
+    t0 = states[0].time
+    if any(s.time != t0 for s in states):
+        raise ConfigError("the batched states must share their time")
+    if t < t0:
+        raise ValueError(f"cannot integrate backwards: state at {t0}, requested {t}")
+
+    edges = np.cumsum([0] + [s.y.size for s in states])
+    y = np.concatenate([s.y for s in states])
+    U = np.concatenate([s.U for s in states])
+    V = np.concatenate([s.V for s in states])
+    V_inf = np.concatenate([np.full(s.y.size, s.V_inf) for s in states])
+    d_V = [s.d_V.copy() for s in states]
+    broken = [s.broken.copy() for s in states]
+    h = (t - t0) / n_steps
+
+    pending = []
+    for i, s in enumerate(states):
+        tau = s.tau
+        due = (~s.broken) & (tau > 0.0) & np.isfinite(tau) & (tau <= t + EVENT_TIE_TOL)
+        pending.extend((tau[j], i, j) for j in np.flatnonzero(due))
+    pending.sort(key=lambda p: p[0])
+    ptr = 0
+
+    for k in range(n_steps + 1):
+        t_k = t if k == n_steps else t0 + k * h
+        hit = {}
+        while ptr < len(pending) and pending[ptr][0] <= t_k + EVENT_TIE_TOL:
+            hit.setdefault(pending[ptr][1], []).append(pending[ptr][2])
+            ptr += 1
+        for i, cells in hit.items():
+            s, lo, hi = states[i], edges[i], edges[i + 1]
+            d_V[i][cells] *= 1.0 - s.alpha
+            broken[i][cells] = True
+            V[lo:hi] = s.V[0] + np.concatenate(([0.0], exact_cumsum(d_V[i] * s.widths)))
+            V_inf[lo:hi] = s.V[0] + stable_sum(d_V[i] * s.widths)
+        if k == 0 or hit:
+            # the four RK4 stages all see this acceleration until the next event
+            acc = 0.5 * V - 0.25 * V_inf
+            half, full = 0.5 * h * acc, h * acc
+            dU = (h / 6.0) * (acc + 2.0 * acc + 2.0 * acc + acc)
+        if k == n_steps:
+            break
+        mid = 2.0 * (U + half)  # stages 2 and 3 of y
+        y = y + (h / 6.0) * (U + mid + mid + (U + full))
+        U = U + dU
+
+    out = []
+    for i, s in enumerate(states):
+        lo, hi = edges[i], edges[i + 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d_y_new = np.diff(y[lo:hi]) / s.widths
+            d_U_new = np.diff(U[lo:hi]) / s.widths
+        out.append(
+            dataclasses.replace(
+                s,
+                y=y[lo:hi].copy(),
+                U=U[lo:hi].copy(),
+                V=V[lo:hi].copy(),
+                d_y=d_y_new,
+                d_U=d_U_new,
+                d_V=d_V[i],
+                broken=broken[i],
+                time=t,
+                V_inf=V_inf[lo] if hi > lo else s.V_inf,
+            )
+        )
+    return out
+
+
+def _lam(w):
+    """Cumulative energy of the cosine datum on [0, 4]: integral of pi^2 sin^2(pi s)."""
+    return 0.5 * _PI * _PI * w - 0.25 * _PI * np.sin(2.0 * _PI * w)
+
+
+class _CosineFamily:
+    """Characteristic-form solution pieces for the cosine datum.
+
+    The slope -pi sin(pi z) is negative on (0, 1) and (2, 3); by time
+    t >= 2/pi the characteristics with sin(pi z) >= 2/(pi t) have broken,
+    i.e. z in [zeta, 1-zeta] and [2+zeta, 3-zeta] with
+    zeta(t) = arcsin(2/(pi t))/pi.  On those intervals the dissipation
+    integrals have elementary antiderivatives, used exactly below.
+    """
+
+    window = (0.0, 4.0)
+    u_max = 1.0
+
+    def __init__(self, alpha):
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError("alpha must lie in [0, 1]")
+        self.alpha = alpha
+        self.F_inf = float(_lam(4.0))
+
+    @staticmethod
+    def initial_u(z):
+        return np.cos(_PI * np.clip(z, 0.0, 4.0))
+
+    @staticmethod
+    def initial_F(z):
+        return _lam(np.clip(z, 0.0, 4.0))
+
+    @staticmethod
+    def breaking_arcs(t):
+        """Sub-intervals broken by time t (possibly empty)."""
+        if t * _PI <= 2.0:
+            return []
+        zeta = math.asin(min(1.0, 2.0 / (_PI * t))) / _PI
+        return [(zeta, 1.0 - zeta), (2.0 + zeta, 3.0 - zeta)]
+
+    # Antiderivatives of the broken-set integrands (valid inside the arcs,
+    # where tau(w) = 2/(pi sin(pi w))):
+    #   d/dw [t lam(w) + 2 cos(pi w)]              = (t - tau) ubar_x^2
+    #   d/dw [t^2 lam(w) + 4 t cos(pi w) + 4 w]/2  = (t - tau)^2 ubar_x^2
+    @staticmethod
+    def _g_b(w, t):
+        return _lam(w)
+
+    @staticmethod
+    def _g_j1(w, t):
+        return t * _lam(w) + 2.0 * np.cos(_PI * w)
+
+    @staticmethod
+    def _g_j2(w, t):
+        return 0.5 * (t * t * _lam(w) + 4.0 * t * np.cos(_PI * w) + 4.0 * w)
+
+    def _arc_sum(self, g, t, z):
+        total = np.zeros_like(np.asarray(z, dtype=float))
+        for lo, hi in self.breaking_arcs(t):
+            total = total + g(np.clip(z, lo, hi), t) - g(lo, t)
+        return total
+
+    def _arc_total(self, g, t):
+        return float(sum(g(hi, t) - g(lo, t) for lo, hi in self.breaking_arcs(t)))
+
+    def B(self, t, z):
+        return self._arc_sum(self._g_b, t, z)
+
+    def J1(self, t, z):
+        return self._arc_sum(self._g_j1, t, z)
+
+    def J2(self, t, z):
+        return self._arc_sum(self._g_j2, t, z)
+
+    def B_inf(self, t):
+        return self._arc_total(self._g_b, t)
+
+    def J1_inf(self, t):
+        return self._arc_total(self._g_j1, t)
+
+    def J2_inf(self, t):
+        return self._arc_total(self._g_j2, t)
+
+    def anchors(self, t):
+        """Refinement anchors for dense tables: datum edges, slope extrema,
+        and the moving endpoints of the broken arcs."""
+        pts = [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+        for lo, hi in self.breaking_arcs(t):
+            pts.extend((lo, hi))
+        return pts
+
+
+# ---------------------------------------------------------------------------
+# Cusp family: ubar = |x|^(2/3) on [a, b], constants outside.
+# ---------------------------------------------------------------------------
+
+def _cbrt_signed(w):
+    return np.sign(w) * np.abs(w) ** (1.0 / 3.0)
+
+
+class _CuspFamily:
+    """Characteristic-form solution pieces for the cusped datum.
+
+    ubar_x = (2/3) sgn(z) |z|^(-1/3) on (a, b), so breaking happens only on
+    the negative branch with tau(z) = 3 |z|^(1/3): by time t the interval
+    [-r^3, 0) with r = min(|a|^(1/3), t/3) has broken.  Substituting
+    v = |w|^(1/3) turns every dissipation integral into a polynomial one.
+    """
+
+    def __init__(self, a, b, alpha):
+        if not (np.isfinite(a) and np.isfinite(b) and a <= b):
+            raise ConfigError("cusp interval needs finite a <= b")
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError("alpha must lie in [0, 1]")
+        self.a = float(a)
+        self.b = float(b)
+        self.alpha = alpha
+        self.window = (self.a, self.b)
+        self._neg = min(self.a, 0.0)
+        self.F_inf = float((4.0 / 3.0) * (_cbrt_signed(b) - _cbrt_signed(a)))
+        self.u_max = float(max(abs(a), abs(b)) ** (2.0 / 3.0))
+
+    def initial_u(self, z):
+        return np.abs(np.clip(z, self.a, self.b)) ** (2.0 / 3.0)
+
+    def initial_F(self, z):
+        return (4.0 / 3.0) * (_cbrt_signed(np.clip(z, self.a, self.b)) - _cbrt_signed(self.a))
+
+    def _r(self, t):
+        """Depth of the broken region in v = |z|^(1/3) units at time t."""
+        return min((-self._neg) ** (1.0 / 3.0), t / 3.0)
+
+    def _rho(self, z):
+        return (-np.clip(z, self._neg, 0.0)) ** (1.0 / 3.0)
+
+    def B(self, t, z):
+        r = self._r(t)
+        rho = self._rho(z)
+        return (4.0 / 3.0) * np.maximum(r - rho, 0.0)
+
+    def J1(self, t, z):
+        r = self._r(t)
+        rho = np.minimum(self._rho(z), r)
+        return (4.0 / 3.0) * (t * (r - rho) - 1.5 * (r * r - rho * rho))
+
+    def J2(self, t, z):
+        r = self._r(t)
+        rho = np.minimum(self._rho(z), r)
+        return (2.0 / 27.0) * ((t - 3.0 * rho) ** 3 - (t - 3.0 * r) ** 3)
+
+    def B_inf(self, t):
+        return (4.0 / 3.0) * self._r(t)
+
+    def J1_inf(self, t):
+        r = self._r(t)
+        return (4.0 / 3.0) * (t * r - 1.5 * r * r)
+
+    def J2_inf(self, t):
+        r = self._r(t)
+        return (2.0 / 27.0) * (t ** 3 - (t - 3.0 * r) ** 3)
+
+    def anchors(self, t):
+        pts = [self.a, 0.0, self.b]
+        if self._neg < 0.0:
+            pts.append(-self._r(t) ** 3)
+        return pts
+
+
+def _char_velocity(fam, t, z):
+    a = fam.alpha
+    return (
+        fam.initial_u(z)
+        + 0.5 * t * fam.initial_F(z)
+        - 0.25 * t * fam.F_inf
+        - 0.5 * a * fam.J1(t, z)
+        + 0.25 * a * fam.J1_inf(t)
+    )
+
+
+def _char_position(fam, t, z):
+    a = fam.alpha
+    return (
+        z
+        + t * fam.initial_u(z)
+        + 0.25 * t * t * fam.initial_F(z)
+        - 0.125 * t * t * fam.F_inf
+        - 0.5 * a * fam.J2(t, z)
+        + 0.25 * a * fam.J2_inf(t)
+    )
+
+
+def _char_cumulative(fam, t, z):
+    return fam.initial_F(z) - fam.alpha * fam.B(t, z)
+
+
+def _char_total(fam, t):
+    return fam.F_inf - fam.alpha * fam.B_inf(t)
+
+
+# ---------------------------------------------------------------------------
+# Profiles: whole-line evaluators at a fixed time.
+# ---------------------------------------------------------------------------
+
+def _geometric_ladder(points, lo, hi):
+    """Refinement points accumulating geometrically at each anchor."""
+    offs = 2.0 ** (-np.arange(8.0, 95.0) / 2.0)
+    pts = []
+    for p in points:
+        pts.append(p + offs)
+        pts.append(p - offs)
+        pts.append(np.asarray([p]))
+    out = np.concatenate(pts)
+    return out[(out >= lo) & (out <= hi)]
+
+
+def _family_profile(fam, t, x_lo, x_hi, n_base):
+    # Characteristics outside the datum window move rigidly (constant u,
+    # constant F), so resolution is only spent on the window itself; sparse
+    # tail points keep the table's x-range wide enough to cover [x_lo, x_hi].
+    margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
+    w_lo, w_hi = fam.window
+    z_lo = min(x_lo, w_lo) - margin
+    z_hi = max(x_hi, w_hi) + margin
+    pieces = [
+        np.linspace(w_lo - 1.0, w_hi + 1.0, max(int(n_base), 101)),
+        np.linspace(z_lo, w_lo - 1.0, 9),
+        np.linspace(w_hi + 1.0, z_hi, 9),
+        _geometric_ladder(fam.anchors(t), z_lo, z_hi),
+    ]
+    for lo, hi in getattr(fam, "breaking_arcs", lambda _t: [])(t):
+        pieces.append(np.linspace(lo - 0.05, hi + 0.05, 6001))
+    z = np.unique(np.concatenate(pieces))
+    y = np.maximum.accumulate(_char_position(fam, t, z))
+    u = _char_velocity(fam, t, z)
+    F = np.maximum.accumulate(_char_cumulative(fam, t, z))
+    keep = np.append(np.diff(y) > 0.0, True)
+    y_k, u_k, F_k = y[keep], u[keep], F[keep]
+    v_inf = _char_total(fam, t)
+
+    def u_at(x):
+        return np.interp(x, y_k, u_k)
+
+    def F_at(x):
+        return np.interp(x, y_k, F_k)
+
+    def measure():
+        return EnergyMeasure(F_ac=PiecewiseLinear(nodes=y_k, values=F_k))
+
+    return ReferenceProfile(
+        time=t,
+        u_at=u_at,
+        F_at=F_at,
+        sup_u=float(np.max(np.abs(u_k))),
+        v_inf=v_inf,
+        _measure_factory=measure,
+        knots=y_k,
+    )
+
+
+def oracle_profile(ref, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
+    """``ref.profile(t, x_lo, x_hi, n_base)`` for the cosine and cusp families,
+    built from scratch."""
+    if ref.family == "cosine":
+        fam = _CosineFamily(ref.alpha)
+    else:
+        fam = _CuspFamily(ref.a, ref.b, ref.alpha)
+    if x_lo is None:
+        x_lo = fam.window[0]
+    if x_hi is None:
+        x_hi = fam.window[1]
+    return _family_profile(fam, t, x_lo, x_hi, n_base)
+
+
+def union_sup_rel_err(sol, prof) -> float:
+    """max |u_num - u_ref| / max |u_ref| over the union of nodes and knots."""
+    xs = sol.u.nodes
+    if prof.knots is not None:
+        xs = np.union1d(xs, prof.knots)
+    diff = np.abs(sol.u(xs) - prof.u_at(xs))
+    den = float(np.max(np.abs(prof.u_at(xs))))
+    return float(np.max(diff)) / max(den, 1e-300)

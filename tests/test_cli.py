@@ -139,3 +139,10 @@ def test_flags_override_config_file(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(cfg), "--alpha", "0.25", "--dx", "0.25"])
     assert rc == 0
     assert "alpha=0.25" in capsys.readouterr().out
+
+
+def test_solve_refuses_a_huge_grid(capsys):
+    # the cell-count guard fires before the grid is allocated
+    rc = cli.main(["solve", "--example", "cosine", "--alpha", "0", "--T", "1", "--dx", "1e-12"])
+    assert rc == 2
+    assert "cells" in capsys.readouterr().err

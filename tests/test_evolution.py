@@ -14,7 +14,7 @@ from hsalpha.lagrangian import to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import ReferenceSolution, cusp_datum, multipeakon_exact
-from oracles import brute_force_oracle, sequential_evolve
+from oracles import brute_force_batch, brute_force_oracle, sequential_evolve
 
 
 def test_event_schedule_validation():
@@ -120,6 +120,23 @@ def test_brute_force_oracle_exact_when_step_hits_event(peakon_state):
     assert np.max(np.abs(exact.y - rk.y)) <= 1e-9
     assert np.max(np.abs(exact.U - rk.U)) <= 1e-9
     assert rk.V_inf == pytest.approx(exact.V_inf, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [2.5, 6.0])
+def test_brute_force_batch_equals_single_marches(t):
+    rng = np.random.default_rng(3)
+    states = []
+    for alpha in (0.0, 0.3, 1.0, 0.5):
+        p = project(random_multipeakon(rng), ProjectionConfig(dx=0.125))
+        states.append(to_lagrangian(p, alpha=alpha))
+    batch = brute_force_batch(states, t, 3000)
+    for s, got in zip(states, batch):
+        want = brute_force_oracle(s, t, 3000)
+        assert np.count_nonzero(want.broken & ~s.broken) > 0
+        for f in ("y", "U", "V", "d_y", "d_U", "d_V", "broken"):
+            assert np.array_equal(getattr(got, f), getattr(want, f), equal_nan=True), f
+        assert got.V_inf == want.V_inf
+        assert got.time == want.time
 
 
 def test_brute_force_oracle_quantized_event(peakon_state):

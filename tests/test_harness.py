@@ -1,25 +1,30 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
 from hsalpha.errors import ConfigError
+from hsalpha.eulerian import PiecewiseLinear
 from hsalpha.harness import (
     EocReport,
     ExperimentConfig,
+    _sup_rel_err,
     config_from_dict,
     dx_of_level,
     initial_state,
     load_config,
+    reference_for,
     run_eoc,
     run_measure_rates,
     run_solve,
     write_solution_csv,
 )
-from hsalpha.evolution import evolve
+from hsalpha.evolution import events, evolve
 from hsalpha.pushforward import to_eulerian
-from hsalpha.reference import ReferenceSolution, multipeakon_exact
+from hsalpha.reference import ReferenceProfile, ReferenceSolution, multipeakon_exact
+from oracles import oracle_profile, union_sup_rel_err
 
 
 def test_dx_ladder():
@@ -219,3 +224,69 @@ def test_solution_csv_atom_rows(tmp_path):
     assert len(at_atom) == 2  # left and right cumulative at the point mass
     f_left, f_right = (float(ln.split(",")[2]) for ln in at_atom)
     assert (f_left, f_right) == (0.0, 0.25)
+
+
+def test_sup_rel_err_equals_union_form():
+    # the knots share some nodes, straddle the node range and leave gaps
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        nodes = np.unique(rng.uniform(-2.0, 2.0, int(rng.integers(2, 40))))
+        extra = rng.uniform(-2.5, 2.5, int(rng.integers(1, 40)))
+        shared = rng.choice(nodes, size=int(rng.integers(0, nodes.size + 1)), replace=False)
+        knots = np.unique(np.concatenate((extra, shared)))
+        knot_u = rng.normal(size=knots.size)
+        sol = types.SimpleNamespace(u=PiecewiseLinear(nodes, rng.normal(size=nodes.size)))
+        prof = ReferenceProfile(
+            time=0.0,
+            u_at=lambda x, k=knots, v=knot_u: np.interp(x, k, v),
+            F_at=None,
+            sup_u=float(np.max(np.abs(knot_u))),
+            v_inf=0.0,
+            _measure_factory=None,
+            knots=knots,
+            knot_u=knot_u,
+        )
+        assert _sup_rel_err(sol, prof) == union_sup_rel_err(sol, prof)
+        bare = ReferenceProfile(0.0, prof.u_at, None, 0.0, 0.0, None)
+        assert _sup_rel_err(sol, bare) == union_sup_rel_err(sol, bare)
+
+
+def test_sup_rel_err_equals_union_form_on_closed_form_profile():
+    cfg = ExperimentConfig(example="appendixA", alpha=0.5, T=3.0)
+    ref = reference_for(cfg)
+    for sol in run_solve(cfg, 2.0 ** -6, [0.5, 2.0, 3.0]):
+        prof = ref.profile(sol.time)
+        assert _sup_rel_err(sol, prof) == union_sup_rel_err(sol, prof)
+
+
+def _from_scratch_eoc_errors(cfg):
+    """run_eoc's Err column with a from-scratch table and the union-form
+    error at every snapshot."""
+    ref = reference_for(cfg)
+    samples = np.linspace(0.0, cfg.T, cfg.time_samples)
+    errs = []
+    for k in cfg.k_range:
+        s = initial_state(cfg, dx_of_level(k))
+        worst = 0.0
+        for t in np.union1d(samples, events(s, cfg.T).times):
+            s = evolve(s, float(t))
+            sol = to_eulerian(s)
+            nodes = sol.u.nodes
+            prof = oracle_profile(
+                ref, float(t), float(nodes[0]), float(nodes[-1]), max(4001, 3 * nodes.size)
+            )
+            worst = max(worst, union_sup_rel_err(sol, prof))
+        errs.append(worst)
+    return errs
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(4, 5)),
+        ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2, 3, 4)),
+    ],
+    ids=["cusp", "cosine"],
+)
+def test_run_eoc_errors_equal_from_scratch_tables(cfg):
+    assert [row[2] for row in run_eoc(cfg).rows] == _from_scratch_eoc_errors(cfg)

@@ -5,7 +5,9 @@ import pytest
 
 from hsalpha.errors import ConfigError, ConsistencyError
 from hsalpha.eulerian import InitialDatum, PiecewiseConstant, PiecewiseLinear, make_multipeakon
+import hsalpha.projection as projection
 from hsalpha.projection import (
+    MAX_CELLS,
     ProjectionConfig,
     SignRule,
     default_window,
@@ -183,3 +185,27 @@ def test_cosine_slope_error_rate():
     assert all(a > b for a, b in zip(errs, errs[1:]))
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert slope >= 0.45
+
+
+def _unevaluable_datum(lo, hi):
+    def fail(x):
+        raise AssertionError("the datum was evaluated")
+
+    return InitialDatum(u=fail, u_x=fail, F_ac=fail, support_hint=(lo, hi))
+
+
+def test_cell_count_guard_refuses_before_evaluating():
+    # 2 * (j_max - j_min) cells: dx = 1e-12 on [-1, 1] asks for about 2e12
+    with pytest.raises(ConfigError, match="cells"):
+        project(_unevaluable_datum(-1.0, 1.0), ProjectionConfig(dx=1e-12))
+    half = MAX_CELLS // 2
+    with pytest.raises(ConfigError, match="cells"):
+        project(_unevaluable_datum(0.0, 1.0), ProjectionConfig(dx=1.0, window=(-1, half)))
+
+
+def test_cell_count_guard_boundary(monkeypatch):
+    monkeypatch.setattr(projection, "MAX_CELLS", 16)
+    d = make_multipeakon([(0.0, 0.5), (0.5, 0.0)])
+    assert project(d, ProjectionConfig(dx=0.25, window=(-2, 6))).u.nodes.size == 17
+    with pytest.raises(ConfigError, match="cells"):
+        project(d, ProjectionConfig(dx=0.25, window=(-2, 7)))

@@ -10,6 +10,7 @@ from hsalpha.harness import ExperimentConfig, run_solve
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
+import hsalpha.reference as reference
 from hsalpha.reference import (
     CosineFamily,
     CuspFamily,
@@ -18,6 +19,7 @@ from hsalpha.reference import (
     cusp_datum,
     multipeakon_exact,
 )
+from oracles import oracle_profile
 
 PI = math.pi
 
@@ -215,3 +217,77 @@ def test_initial_datum_constructors_match_families():
     assert float(dk.F_ac(1.0)) == pytest.approx(8.0 / 3.0, rel=1e-14)
     with pytest.raises(ConfigError):
         cusp_datum(1.0, -1.0)
+
+
+def _assert_same_profile(got, want):
+    assert np.array_equal(got.knots, want.knots)
+    assert np.array_equal(got.u_at(got.knots), want.u_at(want.knots))
+    assert np.array_equal(got.F_at(got.knots), want.F_at(want.knots))
+    assert np.array_equal(got.knot_u, want.u_at(want.knots))
+    assert got.sup_u == want.sup_u
+    assert got.v_inf == want.v_inf
+    m_got, m_want = got.measure().F_ac, want.measure().F_ac
+    assert np.array_equal(m_got.nodes, m_want.nodes)
+    assert np.array_equal(m_got.values, m_want.values)
+
+
+# (-6, -5) and (5, 6) put the fixed anchor 0 outside the table's z-range
+@pytest.mark.parametrize(
+    "a, b, alpha",
+    [
+        (-1.0, 1.0, 0.5),
+        (-0.7, 1.3, 1.0),
+        (-2.0, 0.5, 0.0),
+        (0.2, 1.0, 0.5),
+        (-6.0, -5.0, 0.3),
+        (5.0, 6.0, 0.5),
+    ],
+)
+def test_cusp_profile_equals_from_scratch_table(a, b, alpha):
+    ref = ReferenceSolution(family="cusp", alpha=alpha, a=a, b=b)
+    for t in (0.0, 0.048, 1.0, 2.999, 3.0, 5.0):
+        for x_lo, x_hi, n in ((a, b, 4001), (a - 0.3, b + 0.1, 6159), (a + 0.1, b - 0.2, 6159)):
+            got = ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=n)
+            _assert_same_profile(got, oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
+def test_cosine_profile_equals_from_scratch_table(alpha):
+    ref = ReferenceSolution(family="cosine", alpha=alpha)
+    first_break = 2.0 / PI
+    for t in (0.0, 0.6, first_break, first_break * (1.0 + 1e-12), first_break + 1e-3, 1.2, 10.0):
+        for x_lo, x_hi, n_base in ((None, None, 4001), (-0.7, 5.2, 6159), (-0.7, 5.2, 6159)):
+            got = ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=n_base)
+            _assert_same_profile(got, oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n_base))
+
+
+@pytest.mark.parametrize("family", ["cusp", "cosine"])
+def test_profile_reuse_across_calls_equals_from_scratch(family, monkeypatch):
+    # n_base alternates as in a ladder rung whose cell count changes by one
+    # collapse, and the x-range moves: the kept static table is hit, missed
+    # and replaced, and every table stays the from-scratch one
+    builds = []
+    build = reference._static_table
+    monkeypatch.setattr(
+        reference, "_static_table", lambda fam, n: builds.append(n) or build(fam, n)
+    )
+    ref = ReferenceSolution(family=family, alpha=0.5)
+    lo, hi = ref.initial_datum().support_hint
+    calls = [
+        (t, lo - 0.01 * i, hi + 0.02 * i, 6156 if i % 4 == 3 else 6159)
+        for i, t in enumerate(np.linspace(0.0, 3.0, 24))
+    ]
+    calls += [(3.0, lo, hi, 4001), (3.0, lo, hi, 4001), (2.5, lo, hi, 4001)]
+    for t, x_lo, x_hi, n in calls:
+        got = ref.profile(float(t), x_lo=x_lo, x_hi=x_hi, n_base=n)
+        _assert_same_profile(got, oracle_profile(ref, float(t), x_lo=x_lo, x_hi=x_hi, n_base=n))
+    assert builds.count(6159) == 2 and builds.count(6156) == 6 and builds.count(4001) == 2
+
+
+def test_one_shot_profile_keeps_no_table():
+    ref = ReferenceSolution(family="cosine", alpha=0.0)
+    ref.profile(0.6, n_base=20001)
+    ref.profile(0.6, n_base=30001)
+    assert ref._static["table"] is None
+    ref.profile(0.6, n_base=30001)
+    assert ref._static["table"]["z"].size > 30001
