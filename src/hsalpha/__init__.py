@@ -44,7 +44,6 @@ from .lagrangian import LagrangianState, breaking_time, to_lagrangian
 from .metrics import (
     BesovEstimate,
     besov_seminorm,
-    dbl_upper,
     default_h_grid,
     l2_diff,
     linf_diff,
@@ -111,7 +110,6 @@ __all__ = [
     "linf_diff_sampled",
     "l2_diff",
     "w1",
-    "dbl_upper",
     "BesovEstimate",
     "besov_seminorm",
     "default_h_grid",

@@ -20,6 +20,7 @@ from .errors import ConfigError, NumericError
 from .evolution import evolve
 from .harness import (
     ExperimentConfig,
+    _read_config,
     config_from_dict,
     initial_state,
     run_eoc,
@@ -47,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--example", choices=("appendixA", "cosine", "cusp", "multipeakon"))
         p.add_argument("--alpha", type=float, help="dissipation fraction in [0, 1]")
         p.add_argument("--T", type=float, help="final (or probe) time")
-        p.add_argument("--quad-tol", type=float, dest="quad_tol")
-        p.add_argument("--inv-tol", type=float, dest="inv_tol")
         p.add_argument("--a", type=float, help="cusp interval left end")
         p.add_argument("--b", type=float, help="cusp interval right end")
         p.add_argument("--time-samples", type=int, dest="time_samples")
@@ -56,51 +55,31 @@ def build_parser() -> argparse.ArgumentParser:
             "--points",
             help='multipeakon nodes as JSON, e.g. "[[0, 0.5], [0.5, 0]]"',
         )
+        return p
 
-    p_solve = sub.add_parser("solve", help="run one mesh to one time, write x,u,F CSV")
-    common(p_solve)
-    p_solve.add_argument("--dx", type=float, required=True, help="mesh size (0, 1]")
-
-    p_proj = sub.add_parser("project", help="project the datum only, write x,u,F CSV")
-    common(p_proj)
-    p_proj.add_argument("--dx", type=float, required=True, help="mesh size (0, 1]")
-
-    p_eoc = sub.add_parser("eoc", help="convergence ladder for the wave profile")
-    common(p_eoc)
-    p_eoc.add_argument("--k-min", type=int, dest="k_min", help="first ladder rung")
-    p_eoc.add_argument("--k-max", type=int, dest="k_max", help="last ladder rung")
-
-    p_mr = sub.add_parser(
-        "measure-rates", help="Wasserstein-1 ladder at probe time T (alpha = 0)"
-    )
-    common(p_mr)
-    p_mr.add_argument("--k-min", type=int, dest="k_min")
-    p_mr.add_argument("--k-max", type=int, dest="k_max")
+    for name, text in (
+        ("solve", "run one mesh to one time, write x,u,F CSV"),
+        ("project", "project the datum only, write x,u,F CSV"),
+    ):
+        p = common(sub.add_parser(name, help=text))
+        p.add_argument("--dx", type=float, required=True, help="mesh size (0, 1]")
+    for name, text in (
+        ("eoc", "convergence ladder for the wave profile"),
+        ("measure-rates", "Wasserstein-1 ladder at probe time T (alpha = 0)"),
+    ):
+        p = common(sub.add_parser(name, help=text))
+        p.add_argument("--k-min", type=int, dest="k_min", help="first ladder rung")
+        p.add_argument("--k-max", type=int, dest="k_max", help="last ladder rung")
 
     return parser
 
 
-def _load_raw_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return raw
-
-
 def _build_config(args, need_T: bool = True) -> ExperimentConfig:
-    d = _load_raw_config(args.config) if args.config else {}
+    d = _read_config(args.config) if args.config else {}
     overlays = {
         "example": args.example,
         "alpha": args.alpha,
         "T": args.T,
-        "quad_tol": args.quad_tol,
-        "inv_tol": args.inv_tol,
         "a": args.a,
         "b": args.b,
         "time_samples": args.time_samples,
@@ -175,18 +154,9 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _cmd_eoc(args) -> int:
-    cfg = _build_config(args)
-    report = run_eoc(cfg)
-    for line in _report_lines(report):
-        print(line)
-    return 0
-
-
-def _cmd_measure_rates(args) -> int:
-    cfg = _build_config(args)
-    report = run_measure_rates(cfg)
-    for line in _report_lines(report):
+def _cmd_ladder(args) -> int:
+    run = run_eoc if args.command == "eoc" else run_measure_rates
+    for line in _report_lines(run(_build_config(args))):
         print(line)
     return 0
 
@@ -194,8 +164,8 @@ def _cmd_measure_rates(args) -> int:
 _COMMANDS = {
     "solve": _cmd_solve,
     "project": _cmd_project,
-    "eoc": _cmd_eoc,
-    "measure-rates": _cmd_measure_rates,
+    "eoc": _cmd_ladder,
+    "measure-rates": _cmd_ladder,
 }
 
 

@@ -222,6 +222,8 @@ def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
         raise ConfigError("need at least one breakpoint")
     xs = np.array([x for x, _ in pts])
     vs = np.array([v for _, v in pts])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        raise ConfigError("breakpoints must be finite")
     if np.any(np.diff(xs) <= 0.0):
         raise ConfigError("breakpoint abscissae must be strictly increasing")
 
@@ -236,11 +238,14 @@ def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
             atoms=(),
             support_hint=(float(xs[0]), float(xs[0]) + 1.0),
         )
-    slopes = np.diff(vs) / np.diff(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        slopes = np.diff(vs) / np.diff(xs)
+        # cumulative of u_x^2; increments are exact per segment
+        inc = slopes * slopes * np.diff(xs)
+        f_vals = np.concatenate(([0.0], np.cumsum(inc)))
+    if not np.isfinite(f_vals[-1]):
+        raise ConfigError("slopes and their energy must be finite")
     u_x = PiecewiseConstant(xs, slopes)
-    # cumulative of u_x^2; increments are exact per segment
-    inc = slopes * slopes * np.diff(xs)
-    f_vals = np.concatenate(([0.0], np.cumsum(inc)))
     f_ac = PiecewiseLinear(xs, f_vals)
     return InitialDatum(
         u=u,

@@ -8,8 +8,8 @@ distance
 
     W_1(\mu, \nu) = \int_{\mathbb R} |F_\mu(x) - F_\nu(x)|\,dx
 
-for equal-mass measures (also reported as an upper bound for the bounded
-Lipschitz metric), and a Besov-type seminorm estimator
+for equal-mass measures (also an upper bound for the bounded Lipschitz
+metric), and a Besov-type seminorm estimator
 
 .. math::
 
@@ -35,7 +35,6 @@ __all__ = [
     "linf_diff_sampled",
     "l2_diff",
     "w1",
-    "dbl_upper",
     "besov_seminorm",
 ]
 
@@ -117,6 +116,10 @@ def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
     breakpoint set; atom jumps enter through one-sided cumulative limits.
     Raises :class:`MassMismatchError` when total masses differ by more than
     ``1e-12`` (W₁ is undefined then).
+
+    W₁ also bounds the bounded-Lipschitz distance from above: every test
+    function with ``sup + Lip ≤ 1`` is 1-Lipschitz, so d_BL ≤ W₁ for
+    equal-mass measures.
     """
     gap = abs(m1.total_mass() - m2.total_mass())
     if gap > MASS_TOL:
@@ -130,15 +133,6 @@ def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
     da = np.asarray(eval_cumulative(m1, lo, "right"), dtype=np.float64) - eval_cumulative(m2, lo, "right")
     db = np.asarray(eval_cumulative(m1, hi, "left"), dtype=np.float64) - eval_cumulative(m2, hi, "left")
     return _abs_linear_integral(da, db, hi - lo)
-
-
-def dbl_upper(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
-    """Upper bound for the bounded-Lipschitz distance: UPPER_BOUND label.
-
-    Returns ``w1(m1, m2)``; valid since every test function with
-    ``sup + Lip ≤ 1`` is 1-Lipschitz, so d_BL ≤ W₁ for equal-mass measures.
-    """
-    return w1(m1, m2)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,22 @@ REFERENCE_FAMILIES = ("multipeakon_appA", "cosine", "cusp")
 # Two-peak piecewise-linear benchmark: fully closed form.
 # ---------------------------------------------------------------------------
 
+def _before_break(t, side):
+    """Whether t (approached from ``side`` at t = 2) precedes the two-peak break."""
+    return t < 2.0 or (t == 2.0 and side == "left")
+
+
+def _two_peak_ends(alpha, t, side):
+    """Ends (x_lo, x_hi) of the two-peak profile's sloped piece at time t."""
+    if _before_break(t, side):
+        return (8.0 - t) * t / 16.0, (t * t + 8.0) / 16.0
+    beta = 1.0 - alpha
+    return (
+        -beta * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0,
+        beta * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0,
+    )
+
+
 def multipeakon_exact(alpha, t, x, side="right"):
     """Exact (u, F) of the canonical two-peak datum at time t and position x.
 
@@ -94,35 +110,27 @@ def multipeakon_exact(alpha, t, x, side="right"):
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
 
-    if t < 2.0 or (t == 2.0 and side == "left"):
-        x_lo = (8.0 - t) * t / 16.0
-        x_hi = (t * t + 8.0) / 16.0
+    x_lo, x_hi = _two_peak_ends(alpha, t, side)
+    if _before_break(t, side):
         u_left = 0.5 - t / 8.0
         u_right = t / 8.0
         F_right = 0.5
         if x_hi > x_lo:
             u_mid = (8.0 * xs - (t + 4.0)) / (4.0 * (t - 2.0))
             F_mid = (16.0 * xs + t * t - 8.0 * t) / (4.0 * (t - 2.0) ** 2)
-        else:
-            u_mid = np.full_like(xs, u_right)
-            F_mid = np.full_like(xs, F_right)
-        u = np.where(xs <= x_lo, u_left, np.where(xs >= x_hi, u_right, u_mid))
-        F = np.where(xs <= x_lo, 0.0, np.where(xs >= x_hi, F_right, F_mid))
     else:
         beta = 1.0 - alpha
-        x1 = -beta * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0
-        x2 = beta * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0
         u_left = -beta * t / 8.0 + (2.0 - alpha) / 4.0
         u_right = beta * t / 8.0 + alpha / 4.0
         F_right = beta / 2.0
-        if x2 > x1:
+        if x_hi > x_lo:
             u_mid = (2.0 / (t - 2.0)) * (xs - (t + 4.0) / 8.0)
-            F_mid = (4.0 / (t - 2.0) ** 2) * (xs - x1)
-        else:
-            u_mid = np.full_like(xs, u_right)
-            F_mid = np.full_like(xs, F_right)
-        u = np.where(xs <= x1, u_left, np.where(xs >= x2, u_right, u_mid))
-        F = np.where(xs <= x1, 0.0, np.where(xs >= x2, F_right, F_mid))
+            F_mid = (4.0 / (t - 2.0) ** 2) * (xs - x_lo)
+    if not x_hi > x_lo:  # no sloped piece: at the collapse, or after it with alpha = 1
+        u_mid = np.full_like(xs, u_right)
+        F_mid = np.full_like(xs, F_right)
+    u = np.where(xs <= x_lo, u_left, np.where(xs >= x_hi, u_right, u_mid))
+    F = np.where(xs <= x_lo, 0.0, np.where(xs >= x_hi, F_right, F_mid))
 
     if scalar:
         return float(u[0]), float(F[0])
@@ -537,35 +545,21 @@ def _multipeakon_profile(alpha, t, side="right"):
 
     probes = np.asarray([-1.0, 0.0, 0.75, 1.0, 2.0, t + 1.0])
     sup_u = float(np.max(np.abs(multipeakon_exact(alpha, t, probes, side=side)[0])))
-    if t < 2.0 or (t == 2.0 and side == "left"):
-        v_inf = 0.5
-    else:
-        v_inf = 0.5 * (1.0 - alpha)
+    v_inf = 0.5 if _before_break(t, side) else 0.5 * (1.0 - alpha)
+    x1, x2 = _two_peak_ends(alpha, t, side)
 
     def measure():
-        wide = 8.0 + t * t
-        if t == 2.0:
-            mass = 0.5 if side == "left" else 0.5 * (1.0 - alpha)
+        if t == 2.0 or v_inf == 0.0:
+            # all the energy sits in the point mass at 3/4, or none is left
+            wide = 8.0 + t * t
             F_ac = PiecewiseLinear(nodes=np.asarray([-wide, wide]), values=np.asarray([0.0, 0.0]))
-            atoms = ((0.75, mass),) if mass > 0.0 else ()
+            atoms = ((0.75, v_inf),) if v_inf > 0.0 else ()
             return EnergyMeasure(F_ac=F_ac, atoms=atoms)
-        if t < 2.0:
-            x1 = (8.0 - t) * t / 16.0
-            x2 = (t * t + 8.0) / 16.0
-        else:
-            x1 = -(1.0 - alpha) * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0
-            x2 = (1.0 - alpha) * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0
         nodes = np.asarray([x1 - 1.0, x1, x2, x2 + 1.0])
         vals = np.asarray([0.0, 0.0, v_inf, v_inf])
         return EnergyMeasure(F_ac=PiecewiseLinear(nodes=nodes, values=vals))
 
-    if t < 2.0 or (t == 2.0 and side == "left"):
-        k1 = (8.0 - t) * t / 16.0
-        k2 = (t * t + 8.0) / 16.0
-    else:
-        k1 = -(1.0 - alpha) * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0
-        k2 = (1.0 - alpha) * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0
-    knots = np.unique(np.asarray([k1 - 1.0, k1, k2, k2 + 1.0]))
+    knots = np.unique(np.asarray([x1 - 1.0, x1, x2, x2 + 1.0]))
 
     return ReferenceProfile(
         time=t,
@@ -588,14 +582,12 @@ class ReferenceSolution:
     """Evaluatable ground-truth solution for one benchmark family.
 
     family is one of "multipeakon_appA" (closed form), "cosine", "cusp"
-    (closed-form characteristics, numerically inverted).  quad_tol is kept
-    for interface stability (the dissipation integrals used here are exact,
-    so no quadrature error arises); inv_tol controls the inversion of y.
+    (closed-form characteristics, numerically inverted).  inv_tol controls
+    the inversion of y in the scalar evaluators eval_u and eval_F.
     """
 
     family: str
     alpha: float
-    quad_tol: float = 1e-10
     inv_tol: float = 1e-12
     a: float = -1.0
     b: float = 1.0
@@ -605,8 +597,8 @@ class ReferenceSolution:
             raise ConfigError(f"unknown reference family {self.family!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if not (self.quad_tol > 0.0 and self.inv_tol > 0.0):
-            raise ConfigError("tolerances must be positive")
+        if not self.inv_tol > 0.0:
+            raise ConfigError("inv_tol must be positive")
         if self.family == "cusp" and not self.a <= self.b:
             raise ConfigError("cusp interval needs a <= b")
 
@@ -775,15 +767,13 @@ def cusp_datum(a=-1.0, b=1.0) -> InitialDatum:
     )
 
 
-def cosine_exact(alpha, t, x, quad_tol=1e-10, inv_tol=1e-12):
+def cosine_exact(alpha, t, x, inv_tol=1e-12):
     """Scalar (u, F) of the cosine benchmark at (t, x)."""
-    ref = ReferenceSolution(family="cosine", alpha=alpha, quad_tol=quad_tol, inv_tol=inv_tol)
+    ref = ReferenceSolution(family="cosine", alpha=alpha, inv_tol=inv_tol)
     return ref.eval_u(t, x), ref.eval_F(t, x)
 
 
-def cusp_exact(alpha, a, b, t, x, quad_tol=1e-10, inv_tol=1e-12):
+def cusp_exact(alpha, a, b, t, x, inv_tol=1e-12):
     """Scalar (u, F) of the cusp benchmark on [a, b] at (t, x)."""
-    ref = ReferenceSolution(
-        family="cusp", alpha=alpha, quad_tol=quad_tol, inv_tol=inv_tol, a=a, b=b
-    )
+    ref = ReferenceSolution(family="cusp", alpha=alpha, inv_tol=inv_tol, a=a, b=b)
     return ref.eval_u(t, x), ref.eval_F(t, x)

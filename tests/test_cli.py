@@ -113,6 +113,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"example": "cosine", "alpha": 0.0, "T": 1.0, "grid": 9}))
     assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 2
+    # settings no run reads are unknown keys, not silently accepted
+    for key, val in (("metrics", ["w1"]), ("quad_tol", 1e-10), ("inv_tol", 1e-12)):
+        cfg.write_text(json.dumps({"example": "cosine", "alpha": 0.0, "T": 1.0, key: val}))
+        assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
     # inverted ladder bounds
     assert (
         cli.main(
@@ -120,6 +125,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
         )
         == 2
     )
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        ("--points", "[[0, NaN], [1, 0]]"),
+        ("--points", "[[0]]"),
+        ("--points", '[["a", 1]]'),
+        ("--points", "5"),
+        ("--points", "[[0, 1e308], [1e-300, 0]]"),  # infinite slope
+        ("k_range", '["a"]'),
+        ("k_range", "5"),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, flag, payload):
+    # malformed points or k_range are config errors, never a traceback
+    if flag == "--points":
+        argv = ["solve", "--example", "multipeakon", "--points", payload, "--dx", "0.25"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"example": "appendixA", "{flag}": {payload}}}')
+        argv = ["eoc", "--config", str(cfg)]
+    assert cli.main(argv + ["--alpha", "0", "--T", "1"]) == 2
     assert "config error" in capsys.readouterr().err
 
 

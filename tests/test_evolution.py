@@ -94,6 +94,18 @@ def test_alpha_extremes(peakon_datum, alpha, want):
     assert math.isclose(total_energy(evolve(s, 2.5)), want, abs_tol=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_datum_with_atoms_end_to_end(peakon_datum, alpha):
+    # the atoms' 0.75 sit in collapsed cells from t = 0 and are never
+    # dissipated; only the ramp's 0.5, which breaks at t = 2, loses alpha
+    datum = dataclasses.replace(peakon_datum, atoms=((0.25, 0.5), (1.0, 0.25)))
+    s = to_lagrangian(project(datum, ProjectionConfig(dx=2.0**-4)), alpha=alpha)
+    assert total_energy(s) == pytest.approx(1.25, abs=1e-13)
+    final = evolve(s, 4.0)
+    assert total_energy(final) == pytest.approx(0.75 + (1.0 - alpha) * 0.5, abs=1e-13)
+    assert to_eulerian(final).mu.total_mass() == pytest.approx(total_energy(final), abs=1e-13)
+
+
 def test_two_hop_evolution_matches_single_hop(peakon_state):
     direct = evolve(peakon_state, 2.7)
     hopped = evolve(evolve(peakon_state, 1.3), 2.7)

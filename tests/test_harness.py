@@ -48,8 +48,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "time_samples": 1})
     with pytest.raises(ConfigError):
-        ExperimentConfig(**{**base, "metrics": ("hausdorff",)})
-    with pytest.raises(ConfigError):
         ExperimentConfig(example="multipeakon", alpha=0.0, T=1.0, points=())
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "example": "cusp", "a": 1.0, "b": -1.0})
@@ -163,9 +161,7 @@ def test_eoc_report_recompute_and_suppression(tmp_path):
     assert all(row[3] is None for row in rep.rows)
 
     # resolved ladder: stored EOC matches recomputation from the err column
-    w_cfg = ExperimentConfig(
-        example="cosine", alpha=0.0, T=0.5, k_range=(2, 3, 4), metrics=("w1",)
-    )
+    w_cfg = ExperimentConfig(example="cosine", alpha=0.0, T=0.5, k_range=(2, 3, 4))
     w_rep = run_measure_rates(w_cfg)
     rows = w_rep.rows
     assert rows[0][3] is None
@@ -199,18 +195,20 @@ def test_fitted_order_synthetic():
 
 
 def test_csv_outputs_deterministic(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        cfg = ExperimentConfig(
-            example="appendixA", alpha=0.5, T=2.5, k_range=(1, 2), out_dir=str(out)
-        )
-        run_eoc(cfg)
-    name = "eoc_appendixA_alpha0.5_T2.5.csv"
-    blob_a = (out_a / name).read_bytes()
-    assert blob_a == (out_b / name).read_bytes()
-    lines = blob_a.decode().splitlines()
-    assert lines[0] == "k,dx,err,eoc"
-    assert lines[1].endswith(",")  # first rung carries a blank eoc
+    ladders = [
+        (run_eoc, dict(example="appendixA", alpha=0.5, T=2.5), "eoc_appendixA_alpha0.5_T2.5.csv"),
+        (run_measure_rates, dict(example="cosine", alpha=0.0, T=0.5), "w1_cosine_alpha0_T0.5.csv"),
+    ]
+    for run, kw, name in ladders:
+        out_a, out_b = tmp_path / f"{name}.a", tmp_path / f"{name}.b"
+        for out in (out_a, out_b):
+            run(ExperimentConfig(k_range=(1, 2), out_dir=str(out), **kw))
+        assert [p.name for p in out_a.iterdir()] == [name]
+        blob_a = (out_a / name).read_bytes()
+        assert blob_a == (out_b / name).read_bytes()
+        lines = blob_a.decode().splitlines()
+        assert lines[0] == "k,dx,err,eoc"
+        assert lines[1].endswith(",")  # first rung carries a blank eoc
 
 
 def test_solution_csv_atom_rows(tmp_path):

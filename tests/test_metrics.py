@@ -8,7 +8,6 @@ from hsalpha.eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear
 from hsalpha.metrics import (
     _translate_l2_pc,
     besov_seminorm,
-    dbl_upper,
     default_h_grid,
     l2_diff,
     linf_diff,
@@ -90,16 +89,6 @@ def test_w1_symmetry_and_triangle_random():
         assert w1(a, a) == 0.0
 
 
-def test_dbl_upper_is_w1():
-    m1 = atom_measure((0.0, 1.0))
-    m2 = atom_measure((1.0, 1.0))
-    assert dbl_upper(m1, m2) == 1.0
-    assert dbl_upper(m1, m1) == 0.0
-    rng = np.random.default_rng(4)
-    a, b = random_measure(rng), random_measure(rng)
-    assert dbl_upper(a, b) == w1(a, b)
-
-
 def _pair_integral(psi: PiecewiseLinear, m: EnergyMeasure) -> float:
     """Exact integral of a piecewise-linear test function against a measure."""
     total = sum(mass * float(psi(p)) for p, mass in m.atoms)
@@ -113,8 +102,8 @@ def _pair_integral(psi: PiecewiseLinear, m: EnergyMeasure) -> float:
     return total
 
 
-def test_dbl_upper_dominates_lipschitz_pairings():
-    # any test function with sup + Lip <= 1 pairs below the reported bound
+def test_w1_dominates_lipschitz_pairings():
+    # any test function with sup + Lip <= 1 pairs below W1 (d_BL <= W1)
     rng = np.random.default_rng(23)
     grid = np.linspace(-4.0, 4.0, 17)
     for _ in range(10):
@@ -124,7 +113,7 @@ def test_dbl_upper_dominates_lipschitz_pairings():
         scale = max(float(np.max(np.abs(vals))) + lip, 1.0)
         psi = PiecewiseLinear(grid, vals / scale)
         pairing = abs(_pair_integral(psi, m1) - _pair_integral(psi, m2))
-        assert pairing <= dbl_upper(m1, m2) + 1e-12
+        assert pairing <= w1(m1, m2) + 1e-12
 
 
 def test_l2_diff_cases():

@@ -179,6 +179,15 @@ def test_multipeakon_profile_sides():
     assert after.atoms == ((0.75, 0.25),)
 
 
+def test_multipeakon_measure_after_full_dissipation():
+    # with alpha = 1 the sloped piece has zero width after t = 2 and no
+    # energy is left: the measure is the zero measure
+    ref = ReferenceSolution(family="multipeakon_appA", alpha=1.0)
+    for t in (2.0, 2.5, 7.0):
+        m = ref.profile(t).measure()
+        assert m.atoms == () and m.total_mass() == 0.0
+
+
 def test_cosine_reference_against_fine_pipeline():
     # independent cross-check: before any characteristic breaks the discrete
     # flow is exact at its moved gridpoints, so a fine mesh pins the reference
