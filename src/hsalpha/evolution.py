@@ -33,6 +33,9 @@ V_inf are resummed once from the dissipated cell data.
 Breaking times closer than max(1e-12, 4 ulp(t)) are merged into a single
 cluster, which breaks at its earliest time (a tolerance that scales with t,
 so ties keep merging at large t where 1e-12 is below one ulp).
+
+The map takes a column of times as well as one: ``_map`` gives y, U and d_y
+at many times at once, one row per time, and ``evolve`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .lagrangian import LagrangianState
 from .numerics import exact_cumsum, stable_sum
 
@@ -81,35 +84,43 @@ class EventSchedule:
                 raise ValueError("every event time needs a cell list")
 
 
-def _clusters(s: LagrangianState, t: float, side: str):
-    """Cells of s that break by time t, grouped into tie clusters.
+def _clusters(s: LagrangianState, t: np.ndarray, side: str):
+    """Cells of s that break by each time of the 1-d array t, with the tie
+    clusters they break in.
 
     Eligible cells are those not yet broken with 0 < tau < inf (tau = 0
-    marks initial point masses, which never dissipate).  Cells with tau <= t
-    (side="right") or tau < t - tol (side="left") seed the clusters: sorted
-    by tau, a gap above tol starts a new cluster.  Eligible cells within tol
-    above the last seed join the last cluster even when they missed the cut.
+    marks initial point masses, which never dissipate).  For the time t_j
+    (tolerance tol = tie_tol(t_j)), cells with tau <= t_j (side="right") or
+    tau < t_j - tol (side="left") seed the clusters: sorted by tau, a gap
+    above tol starts a new cluster.  Eligible cells within tol above the
+    last seed join the last cluster even when they missed the cut.
 
-    Returns (cells, bounds, first): the member cells in tau order, the
-    offsets in ``cells`` where each cluster begins followed by cells.size,
-    and each cluster's earliest breaking time.
+    Returns (cells, hit, first): the candidate cells in tau order, whether
+    each breaks by t_j (row j), and the earliest breaking time of its
+    cluster in row j (read only where hit).
     """
-    tol = tie_tol(t)
+    tol = np.array([tie_tol(v) for v in t.tolist()])
     tau = s.tau
-    cand = ((tau <= t + tol) & (tau > 0.0) & ~s.broken).nonzero()[0]
+    cand = ((tau <= (t + tol).max()) & (tau > 0.0) & ~s.broken).nonzero()[0]
     ct = tau[cand]
     order = ct.argsort(kind="stable")
     cand, ct = cand[order], ct[order]
+    rows = (t.size, ct.size)
+    if ct.size == 0:
+        return cand, np.zeros(rows, dtype=bool), np.zeros(rows)
     if side == "right":
-        n_seed = int(ct.searchsorted(t, side="right"))
+        n_seed = ct.searchsorted(t, side="right")
     else:
-        n_seed = int(ct.searchsorted(t - tol, side="left"))
-    if n_seed == 0:
-        return cand[:0], np.zeros(1, dtype=np.intp), ct[:0]
-    n_member = int(ct.searchsorted(ct[n_seed - 1] + tol, side="right"))
-    gaps = (ct[1:n_seed] - ct[: n_seed - 1] > tol).nonzero()[0] + 1
-    bounds = np.concatenate(([0], gaps, [n_member]))
-    return cand[:n_member], bounds, ct[bounds[:-1]]
+        n_seed = ct.searchsorted(t - tol, side="left")
+    last = ct[np.maximum(n_seed - 1, 0)]
+    n_member = np.where(n_seed > 0, ct.searchsorted(last + tol, side="right"), 0)
+    k = np.arange(ct.size)
+    # a cluster starts at every gap above tol among the seeds
+    start = np.zeros(rows, dtype=bool)
+    np.greater(ct[1:] - ct[:-1], tol[:, None], out=start[:, 1:])
+    start &= k < n_seed[:, None]
+    first = ct[np.maximum.accumulate(np.where(start, k, 0), axis=1)]
+    return cand, k < n_member[:, None], first
 
 
 def events(s: LagrangianState, T: float) -> EventSchedule:
@@ -120,11 +131,67 @@ def events(s: LagrangianState, T: float) -> EventSchedule:
     """
     if not np.isfinite(T):
         raise ConfigError("event horizon T must be finite")
-    cells, bounds, first = _clusters(s, T, "right")
-    times = tuple(first.tolist())
-    bounds = bounds.tolist()
-    groups = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return EventSchedule(times=times, cells_at=dict(zip(times, groups)))
+    cells, hit, first = _clusters(s, np.array([float(T)]), "right")
+    n = int(hit.sum())
+    cells, first = cells[:n], first[0, :n]
+    starts = np.flatnonzero(np.diff(first, prepend=-np.inf))
+    times = tuple(first[starts].tolist())
+    return EventSchedule(times=times, cells_at=dict(zip(times, np.split(cells, starts[1:]))))
+
+
+# a time so large that the motion overflows is reported by the callers,
+# which check that y and U are finite
+@np.errstate(over="ignore", invalid="ignore")
+def _map(s: LagrangianState, t: np.ndarray, side: str = "right"):
+    """The closed-form map of s to each time of the 1-d array t >= s.time.
+
+    Returns (y, U, d_y, cells, hit, r): y, U and d_y at t_j in row j, as
+    evolve(s, t_j, side) returns them (value for value, apart from the sign
+    of a zero in y and U on a row where no cell breaks while another row's
+    do); the cells that may break by max(t); and in row j whether each of
+    them breaks by t_j (hit) and how long before t_j it did (r).
+    """
+    cells, hit, first = _clusters(s, t, side)
+    r = np.where(hit, t[:, None] - np.maximum(first, s.time), 0.0)
+
+    # event-free motion from s.time, each array built in place term by term:
+    #   y + (dt U + (dt^2/2) acc),  U + dt acc,  d_y + (dt d_U + (dt^2/4) d_V)
+    dt = (t - s.time)[:, None]
+    acc = 0.5 * s.V - 0.25 * s.V_inf
+    y = dt * s.U
+    y += (0.5 * dt * dt) * acc
+    y += s.y
+    U = dt * acc
+    U += s.U
+    d_y = dt * s.d_U
+    d_y += (0.25 * dt * dt) * s.d_V
+    d_y += s.d_y
+
+    if hit.any():
+        order = cells.argsort()
+        cells, hit, r = cells[order], hit[:, order], r[:, order]
+        kept = (1.0 - s.alpha) * s.d_V[cells]
+        # the collapse is exact: a breaking cell restarts from analytic zeros
+        d_y[:, cells] = np.where(hit, (0.25 * r * r) * kept, d_y[:, cells])
+
+        # the energy D_i lost at tau_i changes acc by -D_i/2 at the nodes
+        # right of cell i and by D_i/4 at every node; integrated once (r)
+        # and twice (r^2 / 2) these are prefix sums over the cells in index
+        # order (one that does not break by t_j adds an exact zero to row
+        # j), constant between consecutive ones
+        D = (s.d_V[cells] - kept) * s.widths[cells]
+        lost = np.zeros((2, t.size, cells.size + 1))
+        lost[0, :, 1:] = D * r
+        lost[1, :, 1:] = D * (0.5 * r * r)
+        lost.cumsum(axis=2, out=lost)
+        # the gain 0.25 lost[-1] - 0.5 lost, in place
+        total = 0.25 * lost[:, :, -1:]
+        lost *= 0.5
+        np.subtract(total, lost, out=lost)
+        counts = np.diff(np.concatenate(([-1], cells, [s.n_cells])))
+        U += lost[0].repeat(counts, axis=1)
+        y += lost[1].repeat(counts, axis=1)
+    return y, U, d_y, cells, hit, r
 
 
 def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState:
@@ -136,7 +203,8 @@ def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState
     d_y and d_U vanish there as a fact of the motion) but their energy is not
     yet scaled, giving the one-sided limit as time approaches t from below.
 
-    Raises ConfigError when t is not finite or precedes the state's time.
+    Raises ConfigError when t is not finite or precedes the state's time, and
+    NumericError when the positions overflow.
     """
     if side not in ("left", "right"):
         raise ConfigError("side must be 'left' or 'right'")
@@ -147,49 +215,20 @@ def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState
     if t == s.time and side == "right":
         return s
 
-    # event-free motion from s.time
-    dt = t - s.time
-    acc = 0.5 * s.V - 0.25 * s.V_inf
-    y = s.y + (dt * s.U + (0.5 * dt * dt) * acc)
-    U = s.U + dt * acc
-    d_y = s.d_y + (dt * s.d_U + (0.25 * dt * dt) * s.d_V)
-    d_U = s.d_U + (0.5 * dt) * s.d_V
-    d_V = s.d_V
-    broken = s.broken
-    V = s.V
-    V_inf = s.V_inf
-
-    cells, bounds, first = _clusters(s, t, side)
+    y, U, d_y, cells, hit, r = _map(s, np.array([float(t)]), side)
+    y, U, d_y, cells, r = y[0], U[0], d_y[0], cells[hit[0]], r[0, hit[0]]
+    if not (np.isfinite(y).all() and np.isfinite(U).all()):
+        raise NumericError(f"positions or velocities overflow by t = {t:g}")
+    d_U = s.d_U + (0.5 * (t - s.time)) * s.d_V
+    d_V, broken, V, V_inf = s.d_V, s.broken, s.V, s.V_inf
     if cells.size:
-        w = s.widths
-        r = (t - np.maximum(first, s.time)).repeat(bounds[1:] - bounds[:-1])
-        order = cells.argsort()
-        cells, r = cells[order], r[order]
         kept = (1.0 - s.alpha) * s.d_V[cells]
+        d_U[cells] = (0.5 * r) * kept
         d_V = s.d_V.copy()
         d_V[cells] = kept
-        # the collapse is exact: restart the cell from analytic zeros
-        d_y[cells] = (0.25 * r * r) * kept
-        d_U[cells] = (0.5 * r) * kept
         broken = s.broken.copy()
         broken[cells] = True
-
-        # the energy D_i lost at tau_i changes acc by -D_i/2 at the nodes
-        # right of cell i and by D_i/4 at every node; integrated once (r)
-        # and twice (r^2 / 2) these are prefix sums over the breaking cells
-        # in index order, constant between consecutive ones
-        D = (s.d_V[cells] - kept) * w[cells]
-        lost = np.zeros((2, cells.size + 1))
-        lost[0, 1:] = D * r
-        lost[1, 1:] = D * (0.5 * r * r)
-        lost.cumsum(axis=1, out=lost)
-        gain = 0.25 * lost[:, -1:] - 0.5 * lost
-        edges = np.concatenate(([-1], cells, [s.n_cells]))
-        counts = edges[1:] - edges[:-1]
-        U += gain[0].repeat(counts)
-        y += gain[1].repeat(counts)
-
-        m = d_V * w
+        m = d_V * s.widths
         V = s.V[0] + np.concatenate(([0.0], exact_cumsum(m)))
         V_inf = s.V[0] + stable_sum(m)
 

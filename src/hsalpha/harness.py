@@ -31,11 +31,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .eulerian import EulerianSolution, InitialDatum, eval_cumulative, make_multipeakon
-from .evolution import events, evolve
+from .evolution import _map, events, evolve
 from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
+from .numerics import _chunks
 from .projection import ProjectionConfig, project
-from .pushforward import to_eulerian
+from .pushforward import _u_rows, to_eulerian
 from .reference import ReferenceSolution, cosine_datum, cusp_datum, multipeakon_datum
 
 __all__ = [
@@ -71,10 +72,12 @@ def dx_of_level(k: int) -> float:
 class ExperimentConfig:
     """Validated description of one experiment.
 
-    example selects the benchmark datum ("appendixA", "cosine", "cusp", or
-    "multipeakon" with explicit points); k_range the mesh ladder
-    (dx_k = 2^(-2k)); T the final time; time_samples the uniform part of the
-    error-sampling grid.
+    example selects the benchmark datum ("appendixA", "cosine", "cusp" on
+    the interval [a, b], or "multipeakon" with explicit points); k_range the
+    mesh ladder (dx_k = 2^(-2k)); T the final time; time_samples the uniform
+    part of the error-sampling grid.  Setting points for another example
+    than multipeakon, or a and b away from (-1, 1) for another example than
+    cusp, is a ConfigError: no run would read them.
     """
 
     example: str
@@ -111,9 +114,15 @@ class ExperimentConfig:
             raise ConfigError("points must be a list of [x, u] pairs") from None
         if self.example == "multipeakon" and len(pts) == 0:
             raise ConfigError("multipeakon example needs a nonempty points list")
+        if self.example != "multipeakon" and pts:
+            raise ConfigError(
+                f"points set the multipeakon datum; example {self.example} reads none"
+            )
         object.__setattr__(self, "points", pts)
         if not self.a <= self.b:
             raise ConfigError("cusp interval needs a <= b")
+        if self.example != "cusp" and (self.a, self.b) != (-1.0, 1.0):
+            raise ConfigError(f"a and b set the cusp interval; example {self.example} reads none")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -253,24 +262,39 @@ def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
     return out
 
 
-def _sup_rel_err(sol: EulerianSolution, prof) -> float:
-    """max |u_num - u_ref| / max |u_ref| over the solution's nodes and the
-    profile's knots; each side's values at its own points are read, not
-    interpolated."""
-    ref_at_nodes = prof.u_at(sol.u.nodes)
-    diff = float(np.max(np.abs(sol.u.values - ref_at_nodes)))
-    den = float(np.max(np.abs(ref_at_nodes)))
-    if prof.knots is not None:
-        diff = max(diff, float(np.max(np.abs(sol.u(prof.knots) - prof.knot_u))))
-        den = max(den, float(np.max(np.abs(prof.knot_u))))
+def _rel_err(nodes, values, knots, knot_u, ref_at_nodes=None) -> float:
+    """max |u_num - u_ref| / max |u_ref| over the nodes of the numerical
+    profile (nodes, values) and the reference's knots (knot_u = u_ref there;
+    no knots if None); each side's values at its own points are read, not
+    interpolated.  ref_at_nodes is u_ref at the nodes, by default the
+    interpolant of the knots."""
+    if ref_at_nodes is None:
+        ref_at_nodes = np.interp(nodes, knots, knot_u)
+    diff = float(np.abs(values - ref_at_nodes).max())
+    den = float(np.abs(ref_at_nodes).max())
+    if knots is not None:
+        diff = max(diff, float(np.abs(np.interp(knots, nodes, values) - knot_u).max()))
+        den = max(den, float(np.abs(knot_u).max()))
     return diff / max(den, 1e-300)
 
 
-def _profile_for(ref: ReferenceSolution, t: float, sol: EulerianSolution):
-    n_base = max(4001, 3 * sol.u.nodes.size)
-    return ref.profile(
-        t, x_lo=float(sol.u.nodes[0]), x_hi=float(sol.u.nodes[-1]), n_base=n_base
-    )
+def _sup_rel_err(sol: EulerianSolution, prof) -> float:
+    """_rel_err of a snapshot against a reference profile."""
+    u = sol.u
+    return _rel_err(u.nodes, u.values, prof.knots, prof.knot_u, prof.u_at(u.nodes))
+
+
+def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles) -> float:
+    """The largest _rel_err of the snapshots of s at the times t against
+    the reference rows profiles(t, x_lo, x_hi) (see ReferenceSolution._rung)."""
+    sols = list(_u_rows(*_map(s, t)[:3]))
+    x_lo = np.array([nodes[0] for nodes, _ in sols])
+    x_hi = np.array([nodes[-1] for nodes, _ in sols])
+    worst = 0.0
+    for (nodes, values), (knots, knot_u, u_at) in zip(sols, profiles(t, x_lo, x_hi)):
+        at_nodes = None if u_at is None else u_at(nodes)
+        worst = max(worst, _rel_err(nodes, values, knots, knot_u, at_nodes))
+    return worst
 
 
 def _ladder(cfg: ExperimentConfig, kind: str, csv_prefix: str, rung) -> EocReport:
@@ -296,17 +320,20 @@ def _ladder(cfg: ExperimentConfig, kind: str, csv_prefix: str, rung) -> EocRepor
 
 
 def run_eoc(cfg: ExperimentConfig) -> EocReport:
-    """Convergence study of the sup-in-time relative wave-profile error."""
+    """Convergence study of the sup-in-time relative wave-profile error.
+
+    Each snapshot is mapped from the t=0 state in closed form, and the
+    snapshots of a rung are evaluated in chunks of times, against reference
+    tables that share one static part per rung.
+    """
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
 
     def rung(ref, dx):
         s = initial_state(cfg, dx)
-        worst = 0.0
-        for t in _merged_times(s, samples):
-            s = evolve(s, float(t))
-            sol = to_eulerian(s)
-            worst = max(worst, _sup_rel_err(sol, _profile_for(ref, float(t), sol)))
-        return worst
+        times = _merged_times(s, samples)
+        profiles = ref._rung(n_base=max(4001, 3 * (s.n_cells + 1)))
+        chunks = _chunks(times.size, s.n_cells + 1)
+        return max(_worst_rel_err(s, times[rows], profiles) for rows in chunks)
 
     return _ladder(cfg, "linf_u", "eoc", rung)
 
@@ -324,7 +351,12 @@ def run_measure_rates(cfg: ExperimentConfig) -> EocReport:
     def rung(ref, dx):
         # one expression, so that the t=0 state is freed before the table is built
         sol = to_eulerian(evolve(initial_state(cfg, dx), cfg.T))
-        return w1(_profile_for(ref, cfg.T, sol).measure(), sol.mu)
+        # only the measure is kept: the profile is freed before w1 runs
+        nodes = sol.u.nodes
+        measure = ref.profile(
+            cfg.T, x_lo=float(nodes[0]), x_hi=float(nodes[-1]), n_base=max(4001, 3 * nodes.size)
+        ).measure()
+        return w1(measure, sol.mu)
 
     return _ladder(cfg, "w1", "w1", rung)
 

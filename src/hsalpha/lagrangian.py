@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .projection import ProjectedDatum
 
 __all__ = ["LagrangianState", "to_lagrangian", "breaking_time"]
@@ -105,6 +106,8 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     the closing edge shared with the next pair; pairs without an atom collapse
     the duplicate node.  Atom cells get ``d_y = d_U = 0``, ``d_V = 1`` exactly.
     ``alpha`` is the dissipation parameter the state will evolve under.
+    Raises NumericError when the coordinates xi do not increase (an energy
+    so large that x + F(x) loses the mesh, or overflows).
     """
     nodes = p.u.nodes
     uvals = p.u.values
@@ -148,6 +151,11 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     keep = np.ones(3 * m + 1, dtype=bool)
     keep[1::3] = masses > 0.0
     xi, y, u, v = xi[keep], y[keep], u[keep], v[keep]
+    if not np.all(xi[1:] > xi[:-1]):
+        raise NumericError(
+            "the Lagrangian coordinates x + F(x) of distinct nodes coincide or overflow: "
+            "the datum's energy is too large for the mesh"
+        )
 
     # cell derivatives: exact constants on atom cells, nodal quotients else
     widths = np.diff(xi)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CorruptStateError
+from .errors import CorruptStateError, NumericError
 from .eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear, eval_cumulative
 from .lagrangian import LagrangianState
-from .numerics import exact_cumsum
+from .numerics import _keep_last, exact_cumsum
 
 __all__ = ["to_eulerian", "eval_u", "eval_F", "ATOM_WIDTH_TOL", "ATOM_MASS_TOL"]
 
@@ -33,42 +33,60 @@ ATOM_WIDTH_TOL = 1e-14
 ATOM_MASS_TOL = 1e-14
 
 
+def _positions(y, U):
+    """The running max of nodal positions y along the last axis (one state
+    per row), after checking that y and the velocities U are finite and that
+    y decreases nowhere by more than 1e-12."""
+    if not (np.isfinite(y).all() and np.isfinite(U).all()):
+        raise NumericError("Lagrangian positions or velocities are not finite")
+    drop = np.diff(y, axis=-1)
+    if drop.size and drop.min() < -1e-12:
+        raise CorruptStateError(
+            f"Lagrangian positions decrease by {-drop.min():.3e}; state is corrupt"
+        )
+    # Tiny negative jumps are round-off residue on collapsed cells.
+    return np.maximum.accumulate(y, axis=-1)
+
+
+def _node_picks(y, real):
+    """u's nodes among one state's nodes, given its running-max positions y
+    and its real cells: (sel, keep), where y[sel] are the left end and the
+    right end of every real cell and keep drops all but the last of nodes
+    that still coincide after rounding (so cumulative mass and the outgoing
+    value survive)."""
+    sel = np.concatenate(([0], np.flatnonzero(real) + 1))
+    return sel, _keep_last(y[sel])
+
+
+def _u_rows(y, U, d_y):
+    """The wave profile (nodes, values) that to_eulerian builds, for each row
+    of nodal positions y, nodal velocities U and cell widths d_y, with every
+    check to_eulerian makes."""
+    y = _positions(y, U)
+    for y_j, U_j, real in zip(y, U, d_y > ATOM_WIDTH_TOL):
+        sel, keep = _node_picks(y_j, real)
+        sel = sel[keep]
+        yield y_j[sel], U_j[sel]
+
+
 def to_eulerian(s: LagrangianState) -> EulerianSolution:
     """Push a Lagrangian state forward to its Eulerian solution.
 
     Cells with d_y > 1e-14 become linear segments of u and of the cumulative
     F_ac; cells with d_y <= 1e-14 and d_V > 1e-14 become point masses at
     their (common) y-value, consecutive ones merged; cells degenerate in both
-    senses are removed.  Raises CorruptStateError if the nodal y values
-    decrease by more than 1e-12 anywhere.
+    senses are removed.  Raises NumericError if the nodal y or U values are
+    not finite, CorruptStateError if y decreases by more than 1e-12 anywhere.
     """
-    y_raw = s.y
-    dy_nodes = np.diff(y_raw)
-    if dy_nodes.size and np.min(dy_nodes) < -1e-12:
-        raise CorruptStateError(
-            f"Lagrangian positions decrease by {-np.min(dy_nodes):.3e}; state is corrupt"
-        )
-    # Tiny negative jumps are round-off residue on collapsed cells.
-    y = np.maximum.accumulate(y_raw)
-
-    w = s.widths
-    masses = s.d_V * w
+    y = _positions(s.y, s.U)
+    masses = s.d_V * s.widths
     real = s.d_y > ATOM_WIDTH_TOL
     atom = (~real) & (s.d_V > ATOM_MASS_TOL)
 
-    idx_real = np.flatnonzero(real)
-    x_nodes = np.concatenate(([y[0]], y[idx_real + 1]))
-    u_nodes = np.concatenate(([s.U[0]], s.U[idx_real + 1]))
-    F_vals = np.concatenate(([0.0], exact_cumsum(masses[idx_real])))
+    sel, keep = _node_picks(y, real)
+    F_vals = np.concatenate(([0.0], exact_cumsum(masses[sel[1:] - 1])))
     F_vals = np.maximum.accumulate(F_vals)
-
-    # Collapse nodes that still coincide after rounding (keep the last, so
-    # cumulative mass and the outgoing value survive).
-    if x_nodes.size > 1:
-        keep = np.append(np.diff(x_nodes) > 0.0, True)
-        x_nodes = x_nodes[keep]
-        u_nodes = u_nodes[keep]
-        F_vals = F_vals[keep]
+    x_nodes, u_nodes, F_vals = y[sel][keep], s.U[sel][keep], F_vals[keep]
 
     idx_atom = np.flatnonzero(atom)
     if idx_atom.size:

@@ -33,8 +33,11 @@ The dense table of ``ReferenceSolution.profile`` has a static part (a
 uniform bulk over the datum window and geometric ladders at fixed anchors)
 whose columns are kept between calls with the same n_base, and a moving
 part (tails, ladders at t-dependent anchors, the cosine's broken arcs)
-evaluated per call and merged in order; every table equals the one built
-from scratch point for point.
+evaluated per call; the maps run over both and their values are merged in
+order.  Every table has the knots of the one built from scratch, with the
+same values.  The maps take a column of times as well as one time, so that
+a ladder rung evaluates the tables of many times in one batch
+(``ReferenceSolution._rung``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
+from .numerics import _chunks, _keep_last
 
 __all__ = [
     "ReferenceSolution",
@@ -154,9 +158,10 @@ class _CharacteristicFamily:
     plus whatever else the family's dissipation integrals read.  ``_B``,
     ``_J1`` and ``_J2`` take those columns, so a table evaluates the columns
     once and reuses them at every time; ``B``, ``J1`` and ``J2`` are the same
-    integrals at raw points z.  ``fixed_anchors`` and ``moving_points(t, lo,
-    hi)`` say where the table refines: at points that never move, and at
-    points that move with t.
+    integrals at raw points z.  ``fixed_anchors`` and ``moving_points(t,
+    pad)`` say where the table refines: at points that never move, and at
+    points that move with t (one row per time of the column t).  Every map
+    takes a time or a column of times.
     """
 
     def B(self, t, z):
@@ -167,6 +172,20 @@ class _CharacteristicFamily:
 
     def J2(self, t, z):
         return self._J2(t, self.columns(z))
+
+
+def _each(f, t):
+    """f at a time, or at each entry of an array of times, in Python float
+    arithmetic: numpy's array pow and arcsin round differently from libm's,
+    and a table must not depend on how many times it is built for."""
+    if np.ndim(t) == 0:
+        return f(float(t))
+    return np.array([f(v) for v in np.ravel(t).tolist()]).reshape(np.shape(t))
+
+
+def _cube(x):
+    """x ** 3, with _each."""
+    return _each(lambda v: v ** 3, x)
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +226,41 @@ class CosineFamily(_CharacteristicFamily):
         return {"z": z, "u": np.cos(_PI * w), "F": _lam(w)}
 
     @staticmethod
-    def breaking_arcs(t):
-        """Sub-intervals broken by time t (possibly empty)."""
+    def _zeta(t):
+        """zeta(t), or 1/2 before the first break (t <= 2/pi)."""
         if t * _PI <= 2.0:
-            return []
-        zeta = math.asin(min(1.0, 2.0 / (_PI * t))) / _PI
+            return 0.5
+        return math.asin(min(1.0, 2.0 / (_PI * t))) / _PI
+
+    @staticmethod
+    def _arcs(t):
+        """The two arcs (lo, hi) at a time or a column of times, empty (at
+        1/2 and 5/2) before the first break."""
+        zeta = _each(CosineFamily._zeta, t)
         return [(zeta, 1.0 - zeta), (2.0 + zeta, 3.0 - zeta)]
 
-    def moving_points(self, t, lo, hi):
-        """Ladders at the moving ends of the broken arcs, and a dense cover of each arc."""
-        arcs = self.breaking_arcs(t)
-        pieces = [_geometric_ladder([w for arc in arcs for w in arc], lo, hi)]
-        for a, b in arcs:
-            pieces.append(np.linspace(a - 0.05, b + 0.05, 6001))
-        return np.concatenate(pieces)
+    @staticmethod
+    def breaking_arcs(t):
+        """Sub-intervals broken by time t (possibly empty)."""
+        return [] if t * _PI <= 2.0 else CosineFamily._arcs(t)
+
+    def moving_points(self, t, pad):
+        """One row per time of the column t: ladders at the moving ends of
+        the broken arcs and a dense cover of each arc.  Rows before the
+        first break, in a batch that holds later rows too, repeat pad (a
+        point their tables hold anyway, which leaves the tables unchanged)."""
+        broken = t * _PI > 2.0
+        if not broken.any():
+            return np.empty((t.shape[0], 0))
+        (a, b), (c, d) = self._arcs(t)
+        ladders = _geometric_ladder(np.concatenate((a, b, c, d), axis=1))
+        covers = np.linspace(
+            np.concatenate((a - 0.05, c - 0.05), axis=1),
+            np.concatenate((b + 0.05, d + 0.05), axis=1),
+            6001,
+            axis=-1,
+        ).reshape(t.shape[0], -1)
+        return np.where(broken, np.concatenate((ladders, covers), axis=1), pad)
 
     # Antiderivatives of the broken-set integrands (valid inside the arcs,
     # where tau(w) = 2/(pi sin(pi w))), in w, lam = lam(w) and cos = cos(pi w):
@@ -244,19 +284,25 @@ class CosineFamily(_CharacteristicFamily):
 
     def _arc_sum(self, g, t, c):
         # sum over the arcs of g(clip(z, lo, hi)) - g(lo): inside an arc g
-        # reads the columns, outside it is g at the nearer end
+        # reads the columns, outside it is g at the nearer end; an empty arc
+        # adds exact zeros (g at its end, less g at its end)
         z = c["z"]
-        total = np.zeros_like(np.asarray(z, dtype=float))
-        for lo, hi in self.breaking_arcs(t):
-            g_lo, g_hi = self._g_at(g, t, np.asarray([lo, hi]))
+        total = np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)))
+        if not np.any(t * _PI > 2.0):
+            return total
+        for lo, hi in self._arcs(t):
+            g_lo, g_hi = self._g_at(g, t, lo), self._g_at(g, t, hi)
             inside = g(t, z, c["F"], c["u"])
             clipped = np.where(z < lo, g_lo, np.where(z > hi, g_hi, inside))
-            total = total + clipped - self._g_at(g, t, lo)
+            total = total + clipped - g_lo
         return total
 
     def _arc_total(self, g, t):
-        return float(
-            sum(self._g_at(g, t, hi) - self._g_at(g, t, lo) for lo, hi in self.breaking_arcs(t))
+        return _each(
+            lambda v: float(
+                sum(self._g_at(g, v, hi) - self._g_at(g, v, lo) for lo, hi in self.breaking_arcs(v))
+            ),
+            t,
         )
 
     def _B(self, t, c):
@@ -320,13 +366,16 @@ class CuspFamily(_CharacteristicFamily):
             "rho": (-np.clip(z, self._neg, 0.0)) ** (1.0 / 3.0),
         }
 
-    def moving_points(self, t, lo, hi):
-        """The ladder at the moving edge -r(t)^3 of the broken region."""
-        return _geometric_ladder([-self._r(t) ** 3] if self._neg < 0.0 else [], lo, hi)
+    def moving_points(self, t, pad):
+        """One row per time of the column t: the ladder at the moving edge
+        -r(t)^3 of the broken region."""
+        if self._neg == 0.0:
+            return np.empty((t.shape[0], 0))
+        return _geometric_ladder(-_cube(self._r(t)))
 
     def _r(self, t):
         """Depth of the broken region in v = |z|^(1/3) units at time t."""
-        return min((-self._neg) ** (1.0 / 3.0), t / 3.0)
+        return np.minimum((-self._neg) ** (1.0 / 3.0), t / 3.0)
 
     def _B(self, t, c):
         r = self._r(t)
@@ -335,16 +384,30 @@ class CuspFamily(_CharacteristicFamily):
     def _J1(self, t, c):
         r = self._r(t)
         rho = np.minimum(c["rho"], r)
-        return (4.0 / 3.0) * (t * (r - rho) - 1.5 * (r * r - rho * rho))
+        # (4/3) (t (r - rho) - 1.5 (r^2 - rho^2)), updated in place
+        j = r - rho
+        j *= t
+        rho *= rho
+        rho = r * r - rho
+        rho *= 1.5
+        j -= rho
+        j *= 4.0 / 3.0
+        return j
 
     def _J2(self, t, c):
         r = self._r(t)
         rho = np.minimum(c["rho"], r)
         # every point with rho = r has the base t - 3r, often 0 or a negative
         # round-off, where pow is slow: cube it once and only the rest per point
-        cube = np.full(np.shape(rho), np.power([t - 3.0 * r], 3)[0])
-        np.power(t - 3.0 * rho, 3, out=cube, where=rho < r)
-        return (2.0 / 27.0) * (cube - (t - 3.0 * r) ** 3)
+        base = t - 3.0 * r
+        cube = np.empty(np.broadcast_shapes(np.shape(rho), np.shape(base)))
+        cube[...] = np.power(base, 3)
+        broken = rho < r
+        rho *= 3.0
+        np.power(t - rho, 3, out=cube, where=broken)
+        cube -= _cube(base)
+        cube *= 2.0 / 27.0
+        return cube
 
     def B_inf(self, t):
         return (4.0 / 3.0) * self._r(t)
@@ -355,32 +418,34 @@ class CuspFamily(_CharacteristicFamily):
 
     def J2_inf(self, t):
         r = self._r(t)
-        return (2.0 / 27.0) * (t ** 3 - (t - 3.0 * r) ** 3)
+        return (2.0 / 27.0) * (_cube(t) - _cube(t - 3.0 * r))
 
 
-# The characteristic maps take a family and the columns c = fam.columns(z).
+# The characteristic maps take a family, a time or a column of times, and the
+# columns c = fam.columns(z).  The tables' maps run over (times x points)
+# arrays, so they update one array in place, term by term in the order of
+#   U = u + t F/2 - t F_inf/4 - alpha J1/2 + alpha J1_inf/4,
+#   y = z + t u + t^2 F/4 - t^2 F_inf/8 - alpha J2/2 + alpha J2_inf/4.
 
 def _char_velocity(fam, t, c):
     a = fam.alpha
-    return (
-        c["u"]
-        + 0.5 * t * c["F"]
-        - 0.25 * t * fam.F_inf
-        - 0.5 * a * fam._J1(t, c)
-        + 0.25 * a * fam.J1_inf(t)
-    )
+    v = 0.5 * t * c["F"]
+    v += c["u"]
+    v -= 0.25 * t * fam.F_inf
+    v -= 0.5 * a * fam._J1(t, c)
+    v += 0.25 * a * fam.J1_inf(t)
+    return v
 
 
 def _char_position(fam, t, c):
     a = fam.alpha
-    return (
-        c["z"]
-        + t * c["u"]
-        + 0.25 * t * t * c["F"]
-        - 0.125 * t * t * fam.F_inf
-        - 0.5 * a * fam._J2(t, c)
-        + 0.25 * a * fam.J2_inf(t)
-    )
+    y = t * c["u"]
+    y += c["z"]
+    y += 0.25 * t * t * c["F"]
+    y -= 0.125 * t * t * fam.F_inf
+    y -= 0.5 * a * fam._J2(t, c)
+    y += 0.25 * a * fam.J2_inf(t)
+    return y
 
 
 def _char_cumulative(fam, t, c):
@@ -425,10 +490,11 @@ _LADDER = 2.0 ** (-np.arange(8.0, 95.0) / 2.0)
 _LADDER_STEPS = np.concatenate((_LADDER, -_LADDER, [0.0]))
 
 
-def _geometric_ladder(points, lo=-np.inf, hi=np.inf):
-    """Refinement points in [lo, hi] accumulating geometrically at each anchor."""
-    out = (np.asarray(points, dtype=float)[:, None] + _LADDER_STEPS).ravel()
-    return out[(out >= lo) & (out <= hi)]
+def _geometric_ladder(points):
+    """Refinement points accumulating geometrically at each anchor (along
+    the last axis: a row of anchors gives a row of ladders)."""
+    points = np.asarray(points, dtype=float)
+    return (points[..., None] + _LADDER_STEPS).reshape(points.shape[:-1] + (-1,))
 
 
 def _static_table(fam, n_base):
@@ -446,34 +512,48 @@ def _static_table(fam, n_base):
     return fam.columns(z)
 
 
-def _merged_columns(fam, static, z_lo, z_hi, moving):
-    """The static columns cut to [z_lo, z_hi], with the sorted moving points
-    that no static point equals inserted in order."""
-    # one array per column, none larger than the table: freeing a larger
-    # block would raise glibc's mmap threshold and with it the peak RSS
+#: points per tail of a table
+_TAIL = 9
+
+
+def _table_values(fam, static, t, x_lo, x_hi, maps):
+    """Each map's values on the tables for the times t that cover
+    [x_lo, x_hi] (all 1-d arrays, or scalars for one table).
+
+    Row j of a map holds its values at the static points and at row j's
+    moving points, in z order, points that coincide included (they have
+    equal values, so a table's knots are those of its distinct points); the
+    table proper is the row's stretch [lo_j, hi_j) inside its z-range
+    [z_lo, z_hi].  Returns (the maps' rows, lo, hi).
+    """
+    # Characteristics outside the datum window move rigidly (constant u,
+    # constant F), so resolution is only spent on the window itself; sparse
+    # tail points keep the table's x-range wide enough to cover [x_lo, x_hi].
+    # The bulk always lies inside [z_lo, z_hi] (margin >= 1); a ladder can
+    # stick out only when its anchor lies outside the window, as the cusp's
+    # fixed 0 and its moving edge can.
+    t = np.reshape(t, (-1, 1))
+    margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
+    w_lo, w_hi = fam.window
+    z_lo = np.minimum(np.reshape(x_lo, (-1, 1)), w_lo) - margin
+    z_hi = np.maximum(np.reshape(x_hi, (-1, 1)), w_hi) + margin
+    near, far = np.full_like(z_lo, w_lo - 1.0), np.full_like(z_hi, w_hi + 1.0)
+    tails = np.linspace(np.hstack((z_lo, far)), np.hstack((near, z_hi)), _TAIL, axis=-1)
+    moving = np.hstack((tails.reshape(t.size, -1), fam.moving_points(t, z_lo)))
+    moving.sort(axis=1)
+
+    # row j's moving points go before the static points they sort before, at
+    # these places of the raveled (times x static points) array
     zs = static["z"]
-    if zs[0] < z_lo or zs[-1] > z_hi:
-        i0, i1 = np.searchsorted(zs, z_lo), np.searchsorted(zs, z_hi, side="right")
-        static = {key: col[i0:i1] for key, col in static.items()}
-        zs = static["z"]
-    pos = np.searchsorted(zs, moving)
-    new = zs[np.minimum(pos, zs.size - 1)] != moving
-    pos, extra = pos[new], fam.columns(moving[new])
-    # moving points [:a] go before every static point and [b:] after them;
-    # only the static stretch [p0, p1) spanned by the rest is interleaved
-    a, b = np.searchsorted(pos, (1, zs.size))
-    p0, p1 = (pos[a], pos[b - 1]) if a < b else (0, 0)
-    slots = pos[a:b] - p0 + np.arange(b - a)
-    old = np.ones(p1 - p0 + b - a, dtype=bool)
-    old[slots] = False
-    merged = {}
-    for key, col in static.items():
-        ext = extra[key]
-        mid = np.empty(old.size)
-        mid[old] = col[p0:p1]
-        mid[slots] = ext[a:b]
-        merged[key] = np.concatenate((ext[:a], col[:p0], mid, col[p1:], ext[b:]))
-    return merged
+    at = (zs.searchsorted(moving) + zs.size * np.arange(t.size)[:, None]).ravel()
+    lo = zs.searchsorted(z_lo[:, 0]) + (moving < z_lo).sum(axis=1)
+    hi = zs.searchsorted(z_hi[:, 0], side="right") + (moving <= z_hi).sum(axis=1)
+    extra = fam.columns(moving)
+    rows = [
+        np.insert(f(fam, t, static), at, f(fam, t, extra).ravel()).reshape(t.size, -1)
+        for f in maps
+    ]
+    return rows, lo, hi
 
 
 def _running_max(v):
@@ -487,31 +567,23 @@ def _running_max(v):
     return v
 
 
-def _table_columns(fam, t, x_lo, x_hi, static):
-    """Columns at every point of the table for time t that covers [x_lo, x_hi]."""
-    # Characteristics outside the datum window move rigidly (constant u,
-    # constant F), so resolution is only spent on the window itself; sparse
-    # tail points keep the table's x-range wide enough to cover [x_lo, x_hi].
-    # The bulk always lies inside [z_lo, z_hi] (margin >= 1), and so does a
-    # fixed-anchor ladder (at most 2^-4 wide) unless its anchor lies outside
-    # the window, as the cusp's 0 can; _merged_columns cuts those off.
-    margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
-    w_lo, w_hi = fam.window
-    z_lo = min(x_lo, w_lo) - margin
-    z_hi = max(x_hi, w_hi) + margin
-    tails = np.linspace((z_lo, w_hi + 1.0), (w_lo - 1.0, z_hi), 9).ravel()
-    moving = np.unique(np.concatenate((tails, fam.moving_points(t, z_lo, z_hi))))
-    return _merged_columns(fam, static, z_lo, z_hi, moving)
+def _table_rows(fam, static, t, x_lo, x_hi):
+    """(knots, knot_u) of profile()'s table for each time of the 1-d array
+    t, covering [x_lo, x_hi] (1-d arrays too), all rows evaluated at once."""
+    (Y, U), lo, hi = _table_values(fam, static, t, x_lo, x_hi, (_char_position, _char_velocity))
+    rows = []
+    for y, u, a, b in zip(Y, U, lo.tolist(), hi.tolist()):
+        y = _running_max(y[a:b])
+        keep = _keep_last(y)
+        rows.append((y[keep], u[a:b][keep]))
+    return rows
 
 
-def _table_profile(fam, t, c):
-    """The profile at time t tabulated at the characteristics with columns c."""
-    y = _running_max(_char_position(fam, t, c))
-    u = _char_velocity(fam, t, c)
-    F = _running_max(_char_cumulative(fam, t, c))
-    keep = np.empty(y.size, dtype=bool)
-    np.greater(y[1:], y[:-1], out=keep[:-1])
-    keep[-1] = True
+def _table_profile(fam, t, y, u, F):
+    """The profile at time t tabulated as y, u and F at characteristics."""
+    y = _running_max(y)
+    F = _running_max(F)
+    keep = _keep_last(y)
     y_k, u_k, F_k = y[keep], u[keep], F[keep]
     v_inf = _char_total(fam, t)
 
@@ -684,7 +756,7 @@ class ReferenceSolution:
         table, replaced when two calls in a row miss with the same n_base: a
         run of calls with one n_base reuses it, a lone call with another
         n_base does not evict it, and a one-shot call keeps nothing.  The
-        moving points are merged in order, and the table is the one a
+        moving points are merged in order, and the table has the knots a
         from-scratch build would give, value for value.
         """
         if t < 0.0:
@@ -696,10 +768,44 @@ class ReferenceSolution:
             x_lo = fam.window[0]
         if x_hi is None:
             x_hi = fam.window[1]
-        # a static table that is not kept is freed once merged, before the
-        # per-t arithmetic allocates its temporaries
-        c = _table_columns(fam, t, x_lo, x_hi, self._static_for(max(int(n_base), 101)))
-        return _table_profile(fam, t, c)
+        # a static table that is not kept is freed once the maps are merged,
+        # before the knots are picked
+        maps = (_char_position, _char_velocity, _char_cumulative)
+        static = self._static_for(max(int(n_base), 101))
+        rows, (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, maps)
+        del static
+        return _table_profile(fam, t, *(row[0, lo:hi] for row in rows))
+
+    def _rung(self, n_base):
+        """profile() at many times, for one ladder rung.
+
+        Returns rows(t, x_lo, x_hi), which yields (knots, knot_u, u_at) of
+        the profile at each time of the 1-d array t, covering [x_lo, x_hi]
+        (1-d arrays too): the knots, u there, and u as a function where it
+        is not the interpolant of the knots (the closed-form family; else
+        None).  The tables are built in batches of times, on one static part
+        built here for n_base.
+        """
+        if self.family == "multipeakon_appA":
+
+            def closed_form_rows(t, x_lo, x_hi):
+                for prof in map(self.profile, t.tolist()):
+                    yield prof.knots, prof.knot_u, prof.u_at
+
+            return closed_form_rows
+        fam = self._fam
+        static = _static_table(fam, max(int(n_base), 101))
+        # a row's moving points are as many at every time (rows before the
+        # cosine's first break pad theirs), and all there at a late time
+        late = np.full((1, 1), np.inf)
+        width = static["z"].size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
+
+        def table_rows(t, x_lo, x_hi):
+            for rows in _chunks(t.size, width):
+                for knots, knot_u in _table_rows(fam, static, t[rows], x_lo[rows], x_hi[rows]):
+                    yield knots, knot_u, None
+
+        return table_rows
 
     def _static_for(self, n_base):
         # the static table for n_base, kept as profile() describes

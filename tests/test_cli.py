@@ -118,6 +118,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         cfg.write_text(json.dumps({"example": "cosine", "alpha": 0.0, "T": 1.0, key: val}))
         assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 2
         assert f"unknown config keys: {key}" in capsys.readouterr().err
+    # settings the chosen example does not read
+    solve = ["solve", "--alpha", "0", "--T", "1", "--dx", "0.25"]
+    assert cli.main(solve + ["--example", "cosine", "--a", "5", "--b", "6"]) == 2
+    assert cli.main(solve + ["--example", "appendixA", "--b", "2"]) == 2
+    assert cli.main(solve + ["--example", "cusp", "--points", "[[0, 1], [1, 0]]"]) == 2
+    cfg.write_text(json.dumps({"example": "cosine", "alpha": 0.0, "T": 1.0, "points": [[0, 1]]}))
+    assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 2
+    assert "reads none" in capsys.readouterr().err
     # inverted ladder bounds
     assert (
         cli.main(
@@ -150,6 +158,22 @@ def test_malformed_input_exits_2(tmp_path, capsys, flag, payload):
         argv = ["eoc", "--config", str(cfg)]
     assert cli.main(argv + ["--alpha", "0", "--T", "1"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # positions overflow at a huge but finite final time
+        ["--example", "cosine", "--alpha", "0", "--T", "1e300"],
+        # x + F(x) loses the mesh: the energy 4e300 swamps every x
+        ["--example", "multipeakon", "--points", "[[0,1e150],[1,-1e150]]"]
+        + ["--alpha", "0.5", "--T", "1"],
+    ],
+    ids=["huge-T", "huge-energy"],
+)
+def test_overflow_exits_3(capsys, argv):
+    assert cli.main(["solve", *argv, "--dx", "0.25"]) == 3
+    assert "numeric error" in capsys.readouterr().err
 
 
 def test_numeric_errors_exit_3(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import hsalpha.numerics as numerics
 from hsalpha.errors import ConfigError
 from hsalpha.eulerian import PiecewiseLinear
 from hsalpha.harness import (
@@ -51,6 +52,12 @@ def test_config_validation():
         ExperimentConfig(example="multipeakon", alpha=0.0, T=1.0, points=())
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "example": "cusp", "a": 1.0, "b": -1.0})
+    # settings the example does not read
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**base, "a": -2.0})
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**base, "points": ((0.0, 1.0),)})
+    ExperimentConfig(**{**base, "a": -1.0, "b": 1.0})  # the defaults
     # k_range is sorted and deduplicated
     cfg = ExperimentConfig(**{**base, "k_range": (3, 1, 1)})
     assert cfg.k_range == (1, 3)
@@ -257,34 +264,61 @@ def test_sup_rel_err_equals_union_form_on_closed_form_profile():
         assert _sup_rel_err(sol, prof) == union_sup_rel_err(sol, prof)
 
 
-def _from_scratch_eoc_errors(cfg):
-    """run_eoc's Err column with a from-scratch table and the union-form
-    error at every snapshot."""
+def _from_scratch_eoc_errors(cfg, chained=True):
+    """run_eoc's Err column with a from-scratch table (the closed form for
+    appendixA, which has no table), snapshots chained event to event (or
+    each evolved from t=0), and the union-form error at every snapshot."""
     ref = reference_for(cfg)
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
     errs = []
     for k in cfg.k_range:
-        s = initial_state(cfg, dx_of_level(k))
+        s0 = s = initial_state(cfg, dx_of_level(k))
         worst = 0.0
         for t in np.union1d(samples, events(s, cfg.T).times):
-            s = evolve(s, float(t))
+            s = evolve(s if chained else s0, float(t))
             sol = to_eulerian(s)
             nodes = sol.u.nodes
-            prof = oracle_profile(
-                ref, float(t), float(nodes[0]), float(nodes[-1]), max(4001, 3 * nodes.size)
-            )
+            if cfg.example == "appendixA":
+                prof = ref.profile(float(t))
+            else:
+                prof = oracle_profile(
+                    ref, float(t), float(nodes[0]), float(nodes[-1]), max(4001, 3 * nodes.size)
+                )
             worst = max(worst, union_sup_rel_err(sol, prof))
         errs.append(worst)
     return errs
 
 
 @pytest.mark.parametrize(
+    "cfg, chained",
+    [
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(4, 5)), True),
+        (ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2, 3, 4)), True),
+        # every cell breaks at t = 2: clusters of tied breaking times; the
+        # errors are round-off (~1e-14), and chaining moves them to ~4e-13
+        (ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(1, 2, 3)), False),
+        # T lies past the last break (3 * 0.7^(1/3)), where r(t) saturates
+        (ExperimentConfig(example="cusp", alpha=1.0, T=4.0, k_range=(3, 4), a=-0.7, b=1.3), True),
+    ],
+    ids=["cusp", "cosine", "appendixA", "cusp-asymmetric"],
+)
+def test_run_eoc_errors_equal_from_scratch_tables(cfg, chained):
+    assert [row[2] for row in run_eoc(cfg).rows] == _from_scratch_eoc_errors(cfg, chained)
+
+
+@pytest.mark.parametrize(
     "cfg",
     [
-        ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(4, 5)),
-        ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2, 3, 4)),
+        ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(2, 3)),
+        ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2,)),
+        ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(2,)),
     ],
-    ids=["cusp", "cosine"],
+    ids=["cusp", "cosine", "appendixA"],
 )
-def test_run_eoc_errors_equal_from_scratch_tables(cfg):
-    assert [row[2] for row in run_eoc(cfg).rows] == _from_scratch_eoc_errors(cfg)
+def test_run_eoc_rows_do_not_depend_on_the_chunk_size(cfg, monkeypatch):
+    # one time per chunk, and every time of a rung in one chunk (the cosine
+    # rung then mixes times before and after its first break)
+    rows = run_eoc(cfg).rows
+    for floats in (1, 2**40):
+        monkeypatch.setattr(numerics, "_CHUNK_FLOATS", floats)
+        assert run_eoc(cfg).rows == rows
