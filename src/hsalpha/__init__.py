@@ -22,11 +22,8 @@ from .eulerian import (
     InitialDatum,
     PiecewiseConstant,
     PiecewiseLinear,
-    ValidationReport,
-    check_solution_consistency,
     eval_cumulative,
     make_multipeakon,
-    validate,
 )
 from .evolution import EventSchedule, events, evolve, total_energy
 from .harness import (
@@ -65,9 +62,7 @@ from .reference import (
     ReferenceProfile,
     ReferenceSolution,
     cosine_datum,
-    cosine_exact,
     cusp_datum,
-    cusp_exact,
     multipeakon_datum,
     multipeakon_exact,
 )
@@ -85,11 +80,8 @@ __all__ = [
     "EnergyMeasure",
     "InitialDatum",
     "EulerianSolution",
-    "ValidationReport",
     "make_multipeakon",
     "eval_cumulative",
-    "validate",
-    "check_solution_consistency",
     "SignRule",
     "ProjectionConfig",
     "ProjectedDatum",
@@ -120,9 +112,7 @@ __all__ = [
     "multipeakon_exact",
     "multipeakon_datum",
     "cosine_datum",
-    "cosine_exact",
     "cusp_datum",
-    "cusp_exact",
     "ExperimentConfig",
     "EocReport",
     "load_config",

@@ -6,7 +6,8 @@ Subcommands: ``solve`` (one mesh, one final time, CSV snapshot), ``project``
 Settings come from a JSON config file (--config, keys mirroring
 ExperimentConfig, unknown keys rejected) and/or flags; flags win.
 
-Exit codes: 0 success, 2 configuration problem, 3 numeric/tolerance failure.
+Exit codes: 0 success, 2 configuration problem (an output directory that
+cannot be written included), 3 numeric/tolerance failure.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: the output directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

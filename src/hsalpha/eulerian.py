@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError
 
@@ -31,10 +30,8 @@ __all__ = [
     "EnergyMeasure",
     "InitialDatum",
     "EulerianSolution",
-    "ValidationReport",
     "eval_cumulative",
     "make_multipeakon",
-    "validate",
 ]
 
 _REL_SLACK = 1e-12
@@ -229,6 +226,8 @@ def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
 
     u = PiecewiseLinear(xs, vs)
     if xs.size == 1:
+        if not xs[0] + 1.0 > xs[0]:
+            raise ConfigError("a single breakpoint needs |x| small enough that x + 1 > x")
         u_x = PiecewiseConstant(np.array([xs[0], xs[0] + 1.0]), np.array([0.0]))
         f_ac = PiecewiseLinear(xs, np.zeros(1))
         return InitialDatum(
@@ -254,92 +253,3 @@ def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
         atoms=(),
         support_hint=(float(xs[0]), float(xs[-1])),
     )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    max_violation: float
-    messages: tuple[str, ...]
-
-
-def _panel_quad(f, a: float, b: float, interior: list[float]) -> float:
-    if b <= a:
-        return 0.0
-    pts = [p for p in interior if a < p < b]
-    val, _ = quad(f, a, b, points=pts or None, limit=200, epsabs=1e-13, epsrel=1e-11)
-    return val
-
-
-def validate(d: InitialDatum, tol: float = 1e-8) -> ValidationReport:
-    """Check the structural consistency of an initial datum.
-
-    Verifies, on a panel decomposition of ``support_hint``, that ``u`` is the
-    antiderivative of ``u_x`` and that ``F_ac`` is the antiderivative of
-    ``u_x^2``; atom lists must be sorted with positive masses.  Panel
-    discrepancies are reported per unit length (so a datum whose ``F_ac``
-    grows at rate 2 while ``u_x**2 == 1`` scores a violation of 1 no matter
-    how the panels fall); ``ok`` means the worst one stays within ``tol``.
-    """
-    messages: list[str] = []
-    worst = 0.0
-    lo, hi = d.support_hint
-
-    pos = np.array([p for p, _ in d.atoms])
-    if pos.size and np.any(np.diff(pos) <= 0.0):
-        messages.append("atom positions not strictly increasing")
-    if any(m <= 0.0 for _, m in d.atoms):
-        messages.append("non-positive atom mass")
-
-    grid = np.linspace(lo, hi, 17)
-    extra = [s for s in d.singularities if lo < s < hi]
-    grid = np.unique(np.concatenate((grid, extra)))
-    interior = list(d.singularities)
-
-    dens = lambda x: float(d.u_x(x)) ** 2
-    for a, b in zip(grid[:-1], grid[1:]):
-        width = b - a
-        want_f = float(d.F_ac(b)) - float(d.F_ac(a))
-        got_f = _panel_quad(dens, a, b, interior)
-        df = abs(want_f - got_f) / width
-        if df > tol:
-            messages.append(
-                f"F_ac inconsistent with u_x^2 on [{a:g}, {b:g}]: off by {df:.3e} per unit length"
-            )
-        worst = max(worst, df)
-
-        want_u = float(d.u(b)) - float(d.u(a))
-        got_u = _panel_quad(lambda x: float(d.u_x(x)), a, b, interior)
-        du = abs(want_u - got_u) / width
-        if du > tol:
-            messages.append(
-                f"u inconsistent with u_x on [{a:g}, {b:g}]: off by {du:.3e} per unit length"
-            )
-        worst = max(worst, du)
-
-    fine = np.linspace(lo, hi, 1025)
-    fvals = np.asarray(d.F_ac(fine), dtype=np.float64)
-    dec = np.diff(fvals).min(initial=0.0)
-    if dec < -tol:
-        messages.append(f"F_ac decreases by {-dec:.3e}")
-        worst = max(worst, -dec)
-
-    return ValidationReport(ok=not messages, max_violation=worst, messages=tuple(messages))
-
-
-def check_solution_consistency(sol: EulerianSolution, rtol: float = 1e-12) -> float:
-    """Return the worst relative defect of ``slope^2 * length == F_ac increment``.
-
-    Structural invariant of every pipeline-produced solution; used by tests.
-    """
-    u, f = sol.u, sol.mu.F_ac
-    if u.nodes.size < 2:
-        return 0.0
-    if f.nodes.size != u.nodes.size or not np.array_equal(f.nodes, u.nodes):
-        raise ValueError("u and F_ac must share their node set")
-    widths = np.diff(u.nodes)
-    lhs = u.slopes**2 * widths
-    rhs = np.diff(f.values)
-    floor = 1e-15 * max(1.0, f.right_value)
-    scale = np.maximum(np.maximum(np.abs(rhs), lhs), floor)
-    return float(np.max(np.abs(lhs - rhs) / scale))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 
@@ -62,6 +63,14 @@ EOC_NOISE_FLOOR = 1e-11
 
 DEFAULT_TIME_SAMPLES = 64
 
+#: Largest uniform time grid a ladder accepts (as many floats as
+#: projection.MAX_CELLS); a larger one is refused before it is allocated.
+MAX_TIME_SAMPLES = 2**26
+
+
+#: Finest ladder rung: dx_of_level(MAX_LEVEL + 1) underflows to zero.
+MAX_LEVEL = 537
+
 
 def dx_of_level(k: int) -> float:
     """Mesh size of ladder rung k (dx halves twice per rung)."""
@@ -93,21 +102,38 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.example not in _EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}; expected one of {_EXAMPLES}")
+        for name in ("alpha", "T", "a", "b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ConfigError(f"{name} must fit in a float") from None
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ConfigError("T must be positive and finite")
         try:
             ks = tuple(self.k_range)
-            bad = len(ks) == 0 or any(int(k) != k or k < 0 for k in ks)
+            bad = len(ks) == 0 or any(int(k) != k or not 0 <= k <= MAX_LEVEL for k in ks)
         except (TypeError, ValueError, OverflowError):
             bad = True
         if bad:
-            raise ConfigError("k_range must be a nonempty list of integers >= 0 (so dx <= 1)")
+            raise ConfigError(
+                f"k_range must be a nonempty list of integers in [0, {MAX_LEVEL}] (so 0 < dx <= 1)"
+            )
         object.__setattr__(self, "k_range", tuple(sorted(set(int(k) for k in ks))))
-        if int(self.time_samples) != self.time_samples or self.time_samples < 2:
-            raise ConfigError("time_samples must be an integer >= 2")
-        object.__setattr__(self, "time_samples", int(self.time_samples))
+        try:
+            n = int(self.time_samples)
+            bad = n != self.time_samples or not 2 <= n <= MAX_TIME_SAMPLES
+        except (TypeError, ValueError, OverflowError):
+            bad = True
+        if bad:
+            raise ConfigError(f"time_samples must be an integer in [2, {MAX_TIME_SAMPLES}]")
+        object.__setattr__(self, "time_samples", n)
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string")
         try:
             pts = tuple((float(x), float(u)) for x, u in self.points)
         except (TypeError, ValueError, OverflowError):
@@ -119,8 +145,8 @@ class ExperimentConfig:
                 f"points set the multipeakon datum; example {self.example} reads none"
             )
         object.__setattr__(self, "points", pts)
-        if not self.a <= self.b:
-            raise ConfigError("cusp interval needs a <= b")
+        if not self.a < self.b:
+            raise ConfigError("cusp interval needs a < b")
         if self.example != "cusp" and (self.a, self.b) != (-1.0, 1.0):
             raise ConfigError(f"a and b set the cusp interval; example {self.example} reads none")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+import scipy
 
 from .errors import MassMismatchError
 from .eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear, eval_cumulative
@@ -163,7 +163,9 @@ def _translate_l2_quad(
     def sq(x):
         return (float(f(x + h)) - float(f(x))) ** 2
 
-    val, _ = quad(sq, lo - h, hi, points=pts or None, limit=500, epsabs=1e-12, epsrel=1e-9)
+    val, _ = scipy.integrate.quad(
+        sq, lo - h, hi, points=pts or None, limit=500, epsabs=1e-12, epsrel=1e-9
+    )
     return float(np.sqrt(max(val, 0.0)))
 
 

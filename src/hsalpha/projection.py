@@ -57,6 +57,10 @@ RADICAND_CLAMP = 1e-12
 #: or a wider window is refused before anything is allocated.
 MAX_CELLS = 2**26
 
+#: Largest even-node index |j| of a default window.  Beyond it the nodes
+#: 2 j dx and their midpoints are no longer strictly increasing floats.
+MAX_PAIR_INDEX = 2**50
+
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -113,6 +117,8 @@ def _required_span(d: InitialDatum) -> tuple[float, float]:
 def default_window(d: InitialDatum, dx: float) -> tuple[int, int]:
     """Smallest even-pair window covering support and atoms with one pair margin."""
     lo, hi = _required_span(d)
+    if not max(abs(lo), abs(hi)) / (2.0 * dx) < MAX_PAIR_INDEX:
+        raise ConfigError(f"dx = {dx:g} puts [{lo:g}, {hi:g}] more than 2^50 grid pairs from 0")
     j_min = int(np.floor(lo / (2.0 * dx))) - 1
     j_max = int(np.ceil(hi / (2.0 * dx))) + 1
     return j_min, j_max

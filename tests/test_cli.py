@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsalpha.cli as cli
 from hsalpha.errors import NumericError
@@ -199,3 +204,91 @@ def test_solve_refuses_a_huge_grid(capsys):
     rc = cli.main(["solve", "--example", "cosine", "--alpha", "0", "--T", "1", "--dx", "1e-12"])
     assert rc == 2
     assert "cells" in capsys.readouterr().err
+
+
+# --- fuzz: every input exits 0, 2 or 3 -----------------------------------
+
+# 10**400 is a valid JSON number and a Python int that no float can hold
+_EXTREMES = (0.0, -0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf, 10**400)
+
+
+# JSON values of every type; the small integers and bounded floats keep a
+# k_range or time_samples drawn from them cheap
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-2.0, 2.0)
+    | st.sampled_from(_EXTREMES)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_FLAGS = {"time_samples": "time-samples", "out_dir": "out"}
+
+
+@st.composite
+def _argv(draw, tmp):
+    """A CLI call: valid settings, up to two of them replaced by an extreme
+    or wrongly typed value, given as flags or in a config file."""
+    command = draw(st.sampled_from(["solve", "project", "eoc", "measure-rates"]))
+    example = draw(st.sampled_from(["appendixA", "cosine", "cusp", "multipeakon"]))
+    alpha = 0.0 if command == "measure-rates" else draw(st.floats(0.0, 1.0))
+    cfg = {"example": example, "alpha": alpha, "T": draw(st.floats(0.01, 4.0))}
+    if example == "cusp":
+        cfg["a"] = draw(st.floats(-2.0, 1.5))
+        cfg["b"] = draw(st.floats(cfg["a"] + 0.5, 2.0))
+    if example == "multipeakon":
+        xs = sorted(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5, unique=True)))
+        cfg["points"] = [[x, draw(st.floats(-2.0, 2.0))] for x in xs]
+    if draw(st.booleans()):
+        cfg["time_samples"] = draw(st.integers(2, 70))
+    if command in ("eoc", "measure-rates"):
+        k = draw(st.integers(0, 3))
+        cfg["k_range"] = list(range(k, draw(st.integers(k, 3)) + 1))
+    if draw(st.booleans()):
+        # a regular file where a directory is expected cannot be written to
+        cfg["out_dir"] = str(draw(st.sampled_from([tmp / "out", tmp / "file" / "out"])))
+    cfg["dx"] = draw(st.floats(2.0**-8, 1.0))
+    keys = sorted(cfg) + ["a", "b", "points", "out_dir", "grid"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        value = draw(st.sampled_from(_EXTREMES) | _JSON)
+        if draw(st.booleans()):
+            value = [value]
+        # any other string would be an output directory in the cwd
+        cfg[key] = [value] if key == "out_dir" and isinstance(value, str) else value
+    dx = cfg.pop("dx")
+    argv = [command] + ([f"--dx={dx}"] if command in ("solve", "project") else [])
+
+    if draw(st.booleans()):
+        if not isinstance(cfg.get("out_dir", ""), str):
+            del cfg["out_dir"]
+        if "k_range" in cfg:
+            ks = cfg.pop("k_range")
+            lo, hi = (ks[0], ks[-1]) if isinstance(ks, list) and ks else (ks, ks)
+            argv += [f"--k-min={lo}", f"--k-max={hi}"]
+        if "points" in cfg:
+            cfg["points"] = json.dumps(cfg["points"])
+        return argv + [f"--{_FLAGS.get(key, key)}={val}" for key, val in cfg.items()]
+    text = json.dumps(cfg) if draw(st.integers(0, 9)) else draw(_JSON.map(json.dumps) | st.just("{"))
+    (tmp / "config.json").write_text(text)
+    return argv + [f"--config={tmp / 'config.json'}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "file").write_text("")
+    return tmp
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_exits_0_2_or_3(fuzz_dir, data):
+    argv = data.draw(_argv(fuzz_dir))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag value
+            rc = exc.code
+    assert rc in (0, 2, 3)

@@ -10,11 +10,10 @@ from hsalpha.eulerian import (
     InitialDatum,
     PiecewiseConstant,
     PiecewiseLinear,
-    check_solution_consistency,
     eval_cumulative,
     make_multipeakon,
-    validate,
 )
+from oracles import check_solution_consistency, validate
 
 
 def test_piecewise_linear_basics():
