@@ -71,6 +71,9 @@ MAX_TIME_SAMPLES = 2**26
 #: Finest ladder rung: dx_of_level(MAX_LEVEL + 1) underflows to zero.
 MAX_LEVEL = 537
 
+#: Rows that write_solution_csv formats and writes at a time.
+_CSV_BLOCK_ROWS = 4096
+
 
 def dx_of_level(k: int) -> float:
     """Mesh size of ladder rung k (dx halves twice per rung)."""
@@ -391,17 +394,23 @@ def write_solution_csv(sol: EulerianSolution, path: str) -> None:
     """Write one snapshot as CSV columns x,u,F (17 significant digits).
 
     At an atom the cumulative jumps; the file records both one-sided values
-    as two consecutive rows with the same x.
+    as two consecutive rows with the same x.  Rows are formatted and written
+    in blocks of :data:`_CSV_BLOCK_ROWS`, so the text of the whole file is
+    never held at once; the bytes are those of formatting each value with
+    ``.17g`` row by row.
     """
     atom_pos = sol.mu.atom_positions
-    xs = np.union1d(sol.u.nodes, atom_pos)
-    lines = ["x,u,F"]
-    for x in xs:
-        u_val = float(sol.u(x))
-        left = eval_cumulative(sol.mu, float(x), side="left")
-        lines.append(f"{x:.17g},{u_val:.17g},{left:.17g}")
-        if atom_pos.size and np.any(atom_pos == x):
-            right = eval_cumulative(sol.mu, float(x), side="right")
-            lines.append(f"{x:.17g},{u_val:.17g},{right:.17g}")
+    xs = np.union1d(sol.u.nodes, atom_pos) if atom_pos.size else sol.u.nodes
+    rows = np.column_stack((xs, sol.u(xs), eval_cumulative(sol.mu, xs, side="left")))
+    if atom_pos.size:
+        # each atom's node gets a second row carrying the right-hand value
+        at = np.searchsorted(xs, atom_pos)
+        repeats = np.ones(xs.size, dtype=np.int64)
+        repeats[at] = 2
+        rows = np.repeat(rows, repeats, axis=0)
+        rows[at + np.arange(1, at.size + 1), 2] = eval_cumulative(sol.mu, atom_pos, side="right")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,u,F\n")
+        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            fh.write(("%.17g,%.17g,%.17g\n" * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -65,6 +65,17 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class SignRule(enum.Enum):
+    """Which of the two half-cell slopes ``Du -+ q`` each pair takes first.
+
+    ``MINUS_FIRST`` takes ``Du - q`` first in every pair and ``PLUS_FIRST``
+    takes ``Du + q``.  ``MINIMIZE_KINK`` is the greedy left-to-right rule:
+    each pair takes first whichever slope lies strictly closer to the slope
+    leaving the previous pair (0 before the first pair), and ``Du - q`` on a
+    tie.  The slope leaving a pair is the one it did not take first, so the
+    rule is a scan with two states; :func:`project` evaluates it as array
+    code, bit for bit equal to the left-to-right loop.
+    """
+
     MINUS_FIRST = "minus_first"
     PLUS_FIRST = "plus_first"
     MINIMIZE_KINK = "minimize_kink"
@@ -124,6 +135,35 @@ def default_window(d: InitialDatum, dx: float) -> tuple[int, int]:
     return j_min, j_max
 
 
+def _greedy_first_slopes(du: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """First half-cell slopes of every pair under ``SignRule.MINIMIZE_KINK``.
+
+    A pair whose predecessor took ``fm = du - q`` first is entered with that
+    pair's ``fp = du + q``, and the other way round, so the loop's test
+    ``|fp - prev| < |fm - prev|`` has only two possible outcomes per pair,
+    one for each state of its predecessor.  Where the two agree, the pair's
+    choice does not depend on what came before; where they differ, the
+    choice either repeats the predecessor's or negates it.  The choice at
+    each pair is therefore the choice at the last pair where both outcomes
+    agree, negated once per negating pair since then.
+    """
+    fp = du + q
+    fm = du - q
+    # the loop's test at pair j >= 1, once after a predecessor that left
+    # with fp (it took fm first) and once after one that left with fm
+    after_fp = np.abs(fp[1:] - fp[:-1]) < np.abs(fm[1:] - fp[:-1])
+    after_fm = np.abs(fp[1:] - fm[:-1]) < np.abs(fm[1:] - fm[:-1])
+    # pair 0 is entered with slope 0, so its choice is known outright
+    known = np.concatenate(([abs(fp[0]) < abs(fm[0])], after_fp))
+    negates = np.concatenate(([False], after_fp & ~after_fm))
+    anchor = np.arange(fp.size, dtype=np.int32)
+    anchor[1:][after_fp != after_fm] = 0
+    np.maximum.accumulate(anchor, out=anchor)
+    parity = np.logical_xor.accumulate(negates)
+    plus_first = (known ^ parity)[anchor] ^ parity
+    return np.where(plus_first, fp, fm)
+
+
 def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     """Project an initial datum onto the dyadic grid.
 
@@ -133,6 +173,9 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     :class:`ConsistencyError`: the datum violates ``F_ac' >= u_x^2`` in the
     pair average.  Negative values inside the tolerance are clamped to zero.
     A window of more than :data:`MAX_CELLS` cells raises :class:`ConfigError`.
+    The order of each pair's two half-cell slopes follows ``cfg.sign_rule``;
+    the default greedy rule runs as a two-state scan over the pairs (see
+    :class:`SignRule`), in array operations rather than a loop over pairs.
     """
     dx = cfg.dx
     j_min, j_max = cfg.window if cfg.window is not None else default_window(d, dx)
@@ -163,23 +206,15 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
         worst = float(rad.min())
         raise ConsistencyError(f"energy radicand {worst:.3e} below -{tol:.3g}")
     q = np.sqrt(np.maximum(rad, 0.0))
+    del df, rad  # free before the sign rule's temporaries
 
     if cfg.sign_rule is SignRule.MINUS_FIRST:
-        sigma = np.ones(n_pairs)
+        s1 = du - q
     elif cfg.sign_rule is SignRule.PLUS_FIRST:
-        sigma = -np.ones(n_pairs)
+        s1 = du + q
     else:
-        # greedy left-to-right: make the slope entering each pair match the
-        # previous pair's outgoing slope as closely as possible
-        sigma = np.ones(n_pairs)
-        prev = 0.0
-        for j in range(n_pairs):
-            first_minus = du[j] - q[j]
-            first_plus = du[j] + q[j]
-            if abs(first_plus - prev) < abs(first_minus - prev):
-                sigma[j] = -1.0
-            prev = du[j] + sigma[j] * q[j]
-    s1 = du - sigma * q
+        s1 = _greedy_first_slopes(du, q)
+    del du, q  # free before the node arrays, twice as long, are allocated
 
     x_all = dx * np.arange(2 * j_min, 2 * j_max + 1)
     u_all = np.empty(2 * n_pairs + 1)

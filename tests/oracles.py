@@ -18,6 +18,11 @@ bit for bit.
 ``validate`` checks an initial datum's structure by adaptive quadrature,
 and ``check_solution_consistency`` the invariant that ties a pushforward's
 ``u`` to its ``F_ac``.
+
+``per_row_solution_csv`` writes a snapshot one row at a time, and
+``greedy_sign_loop`` walks the cell pairs one by one choosing the
+kink-minimizing slope order; ``harness.write_solution_csv`` and
+``projection.project`` must agree with them byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +34,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from hsalpha.errors import ConfigError
-from hsalpha.eulerian import EnergyMeasure, EulerianSolution, InitialDatum, PiecewiseLinear
+from hsalpha.eulerian import (
+    EnergyMeasure,
+    EulerianSolution,
+    InitialDatum,
+    PiecewiseLinear,
+    eval_cumulative,
+)
 from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import exact_cumsum, stable_sum
@@ -666,3 +677,37 @@ def check_solution_consistency(sol: EulerianSolution) -> float:
     floor = 1e-15 * max(1.0, f.right_value)
     scale = np.maximum(np.maximum(np.abs(rhs), lhs), floor)
     return float(np.max(np.abs(lhs - rhs) / scale))
+
+
+def per_row_solution_csv(sol: EulerianSolution, path: str) -> None:
+    """Write one snapshot as CSV columns x,u,F, evaluating row by row."""
+    atom_pos = sol.mu.atom_positions
+    xs = np.union1d(sol.u.nodes, atom_pos)
+    lines = ["x,u,F"]
+    for x in xs:
+        u_val = float(sol.u(x))
+        left = eval_cumulative(sol.mu, float(x), side="left")
+        lines.append(f"{x:.17g},{u_val:.17g},{left:.17g}")
+        if atom_pos.size and np.any(atom_pos == x):
+            right = eval_cumulative(sol.mu, float(x), side="right")
+            lines.append(f"{x:.17g},{u_val:.17g},{right:.17g}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def greedy_sign_loop(du: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Signs ``sigma`` of the kink-minimizing rule; pair j's first slope is ``du - sigma q``.
+
+    Greedy left-to-right: make the slope entering each pair match the
+    previous pair's outgoing slope as closely as possible.
+    """
+    n_pairs = du.size
+    sigma = np.ones(n_pairs)
+    prev = 0.0
+    for j in range(n_pairs):
+        first_minus = du[j] - q[j]
+        first_plus = du[j] + q[j]
+        if abs(first_plus - prev) < abs(first_minus - prev):
+            sigma[j] = -1.0
+        prev = du[j] + sigma[j] * q[j]
+    return sigma

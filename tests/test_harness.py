@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import types
@@ -7,7 +8,7 @@ import pytest
 
 import hsalpha.numerics as numerics
 from hsalpha.errors import ConfigError
-from hsalpha.eulerian import PiecewiseLinear
+from hsalpha.eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear, make_multipeakon
 from hsalpha.harness import (
     EocReport,
     ExperimentConfig,
@@ -23,9 +24,11 @@ from hsalpha.harness import (
     write_solution_csv,
 )
 from hsalpha.evolution import events, evolve
+from hsalpha.lagrangian import to_lagrangian
+from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import ReferenceProfile, ReferenceSolution, multipeakon_exact
-from oracles import oracle_profile, union_sup_rel_err
+from oracles import oracle_profile, per_row_solution_csv, union_sup_rel_err
 
 
 def test_dx_ladder():
@@ -229,6 +232,49 @@ def test_solution_csv_atom_rows(tmp_path):
     assert len(at_atom) == 2  # left and right cumulative at the point mass
     f_left, f_right = (float(ln.split(",")[2]) for ln in at_atom)
     assert (f_left, f_right) == (0.0, 0.25)
+
+
+def _two_peak_with_atoms(t):
+    datum = make_multipeakon([(0.0, 0.5), (0.5, 0.0)])
+    datum = dataclasses.replace(datum, atoms=((0.25, 0.5), (1.0, 0.25)))
+    s = to_lagrangian(project(datum, ProjectionConfig(dx=2.0**-4)), alpha=0.5)
+    return to_eulerian(evolve(s, t))
+
+
+def _hand_built(nodes, u_vals, f_vals, atoms):
+    mu = EnergyMeasure(PiecewiseLinear(nodes, f_vals), atoms)
+    return EulerianSolution(PiecewiseLinear(nodes, u_vals), mu, time=0.0, alpha=0.0)
+
+
+def _long_with_atoms():
+    # more rows than one written block, with atoms on both sides of and at
+    # the block edge, between nodes and beyond the last node
+    nodes = np.linspace(-1.0, 1.0, 9001)
+    u_vals = np.sin(7.0 * nodes)
+    f_vals = np.cumsum(np.concatenate(([0.0], np.diff(u_vals) ** 2 / np.diff(nodes))))
+    atoms = ((nodes[4090], 0.125), (nodes[4095], 0.5), ((nodes[4096] + nodes[4097]) / 2, 1e-3), (2.0, 3.0))
+    return _hand_built(nodes, u_vals, f_vals, atoms)
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    [
+        lambda: run_solve(ExperimentConfig(example="cosine", alpha=0.5, T=1.0), 2.0**-6, [1.0])[-1],
+        lambda: run_solve(ExperimentConfig(example="appendixA", alpha=0.5, T=2.0), 0.25, [2.0])[-1],
+        lambda: _two_peak_with_atoms(0.0),
+        lambda: _two_peak_with_atoms(4.0),
+        lambda: _hand_built([0.3], [-0.0], [0.0], ()),
+        lambda: _hand_built([0.3], [1.5], [0.0], ((0.3, 0.25),)),
+        lambda: _hand_built([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], ((-0.5, 0.25), (0.375, 0.5))),
+        _long_with_atoms,
+    ],
+    ids=["cosine", "appendixA-atom", "atoms-t0", "atoms-T4", "one-node", "one-node-atom", "atom-between", "blocks"],
+)
+def test_solution_csv_matches_per_row_writer(tmp_path, snapshot):
+    sol = snapshot()
+    write_solution_csv(sol, str(tmp_path / "blocks.csv"))
+    per_row_solution_csv(sol, str(tmp_path / "rows.csv"))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_sup_rel_err_equals_union_form():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsalpha.errors import ConfigError, ConsistencyError
 from hsalpha.eulerian import InitialDatum, PiecewiseConstant, PiecewiseLinear, make_multipeakon
@@ -15,6 +17,7 @@ from hsalpha.projection import (
     projection_error,
 )
 from hsalpha.reference import cosine_datum, cusp_datum
+from oracles import greedy_sign_loop
 
 
 def total_energy_of(d):
@@ -130,6 +133,60 @@ def test_minimize_kink_follows_incoming_slope():
     assert projection_error(d, p)[0] <= 1e-15
     fixed = project(d, ProjectionConfig(dx=0.25, sign_rule="minus_first"))
     assert math.isclose(projection_error(d, fixed)[0], 0.5, rel_tol=0.0, abs_tol=1e-15)
+
+
+@st.composite
+def _pair_slopes(draw):
+    # few distinct values on a coarse grid, so that exact ties between the
+    # two candidate kinks occur, and runs of q = 0 where fp == fm
+    n = draw(st.integers(1, 300))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    du = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    q = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    du, q = 0.5 * scale * np.array(du, dtype=float), 0.5 * scale * np.array(q, dtype=float)
+    start = draw(st.integers(0, n))
+    q[start : start + draw(st.integers(0, n))] = 0.0
+    return du, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_slopes())
+def test_greedy_scan_matches_loop(slopes):
+    du, q = slopes
+    want = du - greedy_sign_loop(du, q) * q
+    assert projection._greedy_first_slopes(du, q).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("datum", [cosine_datum, cusp_datum])
+def test_sign_rules_match_per_pair_loop(monkeypatch, datum):
+    # keep the pair slopes du and q that reach the greedy kernel; every
+    # rule's node values must equal those built from its sigma array (the
+    # per-pair loop's for the greedy rule) by the formula du - sigma q
+    seen = []
+    kernel = projection._greedy_first_slopes
+
+    def spy(du, q):
+        seen.append((du, q))
+        return kernel(du, q)
+
+    monkeypatch.setattr(projection, "_greedy_first_slopes", spy)
+    d = datum()
+    for k in range(1, 9):
+        dx = 2.0 ** (-2 * k)
+        kink = project(d, ProjectionConfig(dx=dx))
+        du, q = seen.pop()
+        n = du.size
+        sigmas = {
+            "minimize_kink": greedy_sign_loop(du, q),
+            "minus_first": np.ones(n),
+            "plus_first": -np.ones(n),
+        }
+        for rule, sigma in sigmas.items():
+            p = kink if rule == "minimize_kink" else project(d, ProjectionConfig(dx=dx, sign_rule=rule))
+            s1 = du - sigma * q
+            ue, fe = p.u.values[::2], p.mu.F_ac.values[::2]
+            assert p.u.values[1::2].tobytes() == (ue[:-1] + s1 * dx).tobytes()
+            assert p.mu.F_ac.values[1::2].tobytes() == np.minimum(fe[:-1] + s1 * s1 * dx, fe[1:]).tobytes()
 
 
 def test_radicand_violation_rejected():
