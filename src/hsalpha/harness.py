@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .eulerian import EulerianSolution, InitialDatum, eval_cumulative, make_multipeakon
-from .evolution import _map, events, evolve
+from .evolution import _event_times, _map, evolve
 from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
 from .numerics import _chunks
@@ -271,8 +271,7 @@ def _merged_times(s, t_list):
         raise ConfigError("t_list entries must be finite and nonnegative")
     if np.any(np.diff(ts) < 0.0):
         raise ConfigError("t_list must be nondecreasing")
-    ev = events(s, float(ts[-1]))
-    return np.union1d(ts, np.asarray(ev.times, dtype=float))
+    return np.union1d(ts, _event_times(s, float(ts[-1]))[0])
 
 
 def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:

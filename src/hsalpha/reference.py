@@ -30,13 +30,15 @@ dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
 cusp rho(z) = |z|^(1/3) on the broken branch.  A family's ``columns(z)``
 evaluates those once; B, J1, J2 and the three maps above read the columns.
 The dense table of ``ReferenceSolution.profile`` has a static part (a
-uniform bulk over the datum window and geometric ladders at fixed anchors)
-whose columns are kept between calls with the same n_base, and a moving
-part (tails, ladders at t-dependent anchors, the cosine's broken arcs)
-evaluated per call; the maps run over both and their values are merged in
-order.  Every table has the knots of the one built from scratch, with the
-same values.  The maps take a column of times as well as one time, so that
-a ladder rung evaluates the tables of many times in one batch
+uniform bulk inside the datum window and geometric ladders at fixed
+anchors) whose columns are kept between calls with the same n_base, and a
+moving part (tails, ladders at t-dependent anchors, the cosine's broken
+arcs) evaluated per call; the maps run over both and their values are
+merged in order.  Outside the window every column but z is constant, so
+the characteristics there move rigidly and the sparse tails carry them.
+Every table has the knots of the one built from scratch, with the same
+values.  The maps take a column of times as well as one time, so that a
+ladder rung evaluates the tables of many times in one batch
 (``ReferenceSolution._rung``).
 """
 
@@ -336,8 +338,10 @@ class CuspFamily(_CharacteristicFamily):
     """Characteristic-form solution pieces for the cusped datum.
 
     ubar_x = (2/3) sgn(z) |z|^(-1/3) on (a, b), so breaking happens only on
-    the negative branch with tau(z) = 3 |z|^(1/3): by time t the interval
-    [-r^3, 0) with r = min(|a|^(1/3), t/3) has broken.  Substituting
+    the negative branch [min(a, 0), min(b, 0)] with tau(z) = 3 |z|^(1/3):
+    by time t the interval [-r^3, min(b, 0)) has broken, with
+    r = max(v_top, min(|a|^(1/3), t/3)) and v_top = |min(b, 0)|^(1/3) (an
+    interval b < 0 breaks nothing before t = 3 v_top).  Substituting
     v = |w|^(1/3) turns every dissipation integral into a polynomial one.
     """
 
@@ -352,18 +356,21 @@ class CuspFamily(_CharacteristicFamily):
         self.window = (self.a, self.b)
         self.fixed_anchors = (self.a, 0.0, self.b)
         self._neg = min(self.a, 0.0)
+        self._top = min(self.b, 0.0)
+        # rho at z >= b, by the pow of the rho column
+        self._v_top = float(((-np.array([self._top])) ** (1.0 / 3.0))[0])
         self._cbrt_a = _cbrt_signed(self.a)
         self.F_inf = float((4.0 / 3.0) * (_cbrt_signed(b) - _cbrt_signed(a)))
         self.u_max = float(max(abs(a), abs(b)) ** (2.0 / 3.0))
 
     def columns(self, z):
-        # rho = |z|^(1/3) on the negative branch, clipped to [a, 0]
+        # rho = |z|^(1/3) on the negative branch, clipped to [min(a, 0), min(b, 0)]
         w = np.clip(z, self.a, self.b)
         return {
             "z": z,
             "u": np.abs(w) ** (2.0 / 3.0),
             "F": (4.0 / 3.0) * (_cbrt_signed(w) - self._cbrt_a),
-            "rho": (-np.clip(z, self._neg, 0.0)) ** (1.0 / 3.0),
+            "rho": (-np.clip(z, self._neg, self._top)) ** (1.0 / 3.0),
         }
 
     def moving_points(self, t, pad):
@@ -375,7 +382,7 @@ class CuspFamily(_CharacteristicFamily):
 
     def _r(self, t):
         """Depth of the broken region in v = |z|^(1/3) units at time t."""
-        return np.minimum((-self._neg) ** (1.0 / 3.0), t / 3.0)
+        return np.maximum(self._v_top, np.minimum((-self._neg) ** (1.0 / 3.0), t / 3.0))
 
     def _B(self, t, c):
         r = self._r(t)
@@ -409,16 +416,18 @@ class CuspFamily(_CharacteristicFamily):
         cube *= 2.0 / 27.0
         return cube
 
+    # the totals over [v_top, r], each written as its value over [0, r] less
+    # its value over [0, v_top], which is an exact zero for b >= 0
     def B_inf(self, t):
-        return (4.0 / 3.0) * self._r(t)
+        return (4.0 / 3.0) * self._r(t) - (4.0 / 3.0) * self._v_top
 
     def J1_inf(self, t):
-        r = self._r(t)
-        return (4.0 / 3.0) * (t * r - 1.5 * r * r)
+        r, v = self._r(t), self._v_top
+        return (4.0 / 3.0) * (t * r - 1.5 * r * r) - (4.0 / 3.0) * (t * v - 1.5 * v * v)
 
     def J2_inf(self, t):
-        r = self._r(t)
-        return (2.0 / 27.0) * (_cube(t) - _cube(t - 3.0 * r))
+        r, v, t3 = self._r(t), self._v_top, _cube(t)
+        return (2.0 / 27.0) * (t3 - _cube(t - 3.0 * r)) - (2.0 / 27.0) * (t3 - _cube(t - 3.0 * v))
 
 
 # The characteristic maps take a family, a time or a column of times, and the
@@ -498,17 +507,13 @@ def _geometric_ladder(points):
 
 
 def _static_table(fam, n_base):
-    """Columns at the table points that no time moves: n_base bulk points
-    over the window widened by 1, and the ladders at the fixed anchors."""
+    """Columns at the table points that no time moves: the points inside the
+    window of n_base bulk points spread over the window widened by 1, and
+    the ladders at the fixed anchors (the window's ends among them)."""
     w_lo, w_hi = fam.window
-    z = np.unique(
-        np.concatenate(
-            (
-                np.linspace(w_lo - 1.0, w_hi + 1.0, n_base),
-                _geometric_ladder(fam.fixed_anchors),
-            )
-        )
-    )
+    bulk = np.linspace(w_lo - 1.0, w_hi + 1.0, n_base)
+    bulk = bulk[bulk.searchsorted(w_lo) : bulk.searchsorted(w_hi, side="right")]
+    z = np.unique(np.concatenate((bulk, _geometric_ladder(fam.fixed_anchors))))
     return fam.columns(z)
 
 
@@ -745,8 +750,9 @@ class ReferenceSolution:
         quadrature families, closed form for the two-peak benchmark).
 
         The table's characteristic starting points z are a static part, fixed
-        by n_base (max(n_base, 101) points spread over the datum window
-        widened by 1, plus geometric ladders at the family's fixed anchors),
+        by n_base (those of max(n_base, 101) points spread over the datum
+        window widened by 1 that lie inside the window, plus geometric
+        ladders at the family's fixed anchors),
         and a moving part built per call (sparse tails out to the x-range
         [x_lo, x_hi] widened by the distance characteristics travel by t,
         the ladders at t-dependent anchors, and the cosine family's dense

@@ -414,8 +414,9 @@ class _CuspFamily:
     """Characteristic-form solution pieces for the cusped datum.
 
     ubar_x = (2/3) sgn(z) |z|^(-1/3) on (a, b), so breaking happens only on
-    the negative branch with tau(z) = 3 |z|^(1/3): by time t the interval
-    [-r^3, 0) with r = min(|a|^(1/3), t/3) has broken.  Substituting
+    the negative branch [min(a, 0), min(b, 0)] with tau(z) = 3 |z|^(1/3):
+    by time t the interval [-r^3, min(b, 0)) has broken, with
+    r = max(v_top, min(|a|^(1/3), t/3)) and v_top = rho(b).  Substituting
     v = |w|^(1/3) turns every dissipation integral into a polynomial one.
     """
 
@@ -429,6 +430,8 @@ class _CuspFamily:
         self.alpha = alpha
         self.window = (self.a, self.b)
         self._neg = min(self.a, 0.0)
+        self._top = min(self.b, 0.0)
+        self._v_top = float(self._rho(np.array([self.b]))[0])
         self.F_inf = float((4.0 / 3.0) * (_cbrt_signed(b) - _cbrt_signed(a)))
         self.u_max = float(max(abs(a), abs(b)) ** (2.0 / 3.0))
 
@@ -440,10 +443,10 @@ class _CuspFamily:
 
     def _r(self, t):
         """Depth of the broken region in v = |z|^(1/3) units at time t."""
-        return min((-self._neg) ** (1.0 / 3.0), t / 3.0)
+        return max(self._v_top, min((-self._neg) ** (1.0 / 3.0), t / 3.0))
 
     def _rho(self, z):
-        return (-np.clip(z, self._neg, 0.0)) ** (1.0 / 3.0)
+        return (-np.clip(z, self._neg, self._top)) ** (1.0 / 3.0)
 
     def B(self, t, z):
         r = self._r(t)
@@ -460,16 +463,19 @@ class _CuspFamily:
         rho = np.minimum(self._rho(z), r)
         return (2.0 / 27.0) * ((t - 3.0 * rho) ** 3 - (t - 3.0 * r) ** 3)
 
+    # integrals over [0, r] less the same integrals over [0, v_top]
     def B_inf(self, t):
-        return (4.0 / 3.0) * self._r(t)
+        return (4.0 / 3.0) * self._r(t) - (4.0 / 3.0) * self._v_top
 
     def J1_inf(self, t):
-        r = self._r(t)
-        return (4.0 / 3.0) * (t * r - 1.5 * r * r)
+        r, v = self._r(t), self._v_top
+        return (4.0 / 3.0) * (t * r - 1.5 * r * r) - (4.0 / 3.0) * (t * v - 1.5 * v * v)
 
     def J2_inf(self, t):
-        r = self._r(t)
-        return (2.0 / 27.0) * (t ** 3 - (t - 3.0 * r) ** 3)
+        r, v = self._r(t), self._v_top
+        return (2.0 / 27.0) * (t ** 3 - (t - 3.0 * r) ** 3) - (2.0 / 27.0) * (
+            t ** 3 - (t - 3.0 * v) ** 3
+        )
 
     def anchors(self, t):
         pts = [self.a, 0.0, self.b]
@@ -525,7 +531,7 @@ def _geometric_ladder(points, lo, hi):
     return out[(out >= lo) & (out <= hi)]
 
 
-def _family_profile(fam, t, x_lo, x_hi, n_base):
+def _family_profile(fam, t, x_lo, x_hi, n_base, widened_bulk):
     # Characteristics outside the datum window move rigidly (constant u,
     # constant F), so resolution is only spent on the window itself; sparse
     # tail points keep the table's x-range wide enough to cover [x_lo, x_hi].
@@ -533,8 +539,11 @@ def _family_profile(fam, t, x_lo, x_hi, n_base):
     w_lo, w_hi = fam.window
     z_lo = min(x_lo, w_lo) - margin
     z_hi = max(x_hi, w_hi) + margin
+    bulk = np.linspace(w_lo - 1.0, w_hi + 1.0, max(int(n_base), 101))
+    if not widened_bulk:
+        bulk = bulk[(bulk >= w_lo) & (bulk <= w_hi)]
     pieces = [
-        np.linspace(w_lo - 1.0, w_hi + 1.0, max(int(n_base), 101)),
+        bulk,
         np.linspace(z_lo, w_lo - 1.0, 9),
         np.linspace(w_hi + 1.0, z_hi, 9),
         _geometric_ladder(fam.anchors(t), z_lo, z_hi),
@@ -569,9 +578,18 @@ def _family_profile(fam, t, x_lo, x_hi, n_base):
     )
 
 
-def oracle_profile(ref, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
+def oracle_profile(
+    ref, t, x_lo=None, x_hi=None, n_base=4001, widened_bulk=False
+) -> ReferenceProfile:
     """``ref.profile(t, x_lo, x_hi, n_base)`` for the cosine and cusp families,
-    built from scratch."""
+    built from scratch.
+
+    The table keeps the points of its n_base bulk (spread over the datum
+    window widened by 1) that lie inside the window; with widened_bulk it
+    keeps them all.  Outside the window the characteristics move rigidly,
+    so the two tables give the same profile: the widened one only adds
+    knots where u and F are constant.
+    """
     if ref.family == "cosine":
         fam = _CosineFamily(ref.alpha)
     else:
@@ -580,7 +598,7 @@ def oracle_profile(ref, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfil
         x_lo = fam.window[0]
     if x_hi is None:
         x_hi = fam.window[1]
-    return _family_profile(fam, t, x_lo, x_hi, n_base)
+    return _family_profile(fam, t, x_lo, x_hi, n_base, widened_bulk)
 
 
 def union_sup_rel_err(sol, prof) -> float:

@@ -310,10 +310,11 @@ def test_sup_rel_err_equals_union_form_on_closed_form_profile():
         assert _sup_rel_err(sol, prof) == union_sup_rel_err(sol, prof)
 
 
-def _from_scratch_eoc_errors(cfg, chained=True):
+def _from_scratch_eoc_errors(cfg, chained=True, widened_bulk=False):
     """run_eoc's Err column with a from-scratch table (the closed form for
-    appendixA, which has no table), snapshots chained event to event (or
-    each evolved from t=0), and the union-form error at every snapshot."""
+    appendixA, which has no table; the table with its bulk over the widened
+    window if widened_bulk), snapshots chained event to event (or each
+    evolved from t=0), and the union-form error at every snapshot."""
     ref = reference_for(cfg)
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
     errs = []
@@ -328,7 +329,12 @@ def _from_scratch_eoc_errors(cfg, chained=True):
                 prof = ref.profile(float(t))
             else:
                 prof = oracle_profile(
-                    ref, float(t), float(nodes[0]), float(nodes[-1]), max(4001, 3 * nodes.size)
+                    ref,
+                    float(t),
+                    float(nodes[0]),
+                    float(nodes[-1]),
+                    max(4001, 3 * nodes.size),
+                    widened_bulk,
                 )
             worst = max(worst, union_sup_rel_err(sol, prof))
         errs.append(worst)
@@ -349,7 +355,16 @@ def _from_scratch_eoc_errors(cfg, chained=True):
     ids=["cusp", "cosine", "appendixA", "cusp-asymmetric"],
 )
 def test_run_eoc_errors_equal_from_scratch_tables(cfg, chained):
-    assert [row[2] for row in run_eoc(cfg).rows] == _from_scratch_eoc_errors(cfg, chained)
+    errs = [row[2] for row in run_eoc(cfg).rows]
+    assert errs == _from_scratch_eoc_errors(cfg, chained)
+    # the knots the widened bulk adds lie where u is constant
+    assert errs == _from_scratch_eoc_errors(cfg, chained, widened_bulk=True)
+
+
+def test_run_eoc_cusp_below_zero_converges():
+    # an interval b < 0 breaks from t = 3 |b|^(1/3) on, up to b and not 0
+    cfg = ExperimentConfig(example="cusp", alpha=0.5, T=6.0, k_range=(3, 4, 5), a=-1.0, b=-0.5)
+    assert all(row[2] < 1e-4 for row in run_eoc(cfg).rows)
 
 
 @pytest.mark.parametrize(

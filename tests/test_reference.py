@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hsalpha.errors import ConfigError
-from hsalpha.evolution import evolve
+from hsalpha.evolution import evolve, total_energy
 from hsalpha.harness import ExperimentConfig, run_solve
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
@@ -130,6 +130,39 @@ def test_cusp_dissipation_integrals_match_quadrature():
     assert fam.B_inf(100.0) == pytest.approx(fam.B_inf(3.0), rel=1e-14)
 
 
+def test_cusp_below_zero_integrals_match_quadrature():
+    # with b < 0 the broken region [-r^3, b) ends at b, not at 0
+    a, b, t = -1.0, -0.5, 2.8
+    fam = CuspFamily(a, b, 0.5)
+    lower = -((t / 3.0) ** 3)
+    dens = lambda w: (4.0 / 9.0) * abs(w) ** (-2.0 / 3.0)
+    tau = lambda w: 3.0 * abs(w) ** (1.0 / 3.0)
+    j1 = lambda w: (t - tau(w)) * dens(w)
+    j2 = lambda w: 0.5 * (t - tau(w)) ** 2 * dens(w)
+    integrals = ((fam.B, fam.B_inf, dens), (fam.J1, fam.J1_inf, j1), (fam.J2, fam.J2_inf, j2))
+    for closed, total, fn in integrals:
+        for z in (-0.9, -0.7, -0.6, -0.5, -0.2, 0.3):
+            upper = min(z, b)
+            want = quad(fn, lower, upper, limit=200, epsabs=1e-12)[0] if upper > lower else 0.0
+            assert float(closed(t, z)) == pytest.approx(want, abs=1e-8)
+        want = quad(fn, lower, b, limit=200, epsabs=1e-12)[0]
+        assert float(total(t)) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("a, b", [(-6.0, -5.0), (-1.0, -0.5)])
+def test_cusp_below_zero_energy_matches_pipeline(a, b):
+    # nothing breaks before t = 3 |b|^(1/3); by t = 6 every cell has broken,
+    # (-1, -0.5)'s already by t = 3
+    first_break = 3.0 * abs(b) ** (1.0 / 3.0)
+    for alpha in (0.5, 1.0):
+        ref = ReferenceSolution(family="cusp", alpha=alpha, a=a, b=b)
+        for t in (0.0, 1.0, 0.999 * first_break):
+            assert ref.total_energy(t) == ref._fam.F_inf
+        s = to_lagrangian(project(cusp_datum(a, b), ProjectionConfig(dx=2.0 ** -6)), alpha=alpha)
+        for t in (3.0, 6.0):
+            assert ref.total_energy(t) == pytest.approx(total_energy(evolve(s, t)), abs=1e-12)
+
+
 def test_cusp_initial_values():
     ref = ReferenceSolution(family="cusp", alpha=0.5, a=-1.0, b=1.0)
     assert ref.eval_u(0.0, 0.0) == pytest.approx(0.0, abs=1e-10)
@@ -228,6 +261,18 @@ def test_initial_datum_constructors_match_families():
         cusp_datum(1.0, -1.0)
 
 
+def _assert_same_function(got, want):
+    # u and F at a dense sample reaching past both ends of want's knots and
+    # at those knots, sup_u and v_inf; got's knots are some of want's
+    k = want.knots
+    xs = np.concatenate((np.linspace(k[0] - 1.0, k[-1] + 1.0, 20001), k))
+    assert np.array_equal(got.u_at(xs), want.u_at(xs))
+    assert np.array_equal(got.F_at(xs), want.F_at(xs))
+    assert got.sup_u == want.sup_u
+    assert got.v_inf == want.v_inf
+    assert np.isin(got.knots, k).all()
+
+
 def _assert_same_profile(got, want):
     assert np.array_equal(got.knots, want.knots)
     assert np.array_equal(got.u_at(got.knots), want.u_at(want.knots))
@@ -258,6 +303,8 @@ def test_cusp_profile_equals_from_scratch_table(a, b, alpha):
         for x_lo, x_hi, n in ((a, b, 4001), (a - 0.3, b + 0.1, 6159), (a + 0.1, b - 0.2, 6159)):
             got = ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=n)
             _assert_same_profile(got, oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n))
+            widened = oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n, widened_bulk=True)
+            _assert_same_function(got, widened)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
@@ -268,6 +315,10 @@ def test_cosine_profile_equals_from_scratch_table(alpha):
         for x_lo, x_hi, n_base in ((None, None, 4001), (-0.7, 5.2, 6159), (-0.7, 5.2, 6159)):
             got = ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=n_base)
             _assert_same_profile(got, oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n_base))
+            widened = oracle_profile(
+                ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n_base, widened_bulk=True
+            )
+            _assert_same_function(got, widened)
 
 
 @pytest.mark.parametrize("family", ["cusp", "cosine"])
@@ -299,4 +350,5 @@ def test_one_shot_profile_keeps_no_table():
     ref.profile(0.6, n_base=30001)
     assert ref._static["table"] is None
     ref.profile(0.6, n_base=30001)
-    assert ref._static["table"]["z"].size > 30001
+    assert ref._static["n_base"] == 30001
+    assert ref._static["table"]["z"].size == reference._static_table(ref._fam, 30001)["z"].size
