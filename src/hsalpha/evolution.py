@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .lagrangian import LagrangianState
-from .numerics import exact_cumsum, stable_sum
+from .numerics import _take, exact_cumsum, stable_sum
 
 __all__ = ["EventSchedule", "events", "evolve", "total_energy"]
 
@@ -84,7 +84,7 @@ class EventSchedule:
                 raise ValueError("every event time needs a cell list")
 
 
-def _clusters(s: LagrangianState, t: np.ndarray, side: str):
+def _clusters(s: LagrangianState, t: np.ndarray, side: str, ws=None):
     """Cells of s that break by each time of the 1-d array t, with the tie
     clusters they break in.
 
@@ -97,7 +97,8 @@ def _clusters(s: LagrangianState, t: np.ndarray, side: str):
 
     Returns (cells, hit, first): the candidate cells in tau order, whether
     each breaks by t_j (row j), and the earliest breaking time of its
-    cluster in row j (read only where hit).
+    cluster in row j (read only where hit).  With a Workspace ws, first
+    lives in its slot 3, and slot 4 holds scratch.
     """
     tol = np.array([tie_tol(v) for v in t.tolist()])
     tau = s.tau
@@ -119,7 +120,10 @@ def _clusters(s: LagrangianState, t: np.ndarray, side: str):
     start = np.zeros(rows, dtype=bool)
     np.greater(ct[1:] - ct[:-1], tol[:, None], out=start[:, 1:])
     start &= k < n_seed[:, None]
-    first = ct[np.maximum.accumulate(np.where(start, k, 0), axis=1)]
+    # each cell's cluster begins at the last start up to it
+    at = np.multiply(start, k, out=_take(ws, 4, rows, np.intp))
+    np.maximum.accumulate(at, axis=1, out=at)
+    first = np.take(ct, at, out=_take(ws, 3, rows), mode="clip")
     return cand, k < n_member[:, None], first
 
 
@@ -149,37 +153,50 @@ def events(s: LagrangianState, T: float) -> EventSchedule:
 # a time so large that the motion overflows is reported by the callers,
 # which check that y and U are finite
 @np.errstate(over="ignore", invalid="ignore")
-def _map(s: LagrangianState, t: np.ndarray, side: str = "right"):
+def _map(s: LagrangianState, t: np.ndarray, side: str = "right", ws=None):
     """The closed-form map of s to each time of the 1-d array t >= s.time.
 
     Returns (y, U, d_y, cells, hit, r): y, U and d_y at t_j in row j, as
     evolve(s, t_j, side) returns them (value for value, apart from the sign
     of a zero in y and U on a row where no cell breaks while another row's
     do); the cells that may break by max(t); and in row j whether each of
-    them breaks by t_j (hit) and how long before t_j it did (r).
+    them breaks by t_j (hit) and how long before t_j it did (r).  With a
+    Workspace ws, y, U and d_y live in its slots 0, 1 and 2, slots 3 and 4
+    hold scratch, and r is None.
     """
-    cells, hit, first = _clusters(s, t, side)
-    r = np.where(hit, t[:, None] - np.maximum(first, s.time), 0.0)
+    cells, hit, first = _clusters(s, t, side, ws)
+    r = np.maximum(first, s.time, out=first)
+    np.subtract(t[:, None], r, out=r)
+    np.copyto(r, 0.0, where=~hit)
 
     # event-free motion from s.time, each array built in place term by term:
-    #   y + (dt U + (dt^2/2) acc),  U + dt acc,  d_y + (dt d_U + (dt^2/4) d_V)
+    #   y + (dt U + (dt^2/2) acc),  U + dt acc,  d_y + (dt d_U + (dt^2/4) d_V),
+    # a product that is added made in an array that is written after
+    m, n = t.size, s.n_cells
     dt = (t - s.time)[:, None]
     acc = 0.5 * s.V - 0.25 * s.V_inf
-    y = dt * s.U
-    y += (0.5 * dt * dt) * acc
-    y += s.y
-    U = dt * acc
-    U += s.U
-    d_y = dt * s.d_U
-    d_y += (0.25 * dt * dt) * s.d_V
+    y, U, d_y = _take(ws, 0, (m, n + 1)), _take(ws, 1, (m, n + 1)), _take(ws, 2, (m, n))
+    np.multiply(dt, s.d_U, out=d_y)
+    d_y += np.multiply(0.25 * dt * dt, s.d_V, out=y[:, :n])
     d_y += s.d_y
+    np.multiply(dt, s.U, out=y)
+    y += np.multiply(0.5 * dt * dt, acc, out=U)
+    y += s.y
+    np.multiply(dt, acc, out=U)
+    U += s.U
 
     if hit.any():
         order = cells.argsort()
-        cells, hit, r = cells[order], hit[:, order], r[:, order]
+        cells, hit = cells[order], hit[:, order]
+        r = np.take(r, order, axis=1, out=_take(ws, 4, r.shape), mode="clip")
         kept = (1.0 - s.alpha) * s.d_V[cells]
-        # the collapse is exact: a breaking cell restarts from analytic zeros
-        d_y[:, cells] = np.where(hit, (0.25 * r * r) * kept, d_y[:, cells])
+        # the collapse is exact: a breaking cell restarts from analytic zeros,
+        # (0.25 r r) kept, and a cell that does not break keeps its d_y
+        restart = np.take(d_y, cells, axis=1, out=_take(ws, 3, r.shape), mode="clip")
+        np.multiply(0.25, r, out=restart, where=hit)
+        np.multiply(restart, r, out=restart, where=hit)
+        np.multiply(restart, kept, out=restart, where=hit)
+        d_y[:, cells] = restart
 
         # the energy D_i lost at tau_i changes acc by -D_i/2 at the nodes
         # right of cell i and by D_i/4 at every node; integrated once (r)
@@ -187,18 +204,23 @@ def _map(s: LagrangianState, t: np.ndarray, side: str = "right"):
         # order (one that does not break by t_j adds an exact zero to row
         # j), constant between consecutive ones
         D = (s.d_V[cells] - kept) * s.widths[cells]
-        lost = np.zeros((2, t.size, cells.size + 1))
-        lost[0, :, 1:] = D * r
-        lost[1, :, 1:] = D * (0.5 * r * r)
+        lost = _take(ws, 3, (2, m, cells.size + 1))
+        lost[:, :, 0] = 0.0
+        np.multiply(D, r, out=lost[0, :, 1:])
+        twice = np.multiply(0.5, r, out=lost[1, :, 1:])
+        twice *= r
+        twice *= D
         lost.cumsum(axis=2, out=lost)
         # the gain 0.25 lost[-1] - 0.5 lost, in place
         total = 0.25 * lost[:, :, -1:]
         lost *= 0.5
         np.subtract(total, lost, out=lost)
-        counts = np.diff(np.concatenate(([-1], cells, [s.n_cells])))
-        U += lost[0].repeat(counts, axis=1)
-        y += lost[1].repeat(counts, axis=1)
-    return y, U, d_y, cells, hit, r
+        # a node gains the sum over the cells left of it
+        left = np.repeat(np.arange(cells.size + 1), np.diff(np.concatenate(([-1], cells, [n]))))
+        gain = _take(ws, 4, (m, n + 1))
+        U += np.take(lost[0], left, axis=1, out=gain, mode="clip")
+        y += np.take(lost[1], left, axis=1, out=gain, mode="clip")
+    return y, U, d_y, cells, hit, (r if ws is None else None)
 
 
 def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState:

@@ -35,7 +35,7 @@ from .eulerian import EulerianSolution, InitialDatum, eval_cumulative, make_mult
 from .evolution import _event_times, _map, evolve
 from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
-from .numerics import _chunks
+from .numerics import Workspace, _chunks
 from .projection import ProjectionConfig, project
 from .pushforward import _u_rows, to_eulerian
 from .reference import ReferenceSolution, cosine_datum, cusp_datum, multipeakon_datum
@@ -312,14 +312,16 @@ def _sup_rel_err(sol: EulerianSolution, prof) -> float:
     return _rel_err(u.nodes, u.values, prof.knots, prof.knot_u, prof.u_at(u.nodes))
 
 
-def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles) -> float:
+def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles, ws) -> float:
     """The largest _rel_err of the snapshots of s at the times t against
-    the reference rows profiles(t, x_lo, x_hi) (see ReferenceSolution._rung)."""
-    sols = list(_u_rows(*_map(s, t)[:3]))
+    the reference rows profiles(t, x_lo, x_hi, ws) (see
+    ReferenceSolution._rung), the Workspace ws serving the map and then,
+    once its nodes are picked, the tables."""
+    sols = _u_rows(*_map(s, t, ws=ws)[:3], ws)
     x_lo = np.array([nodes[0] for nodes, _ in sols])
     x_hi = np.array([nodes[-1] for nodes, _ in sols])
     worst = 0.0
-    for (nodes, values), (knots, knot_u, u_at) in zip(sols, profiles(t, x_lo, x_hi)):
+    for (nodes, values), (knots, knot_u, u_at) in zip(sols, profiles(t, x_lo, x_hi, ws)):
         at_nodes = None if u_at is None else u_at(nodes)
         worst = max(worst, _rel_err(nodes, values, knots, knot_u, at_nodes))
     return worst
@@ -352,16 +354,20 @@ def run_eoc(cfg: ExperimentConfig) -> EocReport:
 
     Each snapshot is mapped from the t=0 state in closed form, and the
     snapshots of a rung are evaluated in chunks of times, against reference
-    tables that share one static part per rung.
+    tables that share one static part per rung.  A chunk's rows are as wide
+    as the wider of a state and a table, and the chunks of a rung reuse one
+    Workspace, sized for them and freed when the rung returns.
     """
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
 
     def rung(ref, dx):
         s = initial_state(cfg, dx)
         times = _merged_times(s, samples)
-        profiles = ref._rung(n_base=max(4001, 3 * (s.n_cells + 1)))
-        chunks = _chunks(times.size, s.n_cells + 1)
-        return max(_worst_rel_err(s, times[rows], profiles) for rows in chunks)
+        profiles, width = ref._rung(n_base=max(4001, 3 * (s.n_cells + 1)))
+        width = max(width, s.n_cells + 1)
+        chunks = _chunks(times.size, width)
+        ws = Workspace(times[chunks[0]].size * width)
+        return max(_worst_rel_err(s, times[rows], profiles, ws) for rows in chunks)
 
     return _ladder(cfg, "linf_u", "eoc", rung)
 

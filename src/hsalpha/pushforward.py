@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CorruptStateError, NumericError
 from .eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear, eval_cumulative
 from .lagrangian import LagrangianState
-from .numerics import _keep_last, exact_cumsum
+from .numerics import _keep_last, _running_max, _take, exact_cumsum
 
 __all__ = ["to_eulerian", "eval_u", "eval_F", "ATOM_WIDTH_TOL", "ATOM_MASS_TOL"]
 
@@ -33,19 +33,20 @@ ATOM_WIDTH_TOL = 1e-14
 ATOM_MASS_TOL = 1e-14
 
 
-def _positions(y, U):
+def _positions(y, U, overwrite=False, scratch=None):
     """The running max of nodal positions y along the last axis (one state
-    per row), after checking that y and the velocities U are finite and that
-    y decreases nowhere by more than 1e-12."""
+    per row), made in y itself if overwrite, after checking that y and the
+    velocities U are finite and that y decreases nowhere by more than 1e-12
+    (the steps of y are taken in scratch if given)."""
     if not (np.isfinite(y).all() and np.isfinite(U).all()):
         raise NumericError("Lagrangian positions or velocities are not finite")
-    drop = np.diff(y, axis=-1)
+    drop = np.subtract(y[..., 1:], y[..., :-1], out=scratch)
     if drop.size and drop.min() < -1e-12:
         raise CorruptStateError(
             f"Lagrangian positions decrease by {-drop.min():.3e}; state is corrupt"
         )
     # Tiny negative jumps are round-off residue on collapsed cells.
-    return np.maximum.accumulate(y, axis=-1)
+    return _running_max(y if overwrite else y.copy(), drop < 0.0)
 
 
 def _node_picks(y, real):
@@ -58,15 +59,30 @@ def _node_picks(y, real):
     return sel, _keep_last(y[sel])
 
 
-def _u_rows(y, U, d_y):
+def _u_rows(y, U, d_y, ws=None):
     """The wave profile (nodes, values) that to_eulerian builds, for each row
     of nodal positions y, nodal velocities U and cell widths d_y, with every
-    check to_eulerian makes."""
-    y = _positions(y, U)
-    for y_j, U_j, real in zip(y, U, d_y > ATOM_WIDTH_TOL):
-        sel, keep = _node_picks(y_j, real)
-        sel = sel[keep]
-        yield y_j[sel], U_j[sel]
+    check to_eulerian makes.
+
+    The picks of _node_picks are made for all rows at once, y overwritten by
+    its running max.  _keep_last drops a pick when the next pick has the
+    same y; the real cell left of that next pick then has no width in y, so
+    only the picks before such cells are compared.  With a Workspace ws,
+    slots 3 and 4 hold scratch.
+    """
+    y = _positions(y, U, overwrite=True, scratch=_take(ws, 3, d_y.shape))
+    picked = _take(ws, 4, y.shape, bool)
+    picked[:, 0] = True
+    real = picked[:, 1:]
+    np.greater(d_y, ATOM_WIDTH_TOL, out=real)
+    flat = np.flatnonzero(real & (y[:, 1:] == y[:, :-1]))
+    if flat.size:
+        # the node right of each such cell (it is a pick), and the pick before it
+        q = flat + flat // d_y.shape[1] + 1
+        picks = np.flatnonzero(picked)
+        p = picks[picks.searchsorted(q) - 1]
+        picked.ravel()[p[y.ravel()[p] == y.ravel()[q]]] = False
+    return [(y_j[keep], U_j[keep]) for y_j, U_j, keep in zip(y, U, picked)]
 
 
 def to_eulerian(s: LagrangianState) -> EulerianSolution:
@@ -74,9 +90,10 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
 
     Cells with d_y > 1e-14 become linear segments of u and of the cumulative
     F_ac; cells with d_y <= 1e-14 and d_V > 1e-14 become point masses at
-    their (common) y-value, consecutive ones merged; cells degenerate in both
-    senses are removed.  Raises NumericError if the nodal y or U values are
-    not finite, CorruptStateError if y decreases by more than 1e-12 anywhere.
+    their (common) y-value, consecutive ones and ones at one y merged; cells
+    degenerate in both senses are removed.  Raises NumericError if the nodal
+    y or U values are not finite, CorruptStateError if y decreases by more
+    than 1e-12 anywhere.
     """
     y = _positions(s.y, s.U)
     masses = s.d_V * s.widths
@@ -96,6 +113,11 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
         pos = y[idx_atom[first]]
         mass = np.zeros(uniq.size)
         np.add.at(mass, np.searchsorted(uniq, group), masses[idx_atom])
+        # A real cell too narrow to move y can split one location's atom
+        # cells into two groups: groups at one position merge.
+        starts = np.flatnonzero(np.diff(pos, prepend=-np.inf))
+        if starts.size < pos.size:
+            pos, mass = pos[starts], np.add.reduceat(mass, starts)
         atoms = tuple(zip(pos.tolist(), mass.tolist()))
     else:
         atoms = ()

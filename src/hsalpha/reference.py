@@ -53,7 +53,7 @@ import scipy
 
 from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
-from .numerics import _chunks, _keep_last
+from .numerics import _chunks, _keep_last, _running_max, _take
 
 __all__ = [
     "ReferenceSolution",
@@ -159,12 +159,21 @@ class _CharacteristicFamily:
     z that does not depend on time: z itself, ubar(z) as "u", Fbar(z) as "F",
     plus whatever else the family's dissipation integrals read.  ``_B``,
     ``_J1`` and ``_J2`` take those columns, so a table evaluates the columns
-    once and reuses them at every time; ``B``, ``J1`` and ``J2`` are the same
-    integrals at raw points z.  ``fixed_anchors`` and ``moving_points(t,
-    pad)`` say where the table refines: at points that never move, and at
-    points that move with t (one row per time of the column t).  Every map
-    takes a time or a column of times.
+    once and reuses them at every time, and ``_J12`` gives J1 and J2
+    together; ``B``, ``J1`` and ``J2`` are the same integrals at raw points
+    z.  ``fixed_anchors`` and ``moving_points(t, pad)`` say where the table
+    refines: at points that never move, and at points that move with t (one
+    row per time of the column t).  Every map takes a time or a column of
+    times.
     """
+
+    def _J12(self, t, c, ws=None):
+        """J1 and J2 at the times t and the columns c, each as a list of
+        pieces (index, values): J on the points v[index] of an array v of
+        the maps' shape is values, broadcast.  A family may keep its pieces
+        in the Workspace ws (slots 0 to 2); this one makes one new array
+        each."""
+        return [((...,), self._J1(t, c))], [((...,), self._J2(t, c))]
 
     def B(self, t, z):
         return self._B(t, self.columns(z))
@@ -188,6 +197,11 @@ def _each(f, t):
 def _cube(x):
     """x ** 3, with _each."""
     return _each(lambda v: v ** 3, x)
+
+
+def _run(mask):
+    """The length of the leading run of True in the 1-d bool array mask."""
+    return mask.size if mask.all() else int(mask.argmin())
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +356,16 @@ class CuspFamily(_CharacteristicFamily):
     by time t the interval [-r^3, min(b, 0)) has broken, with
     r = max(v_top, min(|a|^(1/3), t/3)) and v_top = |min(b, 0)|^(1/3) (an
     interval b < 0 breaks nothing before t = 3 v_top).  Substituting
-    v = |w|^(1/3) turns every dissipation integral into a polynomial one.
+    v = |w|^(1/3) turns every dissipation integral into a polynomial one:
+    with rho = min(rho(z), r),
+
+        J1 = (4/3) (t (r - rho) - 1.5 (r^2 - rho^2)),
+        J2 = (2/27) ((t - 3 rho)^3 - (t - 3 r)^3).
+
+    Both read rho(z) only through rho, which is r wherever z has not broken
+    (there J1 is +0 and J2 the round-off of two cubes of t - 3r) and v_top
+    wherever z >= min(b, 0): on a table's columns, J1 and J2 are evaluated
+    point by point only between those two stretches (see ``_J12``).
     """
 
     def __init__(self, a, b, alpha):
@@ -389,32 +412,74 @@ class CuspFamily(_CharacteristicFamily):
         return (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0)
 
     def _J1(self, t, c):
-        r = self._r(t)
-        rho = np.minimum(c["rho"], r)
-        # (4/3) (t (r - rho) - 1.5 (r^2 - rho^2)), updated in place
-        j = r - rho
-        j *= t
-        rho *= rho
-        rho = r * r - rho
-        rho *= 1.5
-        j -= rho
-        j *= 4.0 / 3.0
-        return j
+        return self._j12_pointwise(t, c["rho"])[0]
 
     def _J2(self, t, c):
+        return self._j12_pointwise(t, c["rho"])[1]
+
+    def _J12(self, t, c, ws=None):
+        """J1 and J2 at the times t and the columns c, as lists of pieces
+        (see _CharacteristicFamily._J12).
+
+        On 1-d columns (a table's), a leading run of columns with rho(z) >=
+        r at every time of t and a trailing run with z >= min(b, 0) have one
+        value per time each: each is evaluated at the run's first column,
+        and only the columns between them point by point, in arrays of their
+        own (slots 0 and 1 of the Workspace ws if given, slot 2 holding
+        scratch).  Every value is the one of the point-by-point evaluation.
+        """
+        rho = c["rho"]
+        at_t = self._at(t)
+        if np.ndim(rho) != 1:
+            j1, j2 = self._j12_pointwise(t, rho, at_t)
+            return [((...,), j1)], [((...,), j2)]
+        n = rho.size
+        i1 = n - _run((c["z"] >= self._top)[::-1])
+        i0 = min(_run(rho >= np.max(at_t[0])), i1)
+        j1, j2 = [], []
+        for lo, hi in ((0, i0), (i0, i1), (i1, n)):
+            if lo == hi:
+                continue
+            if lo == i0:
+                values = self._j12_pointwise(t, rho[lo:hi], at_t, ws)
+            else:
+                values = self._j12_pointwise(t, rho[lo : lo + 1], at_t)
+            j1.append(((..., slice(lo, hi)), values[0]))
+            j2.append(((..., slice(lo, hi)), values[1]))
+        return j1, j2
+
+    def _at(self, t):
+        """r at the times t, with the base t - 3r cubed by np.power and by
+        _cube."""
         r = self._r(t)
-        rho = np.minimum(c["rho"], r)
-        # every point with rho = r has the base t - 3r, often 0 or a negative
-        # round-off, where pow is slow: cube it once and only the rest per point
         base = t - 3.0 * r
-        cube = np.empty(np.broadcast_shapes(np.shape(rho), np.shape(base)))
-        cube[...] = np.power(base, 3)
-        broken = rho < r
-        rho *= 3.0
-        np.power(t - rho, 3, out=cube, where=broken)
-        cube -= _cube(base)
-        cube *= 2.0 / 27.0
-        return cube
+        return r, np.power(base, 3), _cube(base)
+
+    def _j12_pointwise(self, t, rho, at_t=None, ws=None):
+        """J1 and J2 at the times t for the rho column rho, point by point
+        (in slots 0 and 1 of the Workspace ws if given, slot 2 holding
+        scratch); at_t is _at(t) if known."""
+        r, cube_np, cube_py = self._at(t) if at_t is None else at_t
+        shape = np.broadcast(t, rho).shape
+        j1, j2, rho_t = (_take(ws, i, shape) for i in range(3))
+        # term by term in j1 and j2, from one rho = min(rho, r); every point
+        # with rho = r has the base t - 3r, often 0 or a negative round-off,
+        # where pow is slow: its cube is filled in instead
+        np.minimum(rho, r, out=rho_t)
+        j2[...] = cube_np
+        np.multiply(rho_t, 3.0, out=j1)
+        np.subtract(t, j1, out=j1)
+        np.power(j1, 3, out=j2, where=rho_t < r)
+        j2 -= cube_py
+        j2 *= 2.0 / 27.0
+        np.subtract(r, rho_t, out=j1)
+        j1 *= t
+        rho_t *= rho_t
+        np.subtract(r * r, rho_t, out=rho_t)
+        rho_t *= 1.5
+        j1 -= rho_t
+        j1 *= 4.0 / 3.0
+        return j1, j2
 
     # the totals over [v_top, r], each written as its value over [0, r] less
     # its value over [0, v_top], which is an exact zero for b >= 0
@@ -430,35 +495,49 @@ class CuspFamily(_CharacteristicFamily):
         return (2.0 / 27.0) * (t3 - _cube(t - 3.0 * r)) - (2.0 / 27.0) * (t3 - _cube(t - 3.0 * v))
 
 
-# The characteristic maps take a family, a time or a column of times, and the
-# columns c = fam.columns(z).  The tables' maps run over (times x points)
-# arrays, so they update one array in place, term by term in the order of
+# The characteristic maps take a family, a time or a column of times, the
+# columns c = fam.columns(z) and the pieces of the dissipation integral that
+# they read there (fam._J12), which they overwrite.  The tables' maps run
+# over (times x points) arrays, so they update one array in place (out if
+# given; tmp is scratch of its shape), term by term in the order of
 #   U = u + t F/2 - t F_inf/4 - alpha J1/2 + alpha J1_inf/4,
 #   y = z + t u + t^2 F/4 - t^2 F_inf/8 - alpha J2/2 + alpha J2_inf/4.
 
-def _char_velocity(fam, t, c):
+def _new(t, c):
+    """An array of the shape of the maps at the times t and the columns c."""
+    return np.empty(np.broadcast(t, c["z"]).shape)
+
+
+def _less(v, pieces, scale):
+    """v - scale J, in place, J given as pieces."""
+    for index, j in pieces:
+        j *= scale
+        v[index] -= j
+
+
+def _char_velocity(fam, t, c, j1, out=None):
     a = fam.alpha
-    v = 0.5 * t * c["F"]
+    v = np.multiply(0.5 * t, c["F"], out=_new(t, c) if out is None else out)
     v += c["u"]
     v -= 0.25 * t * fam.F_inf
-    v -= 0.5 * a * fam._J1(t, c)
+    _less(v, j1, 0.5 * a)
     v += 0.25 * a * fam.J1_inf(t)
     return v
 
 
-def _char_position(fam, t, c):
+def _char_position(fam, t, c, j2, out=None, tmp=None):
     a = fam.alpha
-    y = t * c["u"]
+    y = np.multiply(t, c["u"], out=_new(t, c) if out is None else out)
     y += c["z"]
-    y += 0.25 * t * t * c["F"]
+    y += np.multiply(0.25 * t * t, c["F"], out=tmp)
     y -= 0.125 * t * t * fam.F_inf
-    y -= 0.5 * a * fam._J2(t, c)
+    _less(y, j2, 0.5 * a)
     y += 0.25 * a * fam.J2_inf(t)
     return y
 
 
-def _char_cumulative(fam, t, c):
-    return c["F"] - fam.alpha * fam._B(t, c)
+def _char_cumulative(fam, t, c, out=None):
+    return np.subtract(c["F"], fam.alpha * fam._B(t, c), out=out)
 
 
 def _char_total(fam, t):
@@ -521,15 +600,19 @@ def _static_table(fam, n_base):
 _TAIL = 9
 
 
-def _table_values(fam, static, t, x_lo, x_hi, maps):
-    """Each map's values on the tables for the times t that cover
-    [x_lo, x_hi] (all 1-d arrays, or scalars for one table).
+def _table_values(fam, static, t, x_lo, x_hi, cumulative=False, ws=None):
+    """The maps' values on the tables for the times t that cover [x_lo,
+    x_hi] (all 1-d arrays, or scalars for one table): y and U, and F if
+    cumulative.
 
     Row j of a map holds its values at the static points and at row j's
     moving points, in z order, points that coincide included (they have
     equal values, so a table's knots are those of its distinct points); the
     table proper is the row's stretch [lo_j, hi_j) inside its z-range
-    [z_lo, z_hi].  Returns (the maps' rows, lo, hi).
+    [z_lo, z_hi].  The maps run over the static points and over the moving
+    points, and their values are merged into each row.  With a Workspace
+    ws, y lives in its slot 1 and U in slot 0, and slots 2 to 4 hold
+    scratch.  Returns (the maps' rows, lo, hi).
     """
     # Characteristics outside the datum window move rigidly (constant u,
     # constant F), so resolution is only spent on the window itself; sparse
@@ -547,41 +630,66 @@ def _table_values(fam, static, t, x_lo, x_hi, maps):
     moving = np.hstack((tails.reshape(t.size, -1), fam.moving_points(t, z_lo)))
     moving.sort(axis=1)
 
-    # row j's moving points go before the static points they sort before, at
-    # these places of the raveled (times x static points) array
+    # row j's moving points go before the static points they sort before:
+    # their places in the raveled rows, and the places the static points fill
     zs = static["z"]
-    at = (zs.searchsorted(moving) + zs.size * np.arange(t.size)[:, None]).ravel()
+    m, n_static, n_moving = t.size, zs.size, moving.shape[1]
+    width = n_static + n_moving
     lo = zs.searchsorted(z_lo[:, 0]) + (moving < z_lo).sum(axis=1)
     hi = zs.searchsorted(z_hi[:, 0], side="right") + (moving <= z_hi).sum(axis=1)
+    at = zs.searchsorted(moving) + np.arange(n_moving) + width * np.arange(m)[:, None]
+    at = at.ravel()
+    of_static = _take(ws, 4, (m, width), bool)
+    of_static[...] = True
+    of_static.ravel()[at] = False
     extra = fam.columns(moving)
-    rows = [
-        np.insert(f(fam, t, static), at, f(fam, t, extra).ravel()).reshape(t.size, -1)
-        for f in maps
-    ]
+
+    def merged(on_static, on_moving, slot):
+        row = _take(ws, slot, (m, width))
+        row.ravel()[at] = on_moving.ravel()
+        row[of_static] = on_static.ravel()
+        return row
+
+    # each map's values on the static points are made in slot 3, and its row
+    # takes the slot of what the map read last; without a workspace, what a
+    # map read is dropped once its row is made
+    shape = (m, n_static)
+    j1, j2 = fam._J12(t, static, ws)
+    e1, e2 = fam._J12(t, extra)
+    on_static = _char_velocity(fam, t, static, j1, _take(ws, 3, shape))
+    U = merged(on_static, _char_velocity(fam, t, extra, e1), 0)
+    del j1, on_static
+    on_static = _char_position(fam, t, static, j2, _take(ws, 3, shape), _take(ws, 2, shape))
+    Y = merged(on_static, _char_position(fam, t, extra, e2), 1)
+    del j2, on_static
+    rows = [Y, U]
+    if cumulative:
+        on_static = _char_cumulative(fam, t, static, _take(ws, 3, shape))
+        rows.append(merged(on_static, _char_cumulative(fam, t, extra), 2))
     return rows, lo, hi
 
 
-def _running_max(v):
-    """np.maximum.accumulate(v), in place: the accumulation only runs over
-    the stretch where v decreases (round-off among collapsed points)."""
-    down = np.flatnonzero(v[1:] < v[:-1])
-    if down.size:
-        i, j = down[0], down[-1] + 2
-        v[i:j] = np.maximum.accumulate(v[i:j])
-        np.maximum(v[j:], v[j - 1], out=v[j:])
-    return v
+def _table_rows(fam, static, t, x_lo, x_hi, ws=None):
+    """Yields (knots, knot_u) of profile()'s table for each time of the 1-d
+    array t, covering [x_lo, x_hi] (1-d arrays too), all rows evaluated at
+    once and each row's knots picked when it is yielded.
 
-
-def _table_rows(fam, static, t, x_lo, x_hi):
-    """(knots, knot_u) of profile()'s table for each time of the 1-d array
-    t, covering [x_lo, x_hi] (1-d arrays too), all rows evaluated at once."""
-    (Y, U), lo, hi = _table_values(fam, static, t, x_lo, x_hi, (_char_position, _char_velocity))
-    rows = []
-    for y, u, a, b in zip(Y, U, lo.tolist(), hi.tolist()):
-        y = _running_max(y[a:b])
-        keep = _keep_last(y)
-        rows.append((y[keep], u[a:b][keep]))
-    return rows
+    The running max and the knots that _keep_last keeps are taken on the
+    whole rows: on each row's stretch [lo, hi) they are those of the
+    stretch alone, as y never decreases before it (the tail outside the
+    window moves rigidly).  With a Workspace ws, _table_values uses it and
+    slot 4 holds scratch.
+    """
+    (Y, U), lo, hi = _table_values(fam, static, t, x_lo, x_hi, ws=ws)
+    _running_max(Y)
+    keep = _take(ws, 4, Y.shape, bool)
+    np.greater(Y[:, 1:], Y[:, :-1], out=keep[:, :-1])
+    keep[np.arange(Y.shape[0]), hi - 1] = True
+    cols = np.arange(Y.shape[1])
+    keep &= cols >= lo[:, None]
+    keep &= cols < hi[:, None]
+    for y, u, k in zip(Y, U, keep):
+        yield y[k], u[k]
 
 
 def _table_profile(fam, t, y, u, F):
@@ -711,7 +819,8 @@ class ReferenceSolution:
         lo, hi = x - margin, x + margin
 
         def g(z):
-            return float(_char_position(fam, t, fam.columns(np.asarray(z, dtype=float)))) - x
+            c = fam.columns(np.asarray(z, dtype=float))
+            return float(_char_position(fam, t, c, fam._J12(t, c)[1])) - x
 
         g_lo, g_hi = g(lo), g(hi)
         grow = margin
@@ -734,8 +843,9 @@ class ReferenceSolution:
             raise ConfigError("time must be nonnegative")
         if self.family == "multipeakon_appA":
             return multipeakon_exact(self.alpha, t, float(x))[0]
-        z = self._invert(t, float(x))
-        return float(_char_velocity(self._fam, t, self._fam.columns(np.asarray(z, dtype=float))))
+        fam = self._fam
+        c = fam.columns(np.asarray(self._invert(t, float(x)), dtype=float))
+        return float(_char_velocity(fam, t, c, fam._J12(t, c)[0]))
 
     def eval_F(self, t, x) -> float:
         if t < 0.0:
@@ -776,29 +886,30 @@ class ReferenceSolution:
             x_hi = fam.window[1]
         # a static table that is not kept is freed once the maps are merged,
         # before the knots are picked
-        maps = (_char_position, _char_velocity, _char_cumulative)
         static = self._static_for(max(int(n_base), 101))
-        rows, (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, maps)
+        rows, (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, cumulative=True)
         del static
         return _table_profile(fam, t, *(row[0, lo:hi] for row in rows))
 
     def _rung(self, n_base):
         """profile() at many times, for one ladder rung.
 
-        Returns rows(t, x_lo, x_hi), which yields (knots, knot_u, u_at) of
-        the profile at each time of the 1-d array t, covering [x_lo, x_hi]
-        (1-d arrays too): the knots, u there, and u as a function where it
-        is not the interpolant of the knots (the closed-form family; else
-        None).  The tables are built in batches of times, on one static part
-        built here for n_base.
+        Returns (rows, width).  rows(t, x_lo, x_hi, ws=None) yields (knots,
+        knot_u, u_at) of the profile at each time of the 1-d array t,
+        covering [x_lo, x_hi] (1-d arrays too): the knots, u there, and u as
+        a function where it is not the interpolant of the knots (the
+        closed-form family; else None).  The tables are built in batches of
+        times, on one static part built here for n_base, in the Workspace ws
+        if given (slots 0 to 4, see _table_rows).  width is the number of
+        points in a row of such a batch (0 for the closed-form family).
         """
         if self.family == "multipeakon_appA":
 
-            def closed_form_rows(t, x_lo, x_hi):
+            def closed_form_rows(t, x_lo, x_hi, ws=None):
                 for prof in map(self.profile, t.tolist()):
                     yield prof.knots, prof.knot_u, prof.u_at
 
-            return closed_form_rows
+            return closed_form_rows, 0
         fam = self._fam
         static = _static_table(fam, max(int(n_base), 101))
         # a row's moving points are as many at every time (rows before the
@@ -806,12 +917,12 @@ class ReferenceSolution:
         late = np.full((1, 1), np.inf)
         width = static["z"].size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
 
-        def table_rows(t, x_lo, x_hi):
+        def table_rows(t, x_lo, x_hi, ws=None):
             for rows in _chunks(t.size, width):
-                for knots, knot_u in _table_rows(fam, static, t[rows], x_lo[rows], x_hi[rows]):
+                for knots, knot_u in _table_rows(fam, static, t[rows], x_lo[rows], x_hi[rows], ws):
                     yield knots, knot_u, None
 
-        return table_rows
+        return table_rows, width
 
     def _static_for(self, n_base):
         # the static table for n_base, kept as profile() describes

@@ -25,6 +25,7 @@ from hsalpha.harness import (
 )
 from hsalpha.evolution import events, evolve
 from hsalpha.lagrangian import to_lagrangian
+from hsalpha.numerics import Workspace
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import ReferenceProfile, ReferenceSolution, multipeakon_exact
@@ -383,3 +384,45 @@ def test_run_eoc_rows_do_not_depend_on_the_chunk_size(cfg, monkeypatch):
     for floats in (1, 2**40):
         monkeypatch.setattr(numerics, "_CHUNK_FLOATS", floats)
         assert run_eoc(cfg).rows == rows
+
+
+def test_run_eoc_leaves_earlier_results_alone():
+    # a state and a table taken before a ladder share no memory with the
+    # rungs' workspaces
+    cfg = ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(3, 4))
+    state = evolve(initial_state(cfg, dx_of_level(4)), 1.5)
+    prof = ReferenceSolution(family="cusp", alpha=0.5).profile(1.5, n_base=6159)
+    xs = np.linspace(-3.0, 4.0, 1001)
+    fields = ("y", "U", "V", "d_y", "d_U", "d_V", "broken")
+    before = [getattr(state, f).copy() for f in fields]
+    before += [prof.knots.copy(), prof.knot_u.copy(), prof.u_at(xs), prof.F_at(xs)]
+    run_eoc(cfg)
+    after = [getattr(state, f) for f in fields]
+    after += [prof.knots, prof.knot_u, prof.u_at(xs), prof.F_at(xs)]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def test_interleaved_rung_rows_equal_rows_alone():
+    # each generator of table rows works in its own workspace, so drawing
+    # rows from several in turn gives what each gives alone: the tables of
+    # profile() at its times
+    cusp = ReferenceSolution(family="cusp", alpha=0.5)
+    cosine = ReferenceSolution(family="cosine", alpha=0.75)
+    t = np.linspace(0.0, 3.0, 40)
+    jobs = [
+        (cusp, t, np.full(40, -1.2), np.full(40, 2.0)),
+        (cusp, t[::-1] * 0.5, np.full(40, -1.0), np.full(40, 1.5)),
+        (cosine, t * 0.4, np.full(40, 0.0), np.full(40, 4.0)),
+    ]
+    gens = []
+    for ref, *args in jobs:
+        rows, width = ref._rung(n_base=4001)
+        gens.append(rows(*args, Workspace(8 * width)))
+    interleaved = [[], [], []]
+    for _ in range(40):
+        for got, gen in zip(interleaved, gens):
+            got.append(next(gen))
+    for got, (ref, *args) in zip(interleaved, jobs):
+        for (knots, knot_u, _), tj, lo, hi in zip(got, *args):
+            prof = ref.profile(tj, x_lo=lo, x_hi=hi, n_base=4001)
+            assert np.array_equal(knots, prof.knots) and np.array_equal(knot_u, prof.knot_u)

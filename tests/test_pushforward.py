@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsalpha.errors import CorruptStateError
-from hsalpha.evolution import evolve
-from hsalpha.pushforward import eval_F, eval_u, to_eulerian
+from hsalpha.evolution import evolve, total_energy
+from hsalpha.harness import ExperimentConfig, initial_state, run_solve
+from hsalpha.lagrangian import LagrangianState
+from hsalpha.numerics import Workspace
+from hsalpha.pushforward import ATOM_WIDTH_TOL, _node_picks, _u_rows, eval_F, eval_u, to_eulerian
 from hsalpha.reference import multipeakon_exact
 
 
@@ -62,3 +67,65 @@ def test_energy_conserved_through_pushforward(peakon_state):
         s = evolve(peakon_state, t)
         sol = to_eulerian(s)
         assert math.isclose(sol.mu.total_mass(), s.V_inf, rel_tol=0.0, abs_tol=1e-14)
+
+
+def test_atoms_split_by_a_nearly_collapsed_cell_merge():
+    # atom cell, a real cell of width 1.6e-14 that does not move y, atom
+    # cell: one point mass carrying both masses
+    d_y = np.array([1.0, 0.0, 1.6e-14, 0.0, 1.0])
+    d_V = np.array([1.0, 0.5, 0.0, 0.25, 1.0])
+    xi = np.arange(6.0)
+    s = LagrangianState(
+        xi=xi,
+        y=np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0]),
+        U=np.zeros(6),
+        V=np.concatenate(([0.0], np.cumsum(d_V))),
+        d_y=d_y,
+        d_U=np.zeros(5),
+        d_V=d_V,
+        tau=np.full(5, np.inf),
+        broken=np.zeros(5, dtype=bool),
+        alpha=0.5,
+        time=0.0,
+        V_inf=2.75,
+    )
+    sol = to_eulerian(s)
+    assert sol.mu.atoms == ((1.0, 0.75),)
+    assert sol.mu.total_mass() == 2.75
+
+
+def test_run_solve_with_atoms_split_by_a_nearly_collapsed_cell():
+    # at the second event time, cells 10241 and 10243 are atoms at one y and
+    # cell 10242 between them has d_y = 1.6e-14
+    cfg = ExperimentConfig(example="cosine", alpha=0.5, T=1.2)
+    t = 0.6366197845818602
+    sols = run_solve(cfg, 2.0**-12, [t])
+    assert sols[-1].time == t and len(sols[-1].mu.atoms) == 2
+    energy = total_energy(evolve(initial_state(cfg, 2.0**-12), t))
+    assert math.isclose(sols[-1].mu.total_mass(), energy, rel_tol=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_u_rows_equal_node_picks(rows, n, seed):
+    # many nodes at one y, real cells of no width in y, round-off drops:
+    # the picks made for all rows at once are _node_picks' row by row
+    rng = np.random.default_rng(seed)
+    steps = rng.choice([0.0, 0.0, 0.25, -1e-13], size=(rows, n))
+    y = np.concatenate((np.zeros((rows, 1)), np.cumsum(steps, axis=1)), axis=1)
+    U = rng.standard_normal((rows, n + 1))
+    d_y = rng.choice([0.0, 1e-15, 2.0 * ATOM_WIDTH_TOL, 1.0], size=(rows, n))
+    want = []
+    for y_j, U_j, d_y_j in zip(y, U, d_y):
+        y_j = np.maximum.accumulate(y_j)
+        sel, keep = _node_picks(y_j, d_y_j > ATOM_WIDTH_TOL)
+        want.append((y_j[sel[keep]], U_j[sel[keep]]))
+    for ws in (None, Workspace()):
+        got = _u_rows(y.copy(), U, d_y, ws)
+        assert len(got) == rows
+        for (nodes, values), (w_nodes, w_values) in zip(got, want):
+            assert np.array_equal(nodes, w_nodes) and np.array_equal(values, w_values)

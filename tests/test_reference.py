@@ -8,6 +8,7 @@ from hsalpha.errors import ConfigError
 from hsalpha.evolution import evolve, total_energy
 from hsalpha.harness import ExperimentConfig, run_solve
 from hsalpha.lagrangian import to_lagrangian
+from hsalpha.numerics import Workspace
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 import hsalpha.reference as reference
@@ -19,6 +20,7 @@ from hsalpha.reference import (
     cusp_datum,
     multipeakon_exact,
 )
+import oracles
 from oracles import oracle_profile
 
 PI = math.pi
@@ -352,3 +354,56 @@ def test_one_shot_profile_keeps_no_table():
     ref.profile(0.6, n_base=30001)
     assert ref._static["n_base"] == 30001
     assert ref._static["table"]["z"].size == reference._static_table(ref._fam, 30001)["z"].size
+
+
+def _cusp_times(a, b):
+    # one batch of early and late times: t = 0, the first break of an
+    # interval b < 0 (3 v_top), and the time 3 |a|^(1/3) at which r reaches
+    # its cap, approached from both sides and passed
+    cap = 3.0 * abs(min(a, 0.0)) ** (1.0 / 3.0) if a < 0.0 else 3.0
+    first = 3.0 * abs(min(b, 0.0)) ** (1.0 / 3.0)
+    ts = [0.0, 1e-3, first, first + 1e-9, 0.5 * (first + cap), cap * (1.0 - 1e-12), cap]
+    return np.array(sorted(set(ts + [cap + 1e-12, 1.5 * cap + 0.5])))
+
+
+# a > 0 breaks nothing; b < 0 floors r at v_top
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-0.7, 1.3), (-1.0, -0.5), (0.2, 1.0)])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
+    # J1 and J2 evaluated point by point only between the unbroken and the
+    # rho = v_top stretches give the maps bit for bit: against the library's
+    # point-by-point maps and the oracle's, row by row of one batch
+    fam = CuspFamily(a, b, alpha)
+    ofam = oracles._CuspFamily(a, b, alpha)
+    c = reference._static_table(fam, 4001)
+    ts = _cusp_times(a, b)
+    t = ts[:, None]
+    j1, j2 = fam._J12(t, c, Workspace())
+    assert len(j1) == len(j2) <= 3
+    U = reference._char_velocity(fam, t, c, j1, np.empty((ts.size, c["z"].size)))
+    Y = reference._char_position(fam, t, c, j2, np.empty(U.shape), np.empty(U.shape))
+    for row, tj in enumerate(ts.tolist()):
+        U_pt = reference._char_velocity(fam, tj, c, [((...,), fam._J1(tj, c))])
+        Y_pt = reference._char_position(fam, tj, c, [((...,), fam._J2(tj, c))])
+        assert np.array_equal(U[row], U_pt)
+        assert np.array_equal(Y[row], Y_pt)
+        assert np.array_equal(U[row], oracles._char_velocity(ofam, tj, c["z"]))
+        assert np.array_equal(Y[row], oracles._char_position(ofam, tj, c["z"]))
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-1.0, -0.5), (0.2, 1.0)])
+def test_cusp_batched_tables_equal_profiles(a, b):
+    # one batch of early and late rows, with the running max and the kept
+    # knots taken on the whole batch, gives each time's profile() table
+    ref = ReferenceSolution(family="cusp", alpha=0.5, a=a, b=b)
+    ts = _cusp_times(a, b)
+    x_lo = np.full(ts.size, a - 0.2) - 0.01 * np.arange(ts.size)
+    x_hi = np.full(ts.size, b + 0.3)
+    rows, width = ref._rung(n_base=6159)
+    got = list(rows(ts, x_lo, x_hi, Workspace(ts.size * width)))
+    assert len(got) == ts.size
+    for (knots, knot_u, u_at), tj, lo, hi in zip(got, ts.tolist(), x_lo, x_hi):
+        prof = ref.profile(tj, x_lo=lo, x_hi=hi, n_base=6159)
+        assert u_at is None
+        assert np.array_equal(knots, prof.knots)
+        assert np.array_equal(knot_u, prof.knot_u)
