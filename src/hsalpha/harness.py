@@ -292,24 +292,17 @@ def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
 
 def _rel_err(nodes, values, knots, knot_u, ref_at_nodes=None) -> float:
     """max |u_num - u_ref| / max |u_ref| over the nodes of the numerical
-    profile (nodes, values) and the reference's knots (knot_u = u_ref there;
-    no knots if None); each side's values at its own points are read, not
+    profile (nodes, values) and the reference's knots (knot_u = u_ref
+    there); each side's values at its own points are read, not
     interpolated.  ref_at_nodes is u_ref at the nodes, by default the
     interpolant of the knots."""
     if ref_at_nodes is None:
         ref_at_nodes = np.interp(nodes, knots, knot_u)
     diff = float(np.abs(values - ref_at_nodes).max())
     den = float(np.abs(ref_at_nodes).max())
-    if knots is not None:
-        diff = max(diff, float(np.abs(np.interp(knots, nodes, values) - knot_u).max()))
-        den = max(den, float(np.abs(knot_u).max()))
+    diff = max(diff, float(np.abs(np.interp(knots, nodes, values) - knot_u).max()))
+    den = max(den, float(np.abs(knot_u).max()))
     return diff / max(den, 1e-300)
-
-
-def _sup_rel_err(sol: EulerianSolution, prof) -> float:
-    """_rel_err of a snapshot against a reference profile."""
-    u = sol.u
-    return _rel_err(u.nodes, u.values, prof.knots, prof.knot_u, prof.u_at(u.nodes))
 
 
 def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles, ws) -> float:

@@ -22,23 +22,31 @@ For the two-peak piecewise-linear benchmark everything collapses to explicit
 branch formulas (multipeakon_exact).  For the cosine and cusp data the sets
 {tau <= t} are intervals with elementary endpoints, so B, J1, J2 have
 antiderivatives in closed form; only the final inversion x = y(t, z) is
-numerical (bracketed root finding to inv_tol, or a dense monotone table for
+numerical (bracketed root finding to _INV_TOL, or a dense monotone table for
 whole-profile evaluation).
 
 Everything in these expressions except t and the dissipation integrals'
 dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
-cusp rho(z) = |z|^(1/3) on the broken branch.  A family's ``columns(z)``
-evaluates those once; B, J1, J2 and the three maps above read the columns.
-The dense table of ``ReferenceSolution.profile`` has a static part (a
-uniform bulk inside the datum window and geometric ladders at fixed
-anchors) whose columns are kept between calls with the same n_base, and a
-moving part (tails, ladders at t-dependent anchors, the cosine's broken
-arcs) evaluated per call; the maps run over both and their values are
-merged in order.  Outside the window every column but z is constant, so
-the characteristics there move rigidly and the sparse tails carry them.
-Every table has the knots of the one built from scratch, with the same
-values.  The maps take a column of times as well as one time, so that a
-ladder rung evaluates the tables of many times in one batch
+cusp rho(z) = |z|^(1/3) on the broken branch.  A family (CosineFamily,
+CuspFamily) evaluates those once per table point as ``columns(z)`` ("z",
+"u" for ubar, "F" for Fbar, and what its integrals read), and reads them at
+the times t: ``_B(t, c)`` is B at the columns c, and ``_J12(t, c, ws=None)``
+gives J1 and J2, each as a list of pieces (index, values) that put values,
+broadcast, on the points v[index] of an array v of the maps' shape (pieces
+a family makes may live in slots 0 to 2 of the Workspace ws).  ``B_inf``,
+``J1_inf`` and ``J2_inf`` are the integrals over the whole line; a table
+refines at ``fixed_anchors`` and at ``moving_points(t, pad)`` (one row per
+time of the column t); ``window``, ``u_max``, ``F_inf`` and ``alpha`` are
+the datum window, max |ubar|, Fbar at +inf and the dissipated fraction.
+Whatever reads t takes a time or a column of times.  The dense table of
+``ReferenceSolution.profile`` has a static part (a uniform bulk inside the
+datum window and geometric ladders at fixed anchors) and a moving part
+(tails, ladders at t-dependent anchors, the cosine's broken arcs); the maps
+run over both and their values are merged in order.  Outside the window
+every column but z is constant, so the characteristics there move rigidly
+and the sparse tails carry them.  Every table has the knots of the one
+built from scratch, with the same values.  A ladder rung evaluates the
+tables of many times in one batch, on one static part
 (``ReferenceSolution._rung``).
 """
 
@@ -70,6 +78,16 @@ __all__ = [
 _PI = math.pi
 
 REFERENCE_FAMILIES = ("multipeakon_appA", "cosine", "cusp")
+
+#: xtol of the root finder that inverts y in eval_u and eval_F
+_INV_TOL = 1e-12
+
+
+def _check_finite(**values):
+    """ConfigError unless every value given (a time or a position) is finite."""
+    for what, v in values.items():
+        if not math.isfinite(v):
+            raise ConfigError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -149,41 +167,8 @@ def multipeakon_datum() -> InitialDatum:
 
 
 # ---------------------------------------------------------------------------
-# Shared interface of the two table-backed families.
+# Helpers of the two table-backed families.
 # ---------------------------------------------------------------------------
-
-class _CharacteristicFamily:
-    """What the table builder needs from a family.
-
-    ``columns(z)`` evaluates everything about the characteristics starting at
-    z that does not depend on time: z itself, ubar(z) as "u", Fbar(z) as "F",
-    plus whatever else the family's dissipation integrals read.  ``_B``,
-    ``_J1`` and ``_J2`` take those columns, so a table evaluates the columns
-    once and reuses them at every time, and ``_J12`` gives J1 and J2
-    together; ``B``, ``J1`` and ``J2`` are the same integrals at raw points
-    z.  ``fixed_anchors`` and ``moving_points(t, pad)`` say where the table
-    refines: at points that never move, and at points that move with t (one
-    row per time of the column t).  Every map takes a time or a column of
-    times.
-    """
-
-    def _J12(self, t, c, ws=None):
-        """J1 and J2 at the times t and the columns c, each as a list of
-        pieces (index, values): J on the points v[index] of an array v of
-        the maps' shape is values, broadcast.  A family may keep its pieces
-        in the Workspace ws (slots 0 to 2); this one makes one new array
-        each."""
-        return [((...,), self._J1(t, c))], [((...,), self._J2(t, c))]
-
-    def B(self, t, z):
-        return self._B(t, self.columns(z))
-
-    def J1(self, t, z):
-        return self._J1(t, self.columns(z))
-
-    def J2(self, t, z):
-        return self._J2(t, self.columns(z))
-
 
 def _each(f, t):
     """f at a time, or at each entry of an array of times, in Python float
@@ -213,7 +198,7 @@ def _lam(w):
     return 0.5 * _PI * _PI * w - 0.25 * _PI * np.sin(2.0 * _PI * w)
 
 
-class CosineFamily(_CharacteristicFamily):
+class CosineFamily:
     """Characteristic-form solution pieces for the cosine datum.
 
     The slope -pi sin(pi z) is negative on (0, 1) and (2, 3); by time
@@ -324,11 +309,10 @@ class CosineFamily(_CharacteristicFamily):
     def _B(self, t, c):
         return self._arc_sum(self._g_b, t, c)
 
-    def _J1(self, t, c):
-        return self._arc_sum(self._g_j1, t, c)
-
-    def _J2(self, t, c):
-        return self._arc_sum(self._g_j2, t, c)
+    def _J12(self, t, c, ws=None):
+        """J1 and J2 at the times t and the columns c, one new array each."""
+        j1 = self._arc_sum(self._g_j1, t, c)
+        return [((...,), j1)], [((...,), self._arc_sum(self._g_j2, t, c))]
 
     def B_inf(self, t):
         return self._arc_total(self._g_b, t)
@@ -348,7 +332,7 @@ def _cbrt_signed(w):
     return np.sign(w) * np.abs(w) ** (1.0 / 3.0)
 
 
-class CuspFamily(_CharacteristicFamily):
+class CuspFamily:
     """Characteristic-form solution pieces for the cusped datum.
 
     ubar_x = (2/3) sgn(z) |z|^(-1/3) on (a, b), so breaking happens only on
@@ -411,15 +395,9 @@ class CuspFamily(_CharacteristicFamily):
         r = self._r(t)
         return (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0)
 
-    def _J1(self, t, c):
-        return self._j12_pointwise(t, c["rho"])[0]
-
-    def _J2(self, t, c):
-        return self._j12_pointwise(t, c["rho"])[1]
-
     def _J12(self, t, c, ws=None):
         """J1 and J2 at the times t and the columns c, as lists of pieces
-        (see _CharacteristicFamily._J12).
+        (see the module docstring).
 
         On 1-d columns (a table's), a leading run of columns with rho(z) >=
         r at every time of t and a trailing run with z >= min(b, 0) have one
@@ -767,13 +745,12 @@ class ReferenceSolution:
     """Evaluatable ground-truth solution for one benchmark family.
 
     family is one of "multipeakon_appA" (closed form), "cosine", "cusp"
-    (closed-form characteristics, numerically inverted).  inv_tol controls
-    the inversion of y in the scalar evaluators eval_u and eval_F.
+    (closed-form characteristics, numerically inverted).  Times and
+    positions must be finite.
     """
 
     family: str
     alpha: float
-    inv_tol: float = 1e-12
     a: float = -1.0
     b: float = 1.0
 
@@ -782,8 +759,6 @@ class ReferenceSolution:
             raise ConfigError(f"unknown reference family {self.family!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if not self.inv_tol > 0.0:
-            raise ConfigError("inv_tol must be positive")
         if self.family == "cusp" and not self.a <= self.b:
             raise ConfigError("cusp interval needs a <= b")
 
@@ -795,12 +770,6 @@ class ReferenceSolution:
             return CuspFamily(self.a, self.b, self.alpha)
         return None
 
-    @functools.cached_property
-    def _static(self):
-        # profile()'s one kept static table, the n_base it was built for, and
-        # the n_base of the previous call if that call missed it
-        return {"n_base": None, "table": None, "missed": None}
-
     def initial_datum(self) -> InitialDatum:
         if self.family == "multipeakon_appA":
             return multipeakon_datum()
@@ -809,6 +778,7 @@ class ReferenceSolution:
         return cusp_datum(self.a, self.b)
 
     def total_energy(self, t) -> float:
+        _check_finite(time=t)
         if self.family == "multipeakon_appA":
             return 0.5 if t < 2.0 else 0.5 * (1.0 - self.alpha)
         return _char_total(self._fam, t)
@@ -836,9 +806,10 @@ class ReferenceSolution:
             return lo
         if g_hi == 0.0:
             return hi
-        return scipy.optimize.brentq(g, lo, hi, xtol=self.inv_tol, maxiter=200)
+        return scipy.optimize.brentq(g, lo, hi, xtol=_INV_TOL, maxiter=200)
 
     def eval_u(self, t, x) -> float:
+        _check_finite(time=t, position=x)
         if t < 0.0:
             raise ConfigError("time must be nonnegative")
         if self.family == "multipeakon_appA":
@@ -848,6 +819,7 @@ class ReferenceSolution:
         return float(_char_velocity(fam, t, c, fam._J12(t, c)[0]))
 
     def eval_F(self, t, x) -> float:
+        _check_finite(time=t, position=x)
         if t < 0.0:
             raise ConfigError("time must be nonnegative")
         if self.family == "multipeakon_appA":
@@ -866,15 +838,12 @@ class ReferenceSolution:
         and a moving part built per call (sparse tails out to the x-range
         [x_lo, x_hi] widened by the distance characteristics travel by t,
         the ladders at t-dependent anchors, and the cosine family's dense
-        cover of its broken arcs).  Everything about the static points that
-        does not depend on t (z, ubar, Fbar and the family's extra columns)
-        is evaluated once per n_base.  The instance keeps at most one static
-        table, replaced when two calls in a row miss with the same n_base: a
-        run of calls with one n_base reuses it, a lone call with another
-        n_base does not evict it, and a one-shot call keeps nothing.  The
-        moving points are merged in order, and the table has the knots a
-        from-scratch build would give, value for value.
+        cover of its broken arcs).  The table is built afresh on every call,
+        and nothing is kept between calls.  The moving points are merged in
+        order, and the table has the knots a from-scratch build would give,
+        value for value.
         """
+        _check_finite(time=t)
         if t < 0.0:
             raise ConfigError("time must be nonnegative")
         if self.family == "multipeakon_appA":
@@ -884,9 +853,9 @@ class ReferenceSolution:
             x_lo = fam.window[0]
         if x_hi is None:
             x_hi = fam.window[1]
-        # a static table that is not kept is freed once the maps are merged,
-        # before the knots are picked
-        static = self._static_for(max(int(n_base), 101))
+        # the static table is freed once the maps are merged, before the
+        # knots are picked
+        static = _static_table(fam, max(int(n_base), 101))
         rows, (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, cumulative=True)
         del static
         return _table_profile(fam, t, *(row[0, lo:hi] for row in rows))
@@ -923,18 +892,6 @@ class ReferenceSolution:
                     yield knots, knot_u, None
 
         return table_rows, width
-
-    def _static_for(self, n_base):
-        # the static table for n_base, kept as profile() describes
-        memo = self._static
-        if memo["n_base"] == n_base:
-            memo["missed"] = None
-            return memo["table"]
-        static = _static_table(self._fam, n_base)
-        if memo["missed"] == n_base:
-            memo.update(n_base=n_base, table=static)
-        memo["missed"] = n_base
-        return static
 
 
 # ---------------------------------------------------------------------------
