@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .numerics import _all_finite, _blocks, _increasing
 
 __all__ = [
     "PiecewiseLinear",
@@ -53,10 +54,23 @@ class PiecewiseLinear:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
         if nodes.size == 0:
             raise ValueError("need at least one node")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+        if not _all_finite(nodes, values):
             raise ValueError("nodes and values must be finite")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not _increasing(nodes):
             raise ValueError("nodes must be strictly increasing")
+
+    def _with_values(self, values) -> "PiecewiseLinear":
+        """The function with these nodes and the given values, of which
+        only the values are checked (the nodes were, when self was made)."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if values.shape != self.nodes.shape:
+            raise ValueError("nodes and values must be 1-d arrays of equal length")
+        if not _all_finite(values):
+            raise ValueError("nodes and values must be finite")
+        out = object.__new__(PiecewiseLinear)
+        object.__setattr__(out, "nodes", self.nodes)
+        object.__setattr__(out, "values", values)
+        return out
 
     @property
     def left_value(self) -> float:
@@ -129,7 +143,9 @@ class EnergyMeasure:
         scale = max(1.0, abs(self.F_ac.right_value))
         if abs(self.F_ac.left_value) > _REL_SLACK * scale:
             raise ValueError("F_ac must start at zero")
-        if np.any(np.diff(self.F_ac.values) < -_REL_SLACK * scale):
+        F = self.F_ac.values
+        drops = (F[b + 1 : e + 1] - F[b:e] < -_REL_SLACK * scale for b, e in _blocks(F.size - 1))
+        if any(d.any() for d in drops):
             raise ValueError("F_ac must be nondecreasing")
         if pos.size:
             if np.any(np.diff(pos) <= 0.0):

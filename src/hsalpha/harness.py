@@ -35,7 +35,7 @@ from .eulerian import EulerianSolution, InitialDatum, eval_cumulative, make_mult
 from .evolution import _event_times, _map, evolve
 from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
-from .numerics import Workspace, _chunks
+from .numerics import Workspace, _blocks
 from .projection import ProjectionConfig, project
 from .pushforward import _u_rows, to_eulerian
 from .reference import ReferenceSolution, cosine_datum, cusp_datum, multipeakon_datum
@@ -358,9 +358,9 @@ def run_eoc(cfg: ExperimentConfig) -> EocReport:
         times = _merged_times(s, samples)
         profiles, width = ref._rung(n_base=max(4001, 3 * (s.n_cells + 1)))
         width = max(width, s.n_cells + 1)
-        chunks = _chunks(times.size, width)
-        ws = Workspace(times[chunks[0]].size * width)
-        return max(_worst_rel_err(s, times[rows], profiles, ws) for rows in chunks)
+        chunks = _blocks(times.size, width)
+        ws = Workspace((chunks[0][1] - chunks[0][0]) * width)
+        return max(_worst_rel_err(s, times[b:e], profiles, ws) for b, e in chunks)
 
     return _ladder(cfg, "linf_u", "eoc", rung)
 
@@ -376,14 +376,14 @@ def run_measure_rates(cfg: ExperimentConfig) -> EocReport:
         raise ConfigError("measure-rate runs need alpha = 0 (equal-mass transport)")
 
     def rung(ref, dx):
-        # one expression, so that the t=0 state is freed before the table is built
-        sol = to_eulerian(evolve(initial_state(cfg, dx), cfg.T))
-        # only the measure is kept: the profile is freed before w1 runs
-        nodes = sol.u.nodes
+        # one expression, so that the states are freed before the table is
+        # built; of the solution and of the profile only the measures are kept
+        mu = to_eulerian(evolve(initial_state(cfg, dx), cfg.T)).mu
+        nodes = mu.F_ac.nodes
         measure = ref.profile(
             cfg.T, x_lo=float(nodes[0]), x_hi=float(nodes[-1]), n_base=max(4001, 3 * nodes.size)
         ).measure()
-        return w1(measure, sol.mu)
+        return w1(measure, mu)
 
     return _ladder(cfg, "w1", "w1", rung)
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
+from .numerics import _blocks, _cumsum_from, _increasing
 from .projection import ProjectedDatum
 
 __all__ = ["LagrangianState", "to_lagrangian", "breaking_time"]
@@ -67,7 +68,7 @@ class LagrangianState:
         for name in ("d_y", "d_U", "d_V", "tau", "broken"):
             if getattr(self, name).size != n1 - 1:
                 raise ValueError(f"{name} must have one entry per cell")
-        if np.any(np.diff(self.xi) <= 0.0):
+        if not _increasing(self.xi):
             raise ValueError("xi must be strictly increasing")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
@@ -90,24 +91,30 @@ def breaking_time(d_y: float, d_U: float) -> float:
     return np.inf
 
 
-def _breaking_times(d_y: np.ndarray, d_U: np.ndarray) -> np.ndarray:
-    tau = np.full(d_y.shape, np.inf)
+def _breaking_times(d_y: np.ndarray, d_U: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each cell's breaking time from its derivatives at time 0, in out."""
+    out.fill(np.inf)
     neg = d_U < 0.0
     with np.errstate(divide="ignore"):
-        tau[neg] = -2.0 * d_y[neg] / d_U[neg]
-    tau[(d_U == 0.0) & (d_y == 0.0)] = 0.0
-    return np.abs(tau)
+        out[neg] = -2.0 * d_y[neg] / d_U[neg]
+    out[(d_U == 0.0) & (d_y == 0.0)] = 0.0
+    return np.abs(out, out=out)
 
 
 def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     """Map a projected datum to its Lagrangian state at time 0.
 
     Per grid pair the node layout is ``[left edge, post-atom, midpoint]`` with
-    the closing edge shared with the next pair; pairs without an atom collapse
-    the duplicate node.  Atom cells get ``d_y = d_U = 0``, ``d_V = 1`` exactly.
-    ``alpha`` is the dissipation parameter the state will evolve under.
-    Raises NumericError when the coordinates xi do not increase (an energy
-    so large that x + F(x) loses the mesh, or overflows).
+    the closing edge shared with the next pair; pairs without an atom have
+    no post-atom node.  Atom cells get ``d_y = d_U = 0``, ``d_V = 1``
+    exactly.  ``alpha`` is the dissipation parameter the state will evolve
+    under.  Raises NumericError when the coordinates xi do not increase (an
+    energy so large that x + F(x) loses the mesh, or overflows), and
+    ConfigError for an atom right of the last pair.
+
+    The nodes are written in place in blocks of _CHUNK_FLOATS pairs, and the
+    cell derivatives in blocks of as many cells, so the scratch is a few
+    blocks whatever the mesh.
     """
     nodes = p.u.nodes
     uvals = p.u.values
@@ -117,56 +124,84 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     ue, uo = uvals[::2], uvals[1::2]
     fe, fo = fvals[::2], fvals[1::2]
 
-    masses = np.zeros(m)
-    if p.mu.atom_positions.size:
-        j = np.searchsorted(xe, p.mu.atom_positions)
-        masses[j] = p.mu.atom_masses
-    cum_atoms = np.concatenate(([0.0], np.cumsum(masses)))
+    # the pair of each atom, and the mass a pair carries (if atoms share a
+    # pair, the last one's)
+    pair = np.searchsorted(xe, p.mu.atom_positions)
+    if pair.size and pair[-1] >= m:
+        raise ConfigError("an atom lies right of the last grid pair")
+    atom_mass = p.mu.atom_masses
+    last = np.ones(pair.size, dtype=bool)
+    last[:-1] = pair[1:] != pair[:-1]
+    n = 2 * m + 1 + int(np.count_nonzero(atom_mass[last] > 0.0))
+    xi, y, u, v = (np.empty(n) for _ in range(4))
 
     # nodal cumulative energy, taken straight from the F values so nearly
     # flat segments keep their sign (xi - y would cancel away the low bits
-    # of F wherever |x| dominates and can go an ulp negative)
-    v_even = fe + cum_atoms
-    v_post = fe[:-1] + cum_atoms[1:]
-    v_mid = fo + cum_atoms[1:]
+    # of F wherever |x| dominates and can go an ulp negative); the atoms'
+    # cumulative mass is np.cumsum's, carried from block to block
+    node, cum = 0, None
+    for i, j in _blocks(m):
+        masses = np.zeros(j - i)
+        a0, a1 = pair.searchsorted(i), pair.searchsorted(j)
+        masses[pair[a0:a1] - i] = atom_mass[a0:a1]
+        cum_after, cum_before = _cumsum_from(masses, cum)
+        cum = cum_after[-1]
+        v_even = fe[i:j] + cum_before
+        v_mid = fo[i:j] + cum_after
+        has = masses > 0.0
+        if has.any():
+            # two nodes per pair, and one more after each pair with an atom
+            edge = node + 2 * np.arange(j - i) + (np.cumsum(has) - has)
+            mid = edge + 1 + has
+            post = edge[has] + 1
+            v_post = (fe[i:j] + cum_after)[has]
+            xi[post] = xe[i:j][has] + v_post
+            y[post] = xe[i:j][has]
+            u[post] = ue[i:j][has]
+            v[post] = v_post
+        else:
+            edge = slice(node, node + 2 * (j - i), 2)
+            mid = slice(node + 1, node + 2 * (j - i), 2)
+        xi[edge] = xe[i:j] + v_even
+        y[edge] = xe[i:j]
+        u[edge] = ue[i:j]
+        v[edge] = v_even
+        xi[mid] = xo[i:j] + v_mid
+        y[mid] = xo[i:j]
+        u[mid] = uo[i:j]
+        v[mid] = v_mid
+        node += 2 * (j - i) + int(np.count_nonzero(has))
+    v[-1] = fe[m] + (0.0 if cum is None else cum)
+    xi[-1] = xe[m] + v[-1]
+    y[-1] = xe[m]
+    u[-1] = ue[m]
 
-    # full nodal layout, 3 nodes per pair plus the closing edge
-    xi = np.empty(3 * m + 1)
-    y = np.empty_like(xi)
-    u = np.empty_like(xi)
-    v = np.empty_like(xi)
-    xi[0::3] = xe + v_even
-    xi[1::3] = xe[:-1] + v_post
-    xi[2::3] = xo + v_mid
-    y[0::3] = xe
-    y[1::3] = xe[:-1]
-    y[2::3] = xo
-    u[0::3] = ue
-    u[1::3] = ue[:-1]
-    u[2::3] = uo
-    v[0::3] = v_even
-    v[1::3] = v_post
-    v[2::3] = v_mid
-
-    keep = np.ones(3 * m + 1, dtype=bool)
-    keep[1::3] = masses > 0.0
-    xi, y, u, v = xi[keep], y[keep], u[keep], v[keep]
-    if not np.all(xi[1:] > xi[:-1]):
+    cells = _blocks(n - 1)
+    if not all((xi[b + 1 : e + 1] > xi[b:e]).all() for b, e in cells):
         raise NumericError(
             "the Lagrangian coordinates x + F(x) of distinct nodes coincide or overflow: "
             "the datum's energy is too large for the mesh"
         )
 
-    # cell derivatives: exact constants on atom cells, nodal quotients else
-    widths = np.diff(xi)
-    is_atom = np.diff(y) == 0.0
-    d_y = np.where(is_atom, 0.0, np.diff(y) / widths)
-    d_u = np.where(is_atom, 0.0, np.diff(u) / widths)
+    # cell derivatives: exact constants on atom cells, nodal quotients else;
     # the measure invariant bounds any nodal F decrease by round-off slack,
-    # so a negative quotient here is always clamp-to-zero noise
-    d_v = np.maximum(np.where(is_atom, 1.0, np.diff(v) / widths), 0.0)
+    # so a negative quotient of V is always clamp-to-zero noise
+    d_y, d_u, d_v, tau = (np.empty(n - 1) for _ in range(4))
+    for b, e in cells:
+        widths = xi[b + 1 : e + 1] - xi[b:e]
+        dy = np.subtract(y[b + 1 : e + 1], y[b:e], out=d_y[b:e])
+        is_atom = dy == 0.0
+        dy /= widths
+        dy[is_atom] = 0.0
+        du = np.subtract(u[b + 1 : e + 1], u[b:e], out=d_u[b:e])
+        du /= widths
+        du[is_atom] = 0.0
+        dv = np.subtract(v[b + 1 : e + 1], v[b:e], out=d_v[b:e])
+        dv /= widths
+        dv[is_atom] = 1.0
+        np.maximum(dv, 0.0, out=dv)
+        _breaking_times(dy, du, tau[b:e])
 
-    tau = _breaking_times(d_y, d_u)
     return LagrangianState(
         xi=xi,
         y=y,
@@ -176,7 +211,7 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
         d_U=d_u,
         d_V=d_v,
         tau=tau,
-        broken=np.zeros(d_y.shape, dtype=bool),
+        broken=np.zeros(n - 1, dtype=bool),
         alpha=float(alpha),
         time=0.0,
         V_inf=float(v[-1]),

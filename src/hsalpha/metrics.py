@@ -28,6 +28,7 @@ import scipy
 
 from .errors import MassMismatchError
 from .eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear, eval_cumulative
+from .numerics import _blocks, _sorted_unique
 
 __all__ = [
     "BesovEstimate",
@@ -99,14 +100,13 @@ def l2_diff(a, b) -> float:
     raise TypeError("l2_diff needs two PiecewiseLinear or two PiecewiseConstant profiles")
 
 
-def _abs_linear_integral(da: np.ndarray, db: np.ndarray, w: np.ndarray) -> float:
-    """Exact ∫|linear| per segment given endpoint values, summed."""
+def _abs_linear_integrals(da: np.ndarray, db: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact ∫|linear| per segment given endpoint values."""
     same = da * db >= 0.0
     tri = np.abs(da) + np.abs(db)
     with np.errstate(divide="ignore", invalid="ignore"):
         crossing = w * (da * da + db * db) / (2.0 * tri)
-    vals = np.where(same, 0.5 * w * tri, np.where(tri > 0.0, crossing, 0.0))
-    return float(np.sum(vals))
+    return np.where(same, 0.5 * w * tri, np.where(tri > 0.0, crossing, 0.0))
 
 
 def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
@@ -120,19 +120,26 @@ def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
     W₁ also bounds the bounded-Lipschitz distance from above: every test
     function with ``sup + Lip ≤ 1`` is 1-Lipschitz, so d_BL ≤ W₁ for
     equal-mass measures.
+
+    Memory: besides the measures, one array of the merged breakpoints and
+    scratch of a few blocks of ``numerics._CHUNK_FLOATS``.  The segments'
+    integrals are taken block by block and written over the breakpoints
+    that no later block reads, then summed by one ``np.sum`` (so the
+    pairwise summation is that of the whole array).
     """
     gap = abs(m1.total_mass() - m2.total_mass())
     if gap > MASS_TOL:
         raise MassMismatchError(f"total masses differ by {gap:.3e}")
-    edges = np.unique(
-        np.concatenate(
-            (m1.F_ac.nodes, m2.F_ac.nodes, m1.atom_positions, m2.atom_positions)
-        )
+    edges = _sorted_unique(
+        np.concatenate((m1.F_ac.nodes, m2.F_ac.nodes, m1.atom_positions, m2.atom_positions))
     )
-    lo, hi = edges[:-1], edges[1:]
-    da = np.asarray(eval_cumulative(m1, lo, "right"), dtype=np.float64) - eval_cumulative(m2, lo, "right")
-    db = np.asarray(eval_cumulative(m1, hi, "left"), dtype=np.float64) - eval_cumulative(m2, hi, "left")
-    return _abs_linear_integral(da, db, hi - lo)
+    n = edges.size - 1
+    for b, e in _blocks(n):
+        lo, hi = edges[b:e], edges[b + 1 : e + 1]
+        da = np.asarray(eval_cumulative(m1, lo, "right"), dtype=np.float64) - eval_cumulative(m2, lo, "right")
+        db = np.asarray(eval_cumulative(m1, hi, "left"), dtype=np.float64) - eval_cumulative(m2, hi, "left")
+        edges[b:e] = _abs_linear_integrals(da, db, hi - lo)
+    return float(np.sum(edges[:n]))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CorruptStateError, NumericError
 from .eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear, eval_cumulative
 from .lagrangian import LagrangianState
-from .numerics import _keep_last, _running_max, _take, exact_cumsum
+from .numerics import _ExactPrefix, _Kept, _all_finite, _blocks, _running_max, _take
 
 __all__ = ["to_eulerian", "eval_u", "eval_F", "ATOM_WIDTH_TOL", "ATOM_MASS_TOL"]
 
@@ -33,11 +33,11 @@ ATOM_WIDTH_TOL = 1e-14
 ATOM_MASS_TOL = 1e-14
 
 
-def _positions(y, U, overwrite=False, scratch=None):
+def _positions(y, U, scratch=None):
     """The running max of nodal positions y along the last axis (one state
-    per row), made in y itself if overwrite, after checking that y and the
-    velocities U are finite and that y decreases nowhere by more than 1e-12
-    (the steps of y are taken in scratch if given)."""
+    per row), made in y itself, after checking that y and the velocities U
+    are finite and that y decreases nowhere by more than 1e-12 (the steps
+    of y are taken in scratch if given)."""
     if not (np.isfinite(y).all() and np.isfinite(U).all()):
         raise NumericError("Lagrangian positions or velocities are not finite")
     drop = np.subtract(y[..., 1:], y[..., :-1], out=scratch)
@@ -46,17 +46,7 @@ def _positions(y, U, overwrite=False, scratch=None):
             f"Lagrangian positions decrease by {-drop.min():.3e}; state is corrupt"
         )
     # Tiny negative jumps are round-off residue on collapsed cells.
-    return _running_max(y if overwrite else y.copy(), drop < 0.0)
-
-
-def _node_picks(y, real):
-    """u's nodes among one state's nodes, given its running-max positions y
-    and its real cells: (sel, keep), where y[sel] are the left end and the
-    right end of every real cell and keep drops all but the last of nodes
-    that still coincide after rounding (so cumulative mass and the outgoing
-    value survive)."""
-    sel = np.concatenate(([0], np.flatnonzero(real) + 1))
-    return sel, _keep_last(y[sel])
+    return _running_max(y, drop < 0.0)
 
 
 def _u_rows(y, U, d_y, ws=None):
@@ -64,13 +54,16 @@ def _u_rows(y, U, d_y, ws=None):
     of nodal positions y, nodal velocities U and cell widths d_y, with every
     check to_eulerian makes.
 
-    The picks of _node_picks are made for all rows at once, y overwritten by
-    its running max.  _keep_last drops a pick when the next pick has the
-    same y; the real cell left of that next pick then has no width in y, so
+    u's nodes are the left end and the right end of every real cell (a cell
+    with d_y > ATOM_WIDTH_TOL), of which only the last of those that still
+    coincide after rounding is kept (so cumulative mass and the outgoing
+    value survive).  The picks are made for all rows at once, y overwritten
+    by its running max.  A pick is dropped when the next pick has the same
+    y; the real cell left of that next pick then has no width in y, so
     only the picks before such cells are compared.  With a Workspace ws,
     slots 3 and 4 hold scratch.
     """
-    y = _positions(y, U, overwrite=True, scratch=_take(ws, 3, d_y.shape))
+    y = _positions(y, U, scratch=_take(ws, 3, d_y.shape))
     picked = _take(ws, 4, y.shape, bool)
     picked[:, 0] = True
     real = picked[:, 1:]
@@ -94,37 +87,63 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
     degenerate in both senses are removed.  Raises NumericError if the nodal
     y or U values are not finite, CorruptStateError if y decreases by more
     than 1e-12 anywhere.
+
+    The cells are taken in blocks of _CHUNK_FLOATS, with the running max of
+    y, the compensated sum of F and the last node of each block carried to
+    the next, so the scratch is a few blocks whatever the mesh; u's nodes
+    are checked once, and F_ac shares them.
     """
-    y = _positions(s.y, s.U)
-    masses = s.d_V * s.widths
-    real = s.d_y > ATOM_WIDTH_TOL
-    atom = (~real) & (s.d_V > ATOM_MASS_TOL)
+    n = s.n_cells
+    if not _all_finite(s.y, s.U):
+        raise NumericError("Lagrangian positions or velocities are not finite")
+    picks = _Kept(n + 1, 3)
+    picks.add(s.y[:1], s.U[:1], np.zeros(1))
+    F_sum = _ExactPrefix()
+    y_max, F_max, n_real = s.y[0], 0.0, 0
+    atom_cells = []
+    for b, e in _blocks(n):
+        y = s.y[b : e + 1].copy()
+        drop = y[1:] - y[:-1]
+        if drop.min() < -1e-12:
+            raise CorruptStateError(
+                f"Lagrangian positions decrease by {-drop.min():.3e}; state is corrupt"
+            )
+        # tiny negative jumps are round-off residue on collapsed cells
+        y[0] = y_max
+        y_max = _running_max(y)[-1]
+        masses = s.d_V[b:e] * (s.xi[b + 1 : e + 1] - s.xi[b:e])
+        real = s.d_y[b:e] > ATOM_WIDTH_TOL
+        # a real cell's right end is a node of u
+        picked = np.flatnonzero(real)
+        if picked.size:
+            F = F_sum(masses[picked])
+            F[0] = max(F[0], F_max)
+            F_max = _running_max(F)[-1]
+            picks.add(y[1:][picked], s.U[b + 1 : e + 1][picked], F)
+        atom = np.flatnonzero(~real & (s.d_V[b:e] > ATOM_MASS_TOL))
+        if atom.size:
+            # an atom cell's group: the real cells left of it
+            atom_cells.append((n_real + np.cumsum(real)[atom], y[atom], masses[atom]))
+        n_real += picked.size
+    x_nodes, u_nodes, F_vals = picks.close()
 
-    sel, keep = _node_picks(y, real)
-    F_vals = np.concatenate(([0.0], exact_cumsum(masses[sel[1:] - 1])))
-    F_vals = np.maximum.accumulate(F_vals)
-    x_nodes, u_nodes, F_vals = y[sel][keep], s.U[sel][keep], F_vals[keep]
-
-    idx_atom = np.flatnonzero(atom)
-    if idx_atom.size:
+    atoms = ()
+    if atom_cells:
         # Atom cells separated only by degenerate cells share one location.
-        group = np.cumsum(real)[idx_atom]
+        group, pos, masses = (np.concatenate(a) for a in zip(*atom_cells))
         uniq, first = np.unique(group, return_index=True)
-        pos = y[idx_atom[first]]
+        pos = pos[first]
         mass = np.zeros(uniq.size)
-        np.add.at(mass, np.searchsorted(uniq, group), masses[idx_atom])
+        np.add.at(mass, np.searchsorted(uniq, group), masses)
         # A real cell too narrow to move y can split one location's atom
         # cells into two groups: groups at one position merge.
         starts = np.flatnonzero(np.diff(pos, prepend=-np.inf))
         if starts.size < pos.size:
             pos, mass = pos[starts], np.add.reduceat(mass, starts)
         atoms = tuple(zip(pos.tolist(), mass.tolist()))
-    else:
-        atoms = ()
 
     u = PiecewiseLinear(nodes=x_nodes, values=u_nodes)
-    F_ac = PiecewiseLinear(nodes=x_nodes, values=F_vals)
-    mu = EnergyMeasure(F_ac=F_ac, atoms=atoms)
+    mu = EnergyMeasure(F_ac=u._with_values(F_vals), atoms=atoms)
     return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)
 
 

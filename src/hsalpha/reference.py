@@ -61,7 +61,7 @@ import scipy
 
 from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
-from .numerics import _chunks, _keep_last, _running_max, _take
+from .numerics import _Kept, _abs_max, _all_finite, _blocks, _running_max, _sorted_unique, _take
 
 __all__ = [
     "ReferenceSolution",
@@ -90,6 +90,24 @@ def _check_finite(**values):
             raise ConfigError(f"{what} must be finite")
 
 
+def _overflow(t):
+    return NumericError(f"the reference characteristics overflow by t = {t:g}")
+
+
+def _finite(v, t):
+    """The value v of a map at time t, or NumericError if it overflowed."""
+    if not math.isfinite(v):
+        raise _overflow(t)
+    return v
+
+
+def _check_time(t):
+    """ConfigError unless the time t is finite and nonnegative."""
+    _check_finite(time=t)
+    if t < 0.0:
+        raise ConfigError("time must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # Two-peak piecewise-linear benchmark: fully closed form.
 # ---------------------------------------------------------------------------
@@ -100,14 +118,17 @@ def _before_break(t, side):
 
 
 def _two_peak_ends(alpha, t, side):
-    """Ends (x_lo, x_hi) of the two-peak profile's sloped piece at time t."""
+    """Ends (x_lo, x_hi) of the two-peak profile's sloped piece at time t;
+    NumericError where they overflow."""
     if _before_break(t, side):
-        return (8.0 - t) * t / 16.0, (t * t + 8.0) / 16.0
-    beta = 1.0 - alpha
-    return (
-        -beta * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0,
-        beta * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0,
-    )
+        ends = (8.0 - t) * t / 16.0, (t * t + 8.0) / 16.0
+    else:
+        beta = 1.0 - alpha
+        ends = (
+            -beta * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0,
+            beta * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0,
+        )
+    return _finite(ends[0], t), _finite(ends[1], t)
 
 
 def multipeakon_exact(alpha, t, x, side="right"):
@@ -120,15 +141,18 @@ def multipeakon_exact(alpha, t, x, side="right"):
 
     ``side`` matters only at t = 2: "right" (default) returns the state with
     dissipation applied, "left" the limit from earlier times (full point
-    mass still present).  x may be a scalar or an array.
+    mass still present).  x may be a scalar or an array.  Raises
+    ConfigError for a negative or non-finite time and a non-finite x, and
+    NumericError at a time so large that the profile's ends overflow.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError("alpha must lie in [0, 1]")
-    if t < 0.0:
-        raise ConfigError("time must be nonnegative")
+    _check_time(t)
     if side not in ("left", "right"):
         raise ConfigError("side must be 'left' or 'right'")
     xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ConfigError("position must be finite")
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
 
@@ -180,8 +204,16 @@ def _each(f, t):
 
 
 def _cube(x):
-    """x ** 3, with _each."""
-    return _each(lambda v: v ** 3, x)
+    """x ** 3, with _each; an infinity where it overflows (as numpy's pow
+    gives), which the callers report as a NumericError."""
+
+    def cube(v):
+        try:
+            return v ** 3
+        except OverflowError:
+            return math.copysign(math.inf, v)
+
+    return _each(cube, x)
 
 
 def _run(mask):
@@ -563,19 +595,45 @@ def _geometric_ladder(points):
     return (points[..., None] + _LADDER_STEPS).reshape(points.shape[:-1] + (-1,))
 
 
-def _static_table(fam, n_base):
-    """Columns at the table points that no time moves: the points inside the
+def _static_points(fam, n_base):
+    """The table points that no time moves, sorted: the points inside the
     window of n_base bulk points spread over the window widened by 1, and
     the ladders at the fixed anchors (the window's ends among them)."""
     w_lo, w_hi = fam.window
     bulk = np.linspace(w_lo - 1.0, w_hi + 1.0, n_base)
-    bulk = bulk[bulk.searchsorted(w_lo) : bulk.searchsorted(w_hi, side="right")]
-    z = np.unique(np.concatenate((bulk, _geometric_ladder(fam.fixed_anchors))))
-    return fam.columns(z)
+    z = np.concatenate(
+        (
+            bulk[bulk.searchsorted(w_lo) : bulk.searchsorted(w_hi, side="right")],
+            _geometric_ladder(fam.fixed_anchors),
+        )
+    )
+    del bulk
+    return _sorted_unique(z)
+
+
+def _static_table(fam, n_base):
+    """The columns at _static_points(fam, n_base)."""
+    return fam.columns(_static_points(fam, n_base))
 
 
 #: points per tail of a table
 _TAIL = 9
+
+
+def _moving_points(fam, t, x_lo, x_hi):
+    """The moving points of the tables for the times of the column t that
+    cover [x_lo, x_hi] (1-d arrays, or scalars for one table), sorted row
+    by row, and each row's z-range: (moving, z_lo, z_hi), the last two
+    columns."""
+    margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
+    w_lo, w_hi = fam.window
+    z_lo = np.minimum(np.reshape(x_lo, (-1, 1)), w_lo) - margin
+    z_hi = np.maximum(np.reshape(x_hi, (-1, 1)), w_hi) + margin
+    near, far = np.full_like(z_lo, w_lo - 1.0), np.full_like(z_hi, w_hi + 1.0)
+    tails = np.linspace(np.hstack((z_lo, far)), np.hstack((near, z_hi)), _TAIL, axis=-1)
+    moving = np.hstack((tails.reshape(t.size, -1), fam.moving_points(t, z_lo)))
+    moving.sort(axis=1)
+    return moving, z_lo, z_hi
 
 
 def _table_values(fam, static, t, x_lo, x_hi, cumulative=False, ws=None):
@@ -599,14 +657,7 @@ def _table_values(fam, static, t, x_lo, x_hi, cumulative=False, ws=None):
     # stick out only when its anchor lies outside the window, as the cusp's
     # fixed 0 and its moving edge can.
     t = np.reshape(t, (-1, 1))
-    margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
-    w_lo, w_hi = fam.window
-    z_lo = np.minimum(np.reshape(x_lo, (-1, 1)), w_lo) - margin
-    z_hi = np.maximum(np.reshape(x_hi, (-1, 1)), w_hi) + margin
-    near, far = np.full_like(z_lo, w_lo - 1.0), np.full_like(z_hi, w_hi + 1.0)
-    tails = np.linspace(np.hstack((z_lo, far)), np.hstack((near, z_hi)), _TAIL, axis=-1)
-    moving = np.hstack((tails.reshape(t.size, -1), fam.moving_points(t, z_lo)))
-    moving.sort(axis=1)
+    moving, z_lo, z_hi = _moving_points(fam, t, x_lo, x_hi)
 
     # row j's moving points go before the static points they sort before:
     # their places in the raveled rows, and the places the static points fill
@@ -652,11 +703,11 @@ def _table_rows(fam, static, t, x_lo, x_hi, ws=None):
     array t, covering [x_lo, x_hi] (1-d arrays too), all rows evaluated at
     once and each row's knots picked when it is yielded.
 
-    The running max and the knots that _keep_last keeps are taken on the
-    whole rows: on each row's stretch [lo, hi) they are those of the
-    stretch alone, as y never decreases before it (the tail outside the
-    window moves rigidly).  With a Workspace ws, _table_values uses it and
-    slot 4 holds scratch.
+    The running max and the knots kept (where y increases to the next
+    point, and the last point) are taken on the whole rows: on each row's
+    stretch [lo, hi) they are those of the stretch alone, as y never
+    decreases before it (the tail outside the window moves rigidly).  With
+    a Workspace ws, _table_values uses it and slot 4 holds scratch.
     """
     (Y, U), lo, hi = _table_values(fam, static, t, x_lo, x_hi, ws=ws)
     _running_max(Y)
@@ -670,12 +721,40 @@ def _table_rows(fam, static, t, x_lo, x_hi, ws=None):
         yield y[k], u[k]
 
 
-def _table_profile(fam, t, y, u, F):
-    """The profile at time t tabulated as y, u and F at characteristics."""
-    y = _running_max(y)
-    F = _running_max(F)
-    keep = _keep_last(y)
-    y_k, u_k, F_k = y[keep], u[keep], F[keep]
+# a time so large that the maps overflow is reported by the checks that
+# the table's values are finite
+@np.errstate(over="ignore", invalid="ignore")
+def _table_profile(fam, t, x_lo, x_hi, n_base):
+    """profile()'s table at time t covering [x_lo, x_hi], for n_base.
+
+    The table's points (the static ones and the moving ones, merged in z
+    order) are taken in column blocks of _CHUNK_FLOATS: each block's maps,
+    their running max (carried from block to block) and the knots kept (see
+    _Kept: a block's last point waits for the next block's first) are those
+    of the whole table, so the memory is that of the knots, of one array of
+    z and of a few blocks.  Raises NumericError when the maps overflow.
+    """
+    t_col = np.reshape(t, (1, 1))
+    moving, z_lo, z_hi = _moving_points(fam, t_col, x_lo, x_hi)
+    z_lo, z_hi = _finite(z_lo.item(), t), _finite(z_hi.item(), t)
+    z = _static_points(fam, n_base)
+    z = np.insert(z, z.searchsorted(moving[0]), moving[0])
+    z = z[z.searchsorted(z_lo) : z.searchsorted(z_hi, side="right")]
+
+    kept = _Kept(z.size, 3)
+    y_max = F_max = -np.inf
+    for b, e in _blocks(z.size):
+        c = fam.columns(z[b:e])
+        j1, j2 = fam._J12(t_col, c)
+        (u,) = _char_velocity(fam, t_col, c, j1)
+        (y,) = _char_position(fam, t_col, c, j2)
+        (F,) = _char_cumulative(fam, t_col, c)
+        if not _all_finite(y, u, F):
+            raise _overflow(t)
+        y[0], F[0] = max(y[0], y_max), max(F[0], F_max)
+        y_max, F_max = _running_max(y)[-1], _running_max(F)[-1]
+        kept.add(y, u, F)
+    y_k, u_k, F_k = kept.close()
     v_inf = _char_total(fam, t)
 
     def u_at(x):
@@ -691,7 +770,7 @@ def _table_profile(fam, t, y, u, F):
         time=t,
         u_at=u_at,
         F_at=F_at,
-        sup_u=float(np.max(np.abs(u_k))),
+        sup_u=_abs_max(u_k),
         v_inf=v_inf,
         _measure_factory=measure,
         knots=y_k,
@@ -778,7 +857,7 @@ class ReferenceSolution:
         return cusp_datum(self.a, self.b)
 
     def total_energy(self, t) -> float:
-        _check_finite(time=t)
+        _check_time(t)
         if self.family == "multipeakon_appA":
             return 0.5 if t < 2.0 else 0.5 * (1.0 - self.alpha)
         return _char_total(self._fam, t)
@@ -790,7 +869,7 @@ class ReferenceSolution:
 
         def g(z):
             c = fam.columns(np.asarray(z, dtype=float))
-            return float(_char_position(fam, t, c, fam._J12(t, c)[1])) - x
+            return _finite(float(_char_position(fam, t, c, fam._J12(t, c)[1])) - x, t)
 
         g_lo, g_hi = g(lo), g(hi)
         grow = margin
@@ -806,26 +885,31 @@ class ReferenceSolution:
             return lo
         if g_hi == 0.0:
             return hi
-        return scipy.optimize.brentq(g, lo, hi, xtol=_INV_TOL, maxiter=200)
+        try:
+            return scipy.optimize.brentq(g, lo, hi, xtol=_INV_TOL, maxiter=200)
+        except RuntimeError:  # at a time so large that xtol is below an ulp of z
+            raise NumericError(
+                f"the characteristic inversion does not converge at t = {t:g}"
+            ) from None
 
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_u(self, t, x) -> float:
-        _check_finite(time=t, position=x)
-        if t < 0.0:
-            raise ConfigError("time must be nonnegative")
+        _check_time(t)
+        _check_finite(position=x)
         if self.family == "multipeakon_appA":
             return multipeakon_exact(self.alpha, t, float(x))[0]
         fam = self._fam
         c = fam.columns(np.asarray(self._invert(t, float(x)), dtype=float))
-        return float(_char_velocity(fam, t, c, fam._J12(t, c)[0]))
+        return _finite(float(_char_velocity(fam, t, c, fam._J12(t, c)[0])), t)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_F(self, t, x) -> float:
-        _check_finite(time=t, position=x)
-        if t < 0.0:
-            raise ConfigError("time must be nonnegative")
+        _check_time(t)
+        _check_finite(position=x)
         if self.family == "multipeakon_appA":
             return multipeakon_exact(self.alpha, t, float(x))[1]
-        z = self._invert(t, float(x))
-        return float(_char_cumulative(self._fam, t, self._fam.columns(np.asarray(z, dtype=float))))
+        c = self._fam.columns(np.asarray(self._invert(t, float(x)), dtype=float))
+        return _finite(float(_char_cumulative(self._fam, t, c)), t)
 
     def profile(self, t, x_lo=None, x_hi=None, n_base=4001, side="right") -> ReferenceProfile:
         """Dense whole-line evaluators at time t (table-backed for the
@@ -841,11 +925,13 @@ class ReferenceSolution:
         cover of its broken arcs).  The table is built afresh on every call,
         and nothing is kept between calls.  The moving points are merged in
         order, and the table has the knots a from-scratch build would give,
-        value for value.
+        value for value.  The maps run over the table in column blocks of
+        numerics._CHUNK_FLOATS points, so besides the knots (and u and F
+        there) the call holds one array of the table's z and a few blocks.
+        Raises ConfigError for a negative or non-finite t, and NumericError
+        when the characteristics overflow by t.
         """
-        _check_finite(time=t)
-        if t < 0.0:
-            raise ConfigError("time must be nonnegative")
+        _check_time(t)
         if self.family == "multipeakon_appA":
             return _multipeakon_profile(self.alpha, t, side=side)
         fam = self._fam
@@ -853,12 +939,7 @@ class ReferenceSolution:
             x_lo = fam.window[0]
         if x_hi is None:
             x_hi = fam.window[1]
-        # the static table is freed once the maps are merged, before the
-        # knots are picked
-        static = _static_table(fam, max(int(n_base), 101))
-        rows, (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, cumulative=True)
-        del static
-        return _table_profile(fam, t, *(row[0, lo:hi] for row in rows))
+        return _table_profile(fam, t, x_lo, x_hi, max(int(n_base), 101))
 
     def _rung(self, n_base):
         """profile() at many times, for one ladder rung.
@@ -887,8 +968,8 @@ class ReferenceSolution:
         width = static["z"].size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
 
         def table_rows(t, x_lo, x_hi, ws=None):
-            for rows in _chunks(t.size, width):
-                for knots, knot_u in _table_rows(fam, static, t[rows], x_lo[rows], x_hi[rows], ws):
+            for b, e in _blocks(t.size, width):
+                for knots, knot_u in _table_rows(fam, static, t[b:e], x_lo[b:e], x_hi[b:e], ws):
                     yield knots, knot_u, None
 
         return table_rows, width

@@ -23,6 +23,15 @@ and ``check_solution_consistency`` the invariant that ties a pushforward's
 ``greedy_sign_loop`` walks the cell pairs one by one choosing the
 kink-minimizing slope order; ``harness.write_solution_csv`` and
 ``projection.project`` must agree with them byte for byte.
+
+``whole_array_w1``, ``whole_array_profile``, ``whole_array_to_lagrangian``
+and ``whole_array_to_eulerian`` are ``metrics.w1``,
+``ReferenceSolution.profile``, ``lagrangian.to_lagrangian`` and
+``pushforward.to_eulerian`` as they were before those worked in blocks of
+``numerics._CHUNK_FLOATS``: each step over whole arrays (with
+``np.unique``, a 3-nodes-per-pair layout that is then compressed, and
+``whole_array_exact_cumsum``).  The library must agree with them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from hsalpha.errors import ConfigError
+from hsalpha.errors import ConfigError, CorruptStateError, MassMismatchError, NumericError
 from hsalpha.eulerian import (
     EnergyMeasure,
     EulerianSolution,
@@ -43,8 +52,14 @@ from hsalpha.eulerian import (
 )
 from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
-from hsalpha.numerics import exact_cumsum, stable_sum
-from hsalpha.reference import ReferenceProfile
+from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
+from hsalpha.pushforward import ATOM_MASS_TOL, ATOM_WIDTH_TOL
+from hsalpha.reference import (
+    ReferenceProfile,
+    _char_total,
+    _geometric_ladder as _library_ladder,
+    _table_values,
+)
 
 _PI = math.pi
 
@@ -729,3 +744,212 @@ def greedy_sign_loop(du: np.ndarray, q: np.ndarray) -> np.ndarray:
             sigma[j] = -1.0
         prev = du[j] + sigma[j] * q[j]
     return sigma
+
+
+# ---------------------------------------------------------------------------
+# The whole-array stages.
+# ---------------------------------------------------------------------------
+
+
+def whole_array_exact_cumsum(x: np.ndarray) -> np.ndarray:
+    """exact_cumsum in one pass over the whole array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        return np.zeros(0)
+    s = x.cumsum()
+    a = np.concatenate(([0.0], s[:-1]))
+    z = s - a
+    err = (a - (s - z)) + (x - z)
+    return s + err.cumsum()
+
+
+def _abs_linear_integral(da, db, w):
+    same = da * db >= 0.0
+    tri = np.abs(da) + np.abs(db)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = w * (da * da + db * db) / (2.0 * tri)
+    vals = np.where(same, 0.5 * w * tri, np.where(tri > 0.0, crossing, 0.0))
+    return float(np.sum(vals))
+
+
+def whole_array_w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
+    """metrics.w1 on whole arrays."""
+    gap = abs(m1.total_mass() - m2.total_mass())
+    if gap > 1e-12:
+        raise MassMismatchError(f"total masses differ by {gap:.3e}")
+    edges = np.unique(
+        np.concatenate((m1.F_ac.nodes, m2.F_ac.nodes, m1.atom_positions, m2.atom_positions))
+    )
+    lo, hi = edges[:-1], edges[1:]
+    da = np.asarray(eval_cumulative(m1, lo, "right"), dtype=np.float64) - eval_cumulative(m2, lo, "right")
+    db = np.asarray(eval_cumulative(m1, hi, "left"), dtype=np.float64) - eval_cumulative(m2, hi, "left")
+    return _abs_linear_integral(da, db, hi - lo)
+
+
+def _whole_static_table(fam, n_base):
+    w_lo, w_hi = fam.window
+    bulk = np.linspace(w_lo - 1.0, w_hi + 1.0, n_base)
+    bulk = bulk[bulk.searchsorted(w_lo) : bulk.searchsorted(w_hi, side="right")]
+    z = np.unique(np.concatenate((bulk, _library_ladder(fam.fixed_anchors))))
+    return fam.columns(z)
+
+
+def whole_array_profile(ref, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
+    """ReferenceSolution.profile for the cosine and cusp families: the maps
+    run over the whole static table and the moving points, their values are
+    merged into one row, and the knots are picked on the whole row."""
+    fam = ref._fam
+    if x_lo is None:
+        x_lo = fam.window[0]
+    if x_hi is None:
+        x_hi = fam.window[1]
+    static = _whole_static_table(fam, max(int(n_base), 101))
+    (Y, U, F), (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, cumulative=True)
+    y, u, F = Y[0, lo:hi], U[0, lo:hi], F[0, lo:hi]
+    y = _running_max(y)
+    F = _running_max(F)
+    keep = _keep_last(y)
+    y_k, u_k, F_k = y[keep], u[keep], F[keep]
+
+    def measure():
+        return EnergyMeasure(F_ac=PiecewiseLinear(nodes=y_k, values=F_k))
+
+    return ReferenceProfile(
+        time=t,
+        u_at=lambda x: np.interp(x, y_k, u_k),
+        F_at=lambda x: np.interp(x, y_k, F_k),
+        sup_u=float(np.max(np.abs(u_k))),
+        v_inf=_char_total(fam, t),
+        _measure_factory=measure,
+        knots=y_k,
+        knot_u=u_k,
+    )
+
+
+def _whole_breaking_times(d_y, d_U):
+    tau = np.full(d_y.shape, np.inf)
+    neg = d_U < 0.0
+    with np.errstate(divide="ignore"):
+        tau[neg] = -2.0 * d_y[neg] / d_U[neg]
+    tau[(d_U == 0.0) & (d_y == 0.0)] = 0.0
+    return np.abs(tau)
+
+
+def whole_array_to_lagrangian(p, alpha: float = 0.0) -> LagrangianState:
+    """lagrangian.to_lagrangian through the full 3-nodes-per-pair layout."""
+    nodes = p.u.nodes
+    uvals = p.u.values
+    fvals = p.mu.F_ac.values
+    m = (nodes.size - 1) // 2
+    xe, xo = nodes[::2], nodes[1::2]
+    ue, uo = uvals[::2], uvals[1::2]
+    fe, fo = fvals[::2], fvals[1::2]
+
+    masses = np.zeros(m)
+    if p.mu.atom_positions.size:
+        j = np.searchsorted(xe, p.mu.atom_positions)
+        masses[j] = p.mu.atom_masses
+    cum_atoms = np.concatenate(([0.0], np.cumsum(masses)))
+    v_even = fe + cum_atoms
+    v_post = fe[:-1] + cum_atoms[1:]
+    v_mid = fo + cum_atoms[1:]
+
+    xi = np.empty(3 * m + 1)
+    y = np.empty_like(xi)
+    u = np.empty_like(xi)
+    v = np.empty_like(xi)
+    xi[0::3] = xe + v_even
+    xi[1::3] = xe[:-1] + v_post
+    xi[2::3] = xo + v_mid
+    y[0::3] = xe
+    y[1::3] = xe[:-1]
+    y[2::3] = xo
+    u[0::3] = ue
+    u[1::3] = ue[:-1]
+    u[2::3] = uo
+    v[0::3] = v_even
+    v[1::3] = v_post
+    v[2::3] = v_mid
+
+    keep = np.ones(3 * m + 1, dtype=bool)
+    keep[1::3] = masses > 0.0
+    xi, y, u, v = xi[keep], y[keep], u[keep], v[keep]
+    if not np.all(xi[1:] > xi[:-1]):
+        raise NumericError("the Lagrangian coordinates of distinct nodes coincide or overflow")
+
+    widths = np.diff(xi)
+    is_atom = np.diff(y) == 0.0
+    d_y = np.where(is_atom, 0.0, np.diff(y) / widths)
+    d_u = np.where(is_atom, 0.0, np.diff(u) / widths)
+    d_v = np.maximum(np.where(is_atom, 1.0, np.diff(v) / widths), 0.0)
+    return LagrangianState(
+        xi=xi,
+        y=y,
+        U=u,
+        V=v,
+        d_y=d_y,
+        d_U=d_u,
+        d_V=d_v,
+        tau=_whole_breaking_times(d_y, d_u),
+        broken=np.zeros(d_y.shape, dtype=bool),
+        alpha=float(alpha),
+        time=0.0,
+        V_inf=float(v[-1]),
+    )
+
+
+def _keep_last(x):
+    """Where the nondecreasing x increases to the next entry, and its last
+    entry: of a run of equal values, the last."""
+    keep = np.empty(x.size, dtype=bool)
+    np.greater(x[1:], x[:-1], out=keep[:-1])
+    keep[-1] = True
+    return keep
+
+
+def _whole_positions(y, U):
+    if not (np.isfinite(y).all() and np.isfinite(U).all()):
+        raise NumericError("Lagrangian positions or velocities are not finite")
+    drop = np.diff(y)
+    if drop.size and drop.min() < -1e-12:
+        raise CorruptStateError(f"Lagrangian positions decrease by {-drop.min():.3e}")
+    return _running_max(y.copy(), drop < 0.0)
+
+
+def _node_picks(y, real):
+    """u's nodes among one state's nodes, given its running-max positions y
+    and its real cells: (sel, keep), where y[sel] are the left end and the
+    right end of every real cell and keep drops all but the last of nodes
+    that still coincide after rounding."""
+    sel = np.concatenate(([0], np.flatnonzero(real) + 1))
+    return sel, _keep_last(y[sel])
+
+
+def whole_array_to_eulerian(s: LagrangianState) -> EulerianSolution:
+    """pushforward.to_eulerian on whole arrays."""
+    y = _whole_positions(s.y, s.U)
+    masses = s.d_V * s.widths
+    real = s.d_y > ATOM_WIDTH_TOL
+    atom = (~real) & (s.d_V > ATOM_MASS_TOL)
+
+    sel, keep = _node_picks(y, real)
+    F_vals = np.concatenate(([0.0], whole_array_exact_cumsum(masses[sel[1:] - 1])))
+    F_vals = np.maximum.accumulate(F_vals)
+    x_nodes, u_nodes, F_vals = y[sel][keep], s.U[sel][keep], F_vals[keep]
+
+    idx_atom = np.flatnonzero(atom)
+    atoms = ()
+    if idx_atom.size:
+        group = np.cumsum(real)[idx_atom]
+        uniq, first = np.unique(group, return_index=True)
+        pos = y[idx_atom[first]]
+        mass = np.zeros(uniq.size)
+        np.add.at(mass, np.searchsorted(uniq, group), masses[idx_atom])
+        starts = np.flatnonzero(np.diff(pos, prepend=-np.inf))
+        if starts.size < pos.size:
+            pos, mass = pos[starts], np.add.reduceat(mass, starts)
+        atoms = tuple(zip(pos.tolist(), mass.tolist()))
+
+    u = PiecewiseLinear(nodes=x_nodes, values=u_nodes)
+    mu = EnergyMeasure(F_ac=PiecewiseLinear(nodes=x_nodes, values=F_vals), atoms=atoms)
+    return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)

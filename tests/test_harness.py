@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -430,3 +431,19 @@ def test_interleaved_rung_rows_equal_rows_alone():
         for (knots, knot_u, _), tj, lo, hi in zip(got, *args):
             prof = ref.profile(tj, x_lo=lo, x_hi=hi, n_base=4001)
             assert np.array_equal(knots, prof.knots) and np.array_equal(knot_u, prof.knot_u)
+
+
+def test_measure_rate_rung_memory_stays_within_its_arrays():
+    # a cosine k=8 rung (262k cells): every stage holds its inputs, its
+    # outputs and a few blocks of _CHUNK_FLOATS, so the traced peak is about
+    # that of evolve (its input state and its output state); with
+    # whole-array stages it was 69.9 MiB, set by w1
+    cfg = ExperimentConfig(example="cosine", alpha=0.0, T=0.6, k_range=(8,))
+    tracemalloc.start()
+    try:
+        report = run_measure_rates(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows[0][2] == 8.670839974371832e-10
+    assert peak <= 30 * 2**20

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hsalpha.numerics as numerics
 from hsalpha.eulerian import InitialDatum, PiecewiseConstant, PiecewiseLinear
 from hsalpha.lagrangian import LagrangianState, breaking_time, to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
-from hsalpha.reference import cosine_datum
+from hsalpha.reference import cosine_datum, cusp_datum
 
 from conftest import random_multipeakon
+from oracles import whole_array_to_lagrangian
 
 
 def test_ramp_state_closed_form(peakon_state):
@@ -131,3 +134,35 @@ def test_state_validation():
         LagrangianState(**{**ok, "d_V": np.array([0.0, 0.0])})
     with pytest.raises(ValueError):
         LagrangianState(**{**ok, "alpha": -0.1})
+
+
+def _atomic_datum():
+    """A two-peak datum with three atoms, on pair edges of dyadic grids."""
+    pts = [(0.0, 0.5), (0.5, 0.0), (1.0, 0.25)]
+    u = PiecewiseLinear(np.array([x for x, _ in pts]), np.array([v for _, v in pts]))
+    u_x = PiecewiseConstant(u.nodes, u.slopes)
+    F = np.concatenate(([0.0], np.cumsum(u.slopes**2 * np.diff(u.nodes))))
+    atoms = ((0.25, 0.1), (0.5, 0.2), (0.75, 0.3))
+    return InitialDatum(u, u_x, PiecewiseLinear(u.nodes, F), atoms=atoms, support_hint=(0.0, 1.0))
+
+
+def _assert_same_state(got, want):
+    for f in dataclasses.fields(LagrangianState):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+@pytest.mark.parametrize("datum", [cosine_datum, cusp_datum, _atomic_datum])
+def test_to_lagrangian_blocks_equal_whole_array_layout(datum, monkeypatch):
+    # the compact node layout is written block by block (pairs, then cells):
+    # blocks one short of, equal to and one past the pair count and the
+    # cell count, and several blocks, give the 3-nodes-per-pair layout's
+    # state field for field
+    p = project(datum(), ProjectionConfig(dx=2.0**-8))
+    want = whole_array_to_lagrangian(p, alpha=0.5)
+    m, n = (p.u.nodes.size - 1) // 2, want.n_cells
+    assert (datum is _atomic_datum) == (n > 2 * m)
+    for chunk in (m + 1, m, m - 1, n + 1, n, n - 1, 7):
+        monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        _assert_same_state(to_lagrangian(p, alpha=0.5), want)

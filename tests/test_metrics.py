@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hsalpha.numerics as numerics
 from hsalpha.errors import MassMismatchError
 from hsalpha.eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear
 from hsalpha.metrics import (
@@ -16,6 +17,7 @@ from hsalpha.metrics import (
 )
 from hsalpha.projection import ProjectionConfig, project, projection_error
 from hsalpha.reference import cusp_datum
+from oracles import whole_array_w1
 
 FLAT = PiecewiseLinear(np.array([-3.0, 3.0]), np.array([0.0, 0.0]))
 
@@ -193,3 +195,35 @@ def test_besov_validation():
     with pytest.raises(TypeError):
         besov_seminorm(object(), 0.5)
     assert default_h_grid()[0] >= 1e-4 and default_h_grid()[-1] <= 2.0
+
+
+def _interleaved_measures(n_edges, rng, atoms):
+    """Two measures of mass 3 whose breakpoints (nodes and atoms) are n_edges
+    distinct points: alternate points with the two ends shared, and atoms
+    (if any) on points that are nodes already."""
+    x = np.cumsum(rng.uniform(0.5, 1.5, n_edges))
+    out = []
+    for nodes in (x[0::2], np.union1d(x[1::2], x[[0, -1]])):
+        pos = np.sort(rng.choice(x, atoms, replace=False))
+        masses = rng.uniform(0.1, 0.3, atoms)
+        F = np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 1.0, nodes.size - 1))))
+        F *= (3.0 - math.fsum(masses)) / F[-1]
+        out.append(EnergyMeasure(PiecewiseLinear(nodes, F), atoms=tuple(zip(pos, masses))))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [7, numerics._CHUNK_FLOATS])
+@pytest.mark.parametrize("segments", ["B-1", "B", "B+1", "3B+5"])
+@pytest.mark.parametrize("atoms", [0, 3])
+def test_w1_blocks_equal_whole_array_w1(chunk, segments, atoms, monkeypatch):
+    # the merged breakpoints are taken in blocks of _CHUNK_FLOATS segments:
+    # one short of a block, one block, one past it and several, with and
+    # without atoms, give the whole-array W1 bit for bit, both ways round
+    monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+    n = {"B-1": chunk - 1, "B": chunk, "B+1": chunk + 1, "3B+5": 3 * chunk + 5}[segments]
+    m1, m2 = _interleaved_measures(n + 1, np.random.default_rng(n + atoms), atoms)
+    assert np.union1d(m1.F_ac.nodes, m2.F_ac.nodes).size == n + 1
+    for a, b in ((m1, m2), (m2, m1)):
+        got = w1(a, b)
+        assert got > 0.0
+        assert got == whole_array_w1(a, b)

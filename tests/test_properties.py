@@ -7,16 +7,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsalpha.numerics as numerics
 from conftest import random_multipeakon
 from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear
 from hsalpha.evolution import evolve, total_energy
 from hsalpha.lagrangian import breaking_time, to_lagrangian
 from hsalpha.metrics import l2_diff, linf_diff, w1
-from hsalpha.numerics import exact_cumsum
+from hsalpha.numerics import _sorted_unique, exact_cumsum
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
+from oracles import whole_array_exact_cumsum
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e8, 1e8), max_size=60), st.integers(1, 9))
+def test_exact_cumsum_blocks_equal_whole_array(xs, chunk):
+    # the running sum and the running correction carried across blocks of
+    # _CHUNK_FLOATS give the one-pass prefixes bit for bit
+    arr = np.array(xs, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        got = exact_cumsum(arr)
+    assert got.tobytes() == whole_array_exact_cumsum(arr).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0]) | st.floats(-4.0, 4.0), max_size=60),
+    st.integers(1, 9),
+)
+def test_sorted_unique_equals_np_unique(xs, chunk):
+    arr = np.array(xs, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        got = _sorted_unique(arr.copy())
+    assert np.array_equal(got, np.unique(arr))
 
 
 @settings(max_examples=1000, deadline=None)

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsalpha.eulerian as eulerian
+import hsalpha.numerics as numerics
 from hsalpha.errors import CorruptStateError
-from hsalpha.evolution import evolve, total_energy
+from hsalpha.evolution import events, evolve, total_energy
 from hsalpha.harness import ExperimentConfig, initial_state, run_solve
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import Workspace
-from hsalpha.pushforward import ATOM_WIDTH_TOL, _node_picks, _u_rows, eval_F, eval_u, to_eulerian
+from hsalpha.pushforward import ATOM_WIDTH_TOL, _u_rows, eval_F, eval_u, to_eulerian
 from hsalpha.reference import multipeakon_exact
+from oracles import _node_picks, whole_array_to_eulerian
 
 
 def test_atom_appears_at_collapse(peakon_state):
@@ -129,3 +132,68 @@ def test_u_rows_equal_node_picks(rows, n, seed):
         assert len(got) == rows
         for (nodes, values), (w_nodes, w_values) in zip(got, want):
             assert np.array_equal(nodes, w_nodes) and np.array_equal(values, w_values)
+
+
+def _assert_same_solution(got, want):
+    pairs = [
+        (got.u.nodes, want.u.nodes),
+        (got.u.values, want.u.values),
+        (got.mu.F_ac.nodes, want.mu.F_ac.nodes),
+        (got.mu.F_ac.values, want.mu.F_ac.values),
+        (got.mu.atom_positions, want.mu.atom_positions),
+        (got.mu.atom_masses, want.mu.atom_masses),
+    ]
+    for a, b in pairs:
+        assert a.tobytes() == b.tobytes()
+    assert (got.time, got.alpha, got.mu.atoms) == (want.time, want.alpha, want.mu.atoms)
+
+
+@pytest.mark.parametrize(
+    "example, times",
+    [("cusp", (0.0, 1.5, 3.0)), ("cosine", (0.6, 1.2)), ("appendixA", (1.0, 2.0, 2.5))],
+)
+def test_to_eulerian_blocks_equal_whole_array_pushforward(example, times, monkeypatch):
+    # the cells are taken in blocks with the running max, the compensated
+    # F sum and the last node carried: blocks one short of, equal to and one
+    # past the cell count, and several blocks, give the whole-array
+    # solution field for field, atoms (at collapses) included
+    cfg = ExperimentConfig(example=example, alpha=0.5, T=3.0)
+    s0 = initial_state(cfg, 2.0**-6)
+    collapses = events(s0, max(times)).times
+    n_atoms = 0
+    for t in times + collapses[:: max(1, len(collapses) // 3)]:
+        for side in ("left", "right"):
+            s = evolve(s0, t, side=side)
+            want = whole_array_to_eulerian(s)
+            n_atoms += len(want.mu.atoms)
+            for chunk in (s.n_cells + 1, s.n_cells, s.n_cells - 1, 7):
+                monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+                _assert_same_solution(to_eulerian(s), want)
+    assert n_atoms > 0
+
+
+def test_to_eulerian_blocks_carry_the_running_maxima(peakon_state, monkeypatch):
+    # round-off residue inside the 1e-12 band: y steps down for two nodes
+    # and a real cell's mass is a tiny negative at many places, block edges
+    # among them, so the running max of y and of F must carry from block to
+    # block
+    s = evolve(initial_state(ExperimentConfig(example="cusp", alpha=0.5, T=3.0), 2.0**-6), 1.5)
+    y, d_V = s.y.copy(), s.d_V.copy()
+    for k in range(7, s.n_cells, 7):
+        y[k] = y[k + 1] = y[k - 1] - 5e-13
+    d_V[5::11] = -1e-13
+    s = dataclasses.replace(s, y=y, d_V=d_V)
+    want = whole_array_to_eulerian(s)
+    for chunk in (3, 7, 64):
+        monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        _assert_same_solution(to_eulerian(s), want)
+
+
+def test_to_eulerian_checks_its_nodes_once(peakon_state, monkeypatch):
+    # u and F_ac share one node array, which is checked to increase once
+    checked = []
+    increasing = eulerian._increasing
+    monkeypatch.setattr(eulerian, "_increasing", lambda x: checked.append(x) or increasing(x))
+    sol = to_eulerian(evolve(peakon_state, 2.5))
+    assert sol.mu.F_ac.nodes is sol.u.nodes
+    assert sum(x is sol.u.nodes for x in checked) == 1

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hsalpha.errors import ConfigError
+import hsalpha.numerics as numerics
+from hsalpha.errors import ConfigError, NumericError
 from hsalpha.evolution import evolve, total_energy
 from hsalpha.harness import ExperimentConfig, run_solve
 from hsalpha.lagrangian import to_lagrangian
@@ -21,7 +23,7 @@ from hsalpha.reference import (
     multipeakon_exact,
 )
 import oracles
-from oracles import oracle_profile
+from oracles import oracle_profile, whole_array_profile
 
 PI = math.pi
 
@@ -347,9 +349,9 @@ def test_profile_reuse_across_calls_equals_from_scratch(family, monkeypatch):
     # a function of its arguments alone, building one static table per call,
     # and every table is the from-scratch one
     builds = []
-    build = reference._static_table
+    build = reference._static_points
     monkeypatch.setattr(
-        reference, "_static_table", lambda fam, n: builds.append(n) or build(fam, n)
+        reference, "_static_points", lambda fam, n: builds.append(n) or build(fam, n)
     )
     refs = [ReferenceSolution(family=family, alpha=0.5) for _ in range(2)]
     lo, hi = refs[0].initial_datum().support_hint
@@ -417,3 +419,89 @@ def test_cusp_batched_tables_equal_profiles(a, b):
         assert u_at is None
         assert np.array_equal(knots, prof.knots)
         assert np.array_equal(knot_u, prof.knot_u)
+
+
+def _assert_bitwise_profile(got, want):
+    for name in ("knots", "knot_u"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.sup_u, got.v_inf) == (want.sup_u, want.v_inf)
+    m_got, m_want = got.measure().F_ac, want.measure().F_ac
+    assert m_got.nodes.tobytes() == m_want.nodes.tobytes()
+    assert m_got.values.tobytes() == m_want.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, alpha, t",
+    [
+        ("cosine", 0.0, 0.6),
+        ("cosine", 0.5, 1.2),
+        ("cusp", 0.0, 3.0),
+        ("cusp", 0.5, 0.0),
+        ("cusp", 0.5, 2.0),
+        ("cusp", 1.0, 4.0),
+    ],
+)
+def test_profile_blocks_equal_whole_array_profile(family, alpha, t, monkeypatch):
+    # the table is built in column blocks of _CHUNK_FLOATS points, with the
+    # running max and _keep_last's look-ahead carried across blocks: a table
+    # one short of a block, of one block, one past it and of several blocks
+    # gives the whole-array table bit for bit
+    ref = ReferenceSolution(family=family, alpha=alpha)
+    want = whole_array_profile(ref, t, x_lo=-2.0, x_hi=6.0, n_base=6159)
+    sizes = []
+    monkeypatch.setattr(reference, "_Kept", lambda n, k: sizes.append(n) or numerics._Kept(n, k))
+    _assert_bitwise_profile(ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
+    (n,) = sizes
+    assert n > want.knots.size / 2
+    for chunk in (n + 1, n, n - 1, n // 4, 64):
+        monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        _assert_bitwise_profile(ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
+
+
+_HUGE = [
+    ("cusp", lambda ref: ref.profile(1e200)),
+    ("cusp", lambda ref: ref.eval_u(1e200, 0.3)),
+    ("cusp", lambda ref: ref.eval_F(1e200, 0.3)),
+    # the table's reach fits in a float, the cubes of J2 do not
+    ("cusp", lambda ref: ref.profile(1e150)),
+    ("cusp", lambda ref: ref.eval_u(1e150, 0.3)),
+    ("cosine", lambda ref: ref.profile(1e200)),
+    ("cosine", lambda ref: ref.eval_u(1e200, 0.3)),
+    ("cosine", lambda ref: ref.eval_F(1e200, 0.3)),
+    # the inversion's xtol lies below an ulp of z
+    ("cosine", lambda ref: ref.eval_u(1e120, 0.3)),
+    ("multipeakon_appA", lambda ref: ref.profile(1e200)),
+    ("multipeakon_appA", lambda ref: ref.eval_F(1e200, 0.3)),
+]
+
+
+@pytest.mark.parametrize("family, call", _HUGE, ids=[f"{f}-{i}" for i, (f, _) in enumerate(_HUGE)])
+def test_huge_finite_time_raises_numeric_error(family, call):
+    # a time so large that the characteristics overflow is reported as
+    # NumericError (as evolve reports it), without a warning on the way
+    ref = ReferenceSolution(family=family, alpha=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            call(ref)
+
+
+def _energy_at_minus_one(family):
+    return lambda: ReferenceSolution(family=family, alpha=0.5).total_energy(-1.0)
+
+
+_INVALID = {
+    "two-peak-nan-time": lambda: multipeakon_exact(0.5, math.nan, 0.3),
+    "two-peak-inf-time": lambda: multipeakon_exact(0.5, math.inf, 0.3),
+    "two-peak-nan-x": lambda: multipeakon_exact(0.5, 1.0, math.nan),
+    "two-peak-inf-in-xs": lambda: multipeakon_exact(0.5, 1.0, np.array([0.0, math.inf])),
+    "cosine-energy-negative-time": _energy_at_minus_one("cosine"),
+    "cusp-energy-negative-time": _energy_at_minus_one("cusp"),
+    "two-peak-energy-negative-time": _energy_at_minus_one("multipeakon_appA"),
+}
+
+
+@pytest.mark.parametrize("call", _INVALID.values(), ids=_INVALID.keys())
+def test_non_finite_or_negative_inputs_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
