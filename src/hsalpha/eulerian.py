@@ -59,6 +59,14 @@ class PiecewiseLinear:
         if not _increasing(nodes):
             raise ValueError("nodes must be strictly increasing")
 
+    @classmethod
+    def _checked(cls, nodes, values) -> "PiecewiseLinear":
+        """The function on nodes and values that the caller has checked as
+        __post_init__ does: nothing is checked again."""
+        out = object.__new__(cls)
+        out.__dict__.update(nodes=nodes, values=values)
+        return out
+
     def _with_values(self, values) -> "PiecewiseLinear":
         """The function with these nodes and the given values, of which
         only the values are checked (the nodes were, when self was made)."""
@@ -67,10 +75,7 @@ class PiecewiseLinear:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
         if not _all_finite(values):
             raise ValueError("nodes and values must be finite")
-        out = object.__new__(PiecewiseLinear)
-        object.__setattr__(out, "nodes", self.nodes)
-        object.__setattr__(out, "values", values)
-        return out
+        return PiecewiseLinear._checked(self.nodes, values)
 
     @property
     def left_value(self) -> float:
@@ -214,13 +219,17 @@ def eval_cumulative(m: EnergyMeasure, x, side: str = "left"):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    base = m.F_ac(x)
+    out = _add_atoms(m, m.F_ac(x), x, side)
+    return out if np.ndim(out) else float(out)
+
+
+def _add_atoms(m: EnergyMeasure, base, x, side: str):
+    """base (m's a.c. cumulative at x) plus the mass of m's atoms below x
+    (side="left") or at or below x (side="right"), or base if none."""
     if m.atom_positions.size == 0:
         return base
     cum = np.concatenate(([0.0], np.cumsum(m.atom_masses)))
-    idx = np.searchsorted(m.atom_positions, x, side=side)
-    out = base + cum[idx]
-    return out if np.ndim(out) else float(out)
+    return base + cum[np.searchsorted(m.atom_positions, x, side=side)]
 
 
 def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:

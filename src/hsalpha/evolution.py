@@ -267,18 +267,9 @@ def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState
         d_y[at_t] = 0.0
         d_U[at_t] = 0.0
 
-    return dataclasses.replace(
-        s,
-        y=y,
-        U=U,
-        V=V,
-        d_y=d_y,
-        d_U=d_U,
-        d_V=d_V,
-        broken=broken,
-        time=t,
-        V_inf=V_inf,
-    )
+    # dataclasses.replace(s, ...), less the check of xi, which is s's
+    changes = dict(y=y, U=U, V=V, d_y=d_y, d_U=d_U, d_V=d_V, broken=broken, time=t, V_inf=V_inf)
+    return LagrangianState._with_checked_xi(**(vars(s) | changes))
 
 
 def total_energy(s: LagrangianState) -> float:

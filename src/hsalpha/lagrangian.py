@@ -61,6 +61,11 @@ class LagrangianState:
     V_inf: float
 
     def __post_init__(self) -> None:
+        if not _increasing(self.xi):
+            raise ValueError("xi must be strictly increasing")
+        self._check_cells()
+
+    def _check_cells(self) -> None:
         n1 = self.xi.size
         for name in ("y", "U", "V"):
             if getattr(self, name).size != n1:
@@ -68,10 +73,17 @@ class LagrangianState:
         for name in ("d_y", "d_U", "d_V", "tau", "broken"):
             if getattr(self, name).size != n1 - 1:
                 raise ValueError(f"{name} must have one entry per cell")
-        if not _increasing(self.xi):
-            raise ValueError("xi must be strictly increasing")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+
+    @classmethod
+    def _with_checked_xi(cls, **fields) -> "LagrangianState":
+        """The state of these fields, all checks made but xi's O(cells) one:
+        to_lagrangian checks xi where it makes it, and evolve keeps it."""
+        s = object.__new__(cls)
+        s.__dict__.update(fields)
+        s._check_cells()
+        return s
 
     @property
     def n_cells(self) -> int:
@@ -202,7 +214,7 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
         np.maximum(dv, 0.0, out=dv)
         _breaking_times(dy, du, tau[b:e])
 
-    return LagrangianState(
+    return LagrangianState._with_checked_xi(
         xi=xi,
         y=y,
         U=u,

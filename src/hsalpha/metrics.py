@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .errors import MassMismatchError
-from .eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear, eval_cumulative
+from .eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear, _add_atoms
 from .numerics import _blocks, _sorted_unique
 
 __all__ = [
@@ -101,12 +101,17 @@ def l2_diff(a, b) -> float:
 
 
 def _abs_linear_integrals(da: np.ndarray, db: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact ∫|linear| per segment given endpoint values."""
-    same = da * db >= 0.0
+    """Exact ∫|linear| per segment of width w given endpoint values, made in
+    w: 0.5 w (|da| + |db|), and w (da² + db²) / (2 (|da| + |db|)) only on
+    the segments where da and db have opposite signs (the line crosses 0)."""
+    cross = np.flatnonzero(da * db < 0.0)
     tri = np.abs(da) + np.abs(db)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = w * (da * da + db * db) / (2.0 * tri)
-    return np.where(same, 0.5 * w * tri, np.where(tri > 0.0, crossing, 0.0))
+    da, db = da[cross], db[cross]
+    crossing = w[cross] * (da * da + db * db) / (2.0 * tri[cross])
+    w *= 0.5
+    w *= tri
+    w[cross] = crossing
+    return w
 
 
 def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
@@ -125,7 +130,8 @@ def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
     scratch of a few blocks of ``numerics._CHUNK_FLOATS``.  The segments'
     integrals are taken block by block and written over the breakpoints
     that no later block reads, then summed by one ``np.sum`` (so the
-    pairwise summation is that of the whole array).
+    pairwise summation is that of the whole array).  Each measure's F_ac is
+    evaluated once per breakpoint, its atoms added per side where it has any.
     """
     gap = abs(m1.total_mass() - m2.total_mass())
     if gap > MASS_TOL:
@@ -134,11 +140,13 @@ def w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
         np.concatenate((m1.F_ac.nodes, m2.F_ac.nodes, m1.atom_positions, m2.atom_positions))
     )
     n = edges.size - 1
+    atoms = m1.atom_positions.size + m2.atom_positions.size > 0
     for b, e in _blocks(n):
-        lo, hi = edges[b:e], edges[b + 1 : e + 1]
-        da = np.asarray(eval_cumulative(m1, lo, "right"), dtype=np.float64) - eval_cumulative(m2, lo, "right")
-        db = np.asarray(eval_cumulative(m1, hi, "left"), dtype=np.float64) - eval_cumulative(m2, hi, "left")
-        edges[b:e] = _abs_linear_integrals(da, db, hi - lo)
+        x = edges[b : e + 1]
+        F1, F2 = m1.F_ac(x), m2.F_ac(x)
+        right = _add_atoms(m1, F1, x, "right") - _add_atoms(m2, F2, x, "right")
+        left = _add_atoms(m1, F1, x, "left") - _add_atoms(m2, F2, x, "left") if atoms else right
+        edges[b:e] = _abs_linear_integrals(right[:-1], left[1:], x[1:] - x[:-1])
     return float(np.sum(edges[:n]))
 
 

@@ -159,8 +159,10 @@ def _abs_max(x):
 def _sorted_unique(x):
     """np.unique(x) of a 1-d float array x without NaNs, made in x itself:
     x is sorted in place and its distinct values are moved to its front,
-    which is returned (a view of x)."""
-    x.sort()
+    which is returned (a view of x).  The sort is stable: it merges the
+    sorted runs x is made of (w1's breakpoints, a table's bulk and ladders),
+    and of equal values (-0.0 and +0.0 among them) keeps the first in x."""
+    x.sort(kind="stable")
     n, prev = 0, None
     for b, e in _blocks(x.size):
         new = np.empty(e - b, dtype=bool)
@@ -183,7 +185,9 @@ class _Kept:
     sequence (k in all) and writes the kept entries, in order, into k
     arrays made for capacity entries; close() returns them cut to the
     entries kept.  A block's last entry is held back until the next block
-    shows whether x increases after it (it is kept at close()).
+    shows whether x increases after it (it is kept at close()).  A block
+    where x increases at every step is copied whole, with no gather.  The
+    kept x increases strictly: PiecewiseLinear._checked may take it.
     """
 
     def __init__(self, capacity, k):
@@ -203,7 +207,8 @@ class _Kept:
         cols = (x,) + values
         if self._held is not None and x[0] > self._held[0]:
             self._put(self._held)
-        self._put([col[:-1] for col in cols], x[1:] > x[:-1])
+        keep = x[1:] > x[:-1]
+        self._put([col[:-1] for col in cols], None if keep.all() else keep)
         self._held = [col[-1:].copy() for col in cols]
 
     def close(self):

@@ -238,8 +238,8 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
         for j in np.nonzero(merged)[0]:
             atoms.append((2.0 * dx * (j_min + j), float(merged[j])))
 
-    mu = EnergyMeasure(PiecewiseLinear(x_all, f_all), tuple(atoms))
-    return ProjectedDatum(PiecewiseLinear(x_all, u_all), mu, dx, (j_min, j_max))
+    u = PiecewiseLinear(x_all, u_all)
+    return ProjectedDatum(u, EnergyMeasure(u._with_values(f_all), tuple(atoms)), dx, (j_min, j_max))
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)

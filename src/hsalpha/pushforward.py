@@ -90,8 +90,9 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
 
     The cells are taken in blocks of _CHUNK_FLOATS, with the running max of
     y, the compensated sum of F and the last node of each block carried to
-    the next, so the scratch is a few blocks whatever the mesh; u's nodes
-    are checked once, and F_ac shares them.
+    the next, so the scratch is a few blocks whatever the mesh; a block of
+    real cells only is taken whole.  u's nodes (finite y, made increasing
+    by numerics._Kept) are not checked again, and F_ac shares them.
     """
     n = s.n_cells
     if not _all_finite(s.y, s.U):
@@ -114,8 +115,9 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
         masses = s.d_V[b:e] * (s.xi[b + 1 : e + 1] - s.xi[b:e])
         real = s.d_y[b:e] > ATOM_WIDTH_TOL
         # a real cell's right end is a node of u
-        picked = np.flatnonzero(real)
-        if picked.size:
+        n_picked = int(np.count_nonzero(real))
+        picked = slice(None) if n_picked == e - b else np.flatnonzero(real)
+        if n_picked:
             F = F_sum(masses[picked])
             F[0] = max(F[0], F_max)
             F_max = _running_max(F)[-1]
@@ -124,7 +126,7 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
         if atom.size:
             # an atom cell's group: the real cells left of it
             atom_cells.append((n_real + np.cumsum(real)[atom], y[atom], masses[atom]))
-        n_real += picked.size
+        n_real += n_picked
     x_nodes, u_nodes, F_vals = picks.close()
 
     atoms = ()
@@ -142,7 +144,7 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
             pos, mass = pos[starts], np.add.reduceat(mass, starts)
         atoms = tuple(zip(pos.tolist(), mass.tolist()))
 
-    u = PiecewiseLinear(nodes=x_nodes, values=u_nodes)
+    u = PiecewiseLinear._checked(x_nodes, u_nodes)
     mu = EnergyMeasure(F_ac=u._with_values(F_vals), atoms=atoms)
     return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)
 

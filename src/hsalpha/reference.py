@@ -30,10 +30,10 @@ dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
 cusp rho(z) = |z|^(1/3) on the broken branch.  A family (CosineFamily,
 CuspFamily) evaluates those once per table point as ``columns(z)`` ("z",
 "u" for ubar, "F" for Fbar, and what its integrals read), and reads them at
-the times t: ``_B(t, c)`` is B at the columns c, and ``_J12(t, c, ws=None)``
-gives J1 and J2, each as a list of pieces (index, values) that put values,
-broadcast, on the points v[index] of an array v of the maps' shape (pieces
-a family makes may live in slots 0 to 2 of the Workspace ws).  ``B_inf``,
+the times t: ``_B(t, c)`` and ``_J12(t, c, ws=None)`` give B, and J1 and
+J2, each as a list of pieces (index, values), none where it is zero, that
+put values, broadcast, on the points v[index] of an array v of the maps'
+shape (pieces may live in slots 0 to 2 of the Workspace ws).  ``B_inf``,
 ``J1_inf`` and ``J2_inf`` are the integrals over the whole line; a table
 refines at ``fixed_anchors`` and at ``moving_points(t, pad)`` (one row per
 time of the column t); ``window``, ``u_max``, ``F_inf`` and ``alpha`` are
@@ -316,19 +316,19 @@ class CosineFamily:
         return g(t, w, _lam(w), np.cos(_PI * w))
 
     def _arc_sum(self, g, t, c):
-        # sum over the arcs of g(clip(z, lo, hi)) - g(lo): inside an arc g
-        # reads the columns, outside it is g at the nearer end; an empty arc
-        # adds exact zeros (g at its end, less g at its end)
+        # sum over the arcs of g(clip(z, lo, hi)) - g(lo), as pieces: inside
+        # an arc g reads the columns, outside it is g at the nearer end; an
+        # empty arc adds exact zeros, so before the first break, no pieces
+        if not np.any(t * _PI > 2.0):
+            return []
         z = c["z"]
         total = np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)))
-        if not np.any(t * _PI > 2.0):
-            return total
         for lo, hi in self._arcs(t):
             g_lo, g_hi = self._g_at(g, t, lo), self._g_at(g, t, hi)
             inside = g(t, z, c["F"], c["u"])
             clipped = np.where(z < lo, g_lo, np.where(z > hi, g_hi, inside))
             total = total + clipped - g_lo
-        return total
+        return [((...,), total)]
 
     def _arc_total(self, g, t):
         return _each(
@@ -342,9 +342,8 @@ class CosineFamily:
         return self._arc_sum(self._g_b, t, c)
 
     def _J12(self, t, c, ws=None):
-        """J1 and J2 at the times t and the columns c, one new array each."""
-        j1 = self._arc_sum(self._g_j1, t, c)
-        return [((...,), j1)], [((...,), self._arc_sum(self._g_j2, t, c))]
+        """J1 and J2 at the times t and the columns c, as pieces (_arc_sum)."""
+        return self._arc_sum(self._g_j1, t, c), self._arc_sum(self._g_j2, t, c)
 
     def B_inf(self, t):
         return self._arc_total(self._g_b, t)
@@ -425,7 +424,7 @@ class CuspFamily:
 
     def _B(self, t, c):
         r = self._r(t)
-        return (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0)
+        return [((...,), (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0))]
 
     def _J12(self, t, c, ws=None):
         """J1 and J2 at the times t and the columns c, as lists of pieces
@@ -547,7 +546,10 @@ def _char_position(fam, t, c, j2, out=None, tmp=None):
 
 
 def _char_cumulative(fam, t, c, out=None):
-    return np.subtract(c["F"], fam.alpha * fam._B(t, c), out=out)
+    F = _new(t, c) if out is None else out
+    F[...] = c["F"]
+    _less(F, fam._B(t, c), fam.alpha)
+    return F
 
 
 def _char_total(fam, t):
@@ -764,7 +766,8 @@ def _table_profile(fam, t, x_lo, x_hi, n_base):
         return np.interp(x, y_k, F_k)
 
     def measure():
-        return EnergyMeasure(F_ac=PiecewiseLinear(nodes=y_k, values=F_k))
+        # checked finite above, and _Kept made y_k strictly increasing
+        return EnergyMeasure(F_ac=PiecewiseLinear._checked(y_k, F_k))
 
     return ReferenceProfile(
         time=t,

@@ -772,8 +772,18 @@ def _abs_linear_integral(da, db, w):
     return float(np.sum(vals))
 
 
+def _cumulative(m: EnergyMeasure, x: np.ndarray, side: str) -> np.ndarray:
+    """eval_cumulative(m, x, side) for an array x, in its own code."""
+    base = m.F_ac(x)
+    if m.atom_positions.size == 0:
+        return base
+    cum = np.concatenate(([0.0], np.cumsum(m.atom_masses)))
+    return base + cum[np.searchsorted(m.atom_positions, x, side=side)]
+
+
 def whole_array_w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
-    """metrics.w1 on whole arrays."""
+    """metrics.w1 on whole arrays, each cumulative evaluated at both ends of
+    every segment."""
     gap = abs(m1.total_mass() - m2.total_mass())
     if gap > 1e-12:
         raise MassMismatchError(f"total masses differ by {gap:.3e}")
@@ -781,8 +791,8 @@ def whole_array_w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
         np.concatenate((m1.F_ac.nodes, m2.F_ac.nodes, m1.atom_positions, m2.atom_positions))
     )
     lo, hi = edges[:-1], edges[1:]
-    da = np.asarray(eval_cumulative(m1, lo, "right"), dtype=np.float64) - eval_cumulative(m2, lo, "right")
-    db = np.asarray(eval_cumulative(m1, hi, "left"), dtype=np.float64) - eval_cumulative(m2, hi, "left")
+    da = _cumulative(m1, lo, "right") - _cumulative(m2, lo, "right")
+    db = _cumulative(m1, hi, "left") - _cumulative(m2, hi, "left")
     return _abs_linear_integral(da, db, hi - lo)
 
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import hsalpha.lagrangian as lagrangian
 import hsalpha.numerics as numerics
 from hsalpha.eulerian import InitialDatum, PiecewiseConstant, PiecewiseLinear
+from hsalpha.evolution import evolve
 from hsalpha.lagrangian import LagrangianState, breaking_time, to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
@@ -134,6 +136,26 @@ def test_state_validation():
         LagrangianState(**{**ok, "d_V": np.array([0.0, 0.0])})
     with pytest.raises(ValueError):
         LagrangianState(**{**ok, "alpha": -0.1})
+
+
+def test_xi_is_checked_once_where_it_is_made(monkeypatch):
+    # to_lagrangian checks xi as it writes it and evolve never changes it,
+    # so neither checks it again; a state a caller builds is checked, also
+    # where xi only stalls and in any block
+    checked = []
+    increasing = lagrangian._increasing
+    monkeypatch.setattr(lagrangian, "_increasing", lambda x: checked.append(x) or increasing(x))
+    s = to_lagrangian(project(cosine_datum(), ProjectionConfig(dx=2.0**-6)))
+    s = evolve(evolve(s, 0.5), 1.2)
+    assert s.broken.any()
+    assert checked == []
+    monkeypatch.setattr(numerics, "_CHUNK_FLOATS", 7)
+    for i in (1, 20, s.n_cells):
+        xi = s.xi.copy()
+        xi[i] = xi[i - 1]
+        with pytest.raises(ValueError, match="xi must be strictly increasing"):
+            dataclasses.replace(s, xi=xi)
+    assert len(checked) == 3
 
 
 def _atomic_datum():

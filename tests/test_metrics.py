@@ -17,6 +17,7 @@ from hsalpha.metrics import (
 )
 from hsalpha.projection import ProjectionConfig, project, projection_error
 from hsalpha.reference import cusp_datum
+import oracles
 from oracles import whole_array_w1
 
 FLAT = PiecewiseLinear(np.array([-3.0, 3.0]), np.array([0.0, 0.0]))
@@ -227,3 +228,77 @@ def test_w1_blocks_equal_whole_array_w1(chunk, segments, atoms, monkeypatch):
         got = w1(a, b)
         assert got > 0.0
         assert got == whole_array_w1(a, b)
+
+
+def _touching_measures(n_edges, rng, atoms):
+    """Two measures of equal mass whose breakpoints are n_edges points, one of
+    them a zero that is -0.0 in the first measure's nodes and +0.0 in the
+    second's.  Both have nodes at the ends, at the zero and at about a
+    tenth of the other points, where their cumulatives agree exactly (every
+    value is a multiple of 1/64), and both are flat over the first three
+    points, so some segments have a difference of exactly zero at one end
+    or both; between those the difference changes sign.  atoms is "none",
+    "one" (atoms in the first measure only) or "both"; an atom sits on a
+    node or between two points."""
+    x = np.cumsum(rng.integers(32, 96, n_edges) / 64.0)
+    x -= x[n_edges // 2]
+    G = np.cumsum(rng.integers(64, 128, n_edges) / 64.0)
+    G[:3] = 0.0
+    shared = rng.random(n_edges) < 0.1
+    shared[[0, -1, n_edges // 2]] = True
+    shared[:3] = True
+    noise = rng.integers(-16, 17, n_edges) / 64.0
+    noise[shared] = 0.0
+    placed = {
+        "none": ((), ()),
+        "one": (((x[5], 0.25), (0.5 * (x[n_edges - 6] + x[n_edges - 5]), 0.125)), ()),
+        "both": (((x[4], 0.25), (x[n_edges - 5], 0.125)), ((x[n_edges // 3], 0.375),)),
+    }[atoms]
+    out = []
+    for parity, pairs in zip((0, 1), placed):
+        on = shared | (np.arange(n_edges) % 2 == parity)
+        pos = np.array([p for p, _ in pairs])
+        mass = np.array([m for _, m in pairs])
+        F = G + noise
+        # the atom mass below each point leaves the a.c. part
+        F -= np.concatenate(([0.0], np.cumsum(mass)))[np.searchsorted(pos, x, side="left")]
+        nodes = x[on].copy()
+        if parity == 0:
+            nodes[nodes == 0.0] = -0.0
+        out.append(EnergyMeasure(PiecewiseLinear(nodes, F[on]), atoms=pairs))
+    return out
+
+
+def _oracle_differences(m1, m2):
+    edges = np.unique(
+        np.concatenate((m1.F_ac.nodes, m2.F_ac.nodes, m1.atom_positions, m2.atom_positions))
+    )
+    da = oracles._cumulative(m1, edges[:-1], "right") - oracles._cumulative(m2, edges[:-1], "right")
+    db = oracles._cumulative(m1, edges[1:], "left") - oracles._cumulative(m2, edges[1:], "left")
+    return da, db
+
+
+@pytest.mark.parametrize("atoms", ["none", "one", "both"])
+@pytest.mark.parametrize("chunk", ["B-1", "B", "B+1", "7"])
+def test_w1_touching_measures_equal_whole_array_w1(atoms, chunk, monkeypatch):
+    # one evaluation of each cumulative per breakpoint, atoms added per side
+    # and the crossing formula only where the difference changes sign give
+    # the whole-array W1 bit for bit: with segments that cross zero, that
+    # end or start at a zero difference or are zero at both ends, shared
+    # nodes, a -0.0 and a +0.0 node, atoms on one side or both, and blocks
+    # one short of, equal to and one past the segment count
+    m1, m2 = _touching_measures(301, np.random.default_rng(5), atoms)
+    da, db = _oracle_differences(m1, m2)
+    n = da.size
+    assert n == 300 + (atoms == "one")
+    assert (da * db < 0.0).any()
+    assert ((da == 0.0) & (db == 0.0)).any()
+    assert ((da == 0.0) & (db != 0.0)).any() and ((da != 0.0) & (db == 0.0)).any()
+    (z1,), (z2,) = (m.F_ac.nodes[m.F_ac.nodes == 0.0] for m in (m1, m2))
+    assert np.signbit(z1) and not np.signbit(z2)
+    blocks = {"B-1": n - 1, "B": n, "B+1": n + 1, "7": 7}[chunk]
+    monkeypatch.setattr(numerics, "_CHUNK_FLOATS", blocks)
+    for a, b in ((m1, m2), (m2, m1)):
+        got = w1(a, b)
+        assert got > 0.0
+        assert got == oracles.whole_array_w1(a, b)

@@ -46,6 +46,31 @@ def test_sorted_unique_equals_np_unique(xs, chunk):
     assert np.array_equal(got, np.unique(arr))
 
 
+_RUN_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(_RUN_VALUES, max_size=25), st.booleans()), max_size=6),
+    st.integers(1, 9),
+)
+def test_sorted_unique_of_sorted_runs_equals_np_unique(runs, chunk):
+    # concatenations of sorted runs, as w1's breakpoints and a table's bulk
+    # and ladders are (a ladder's halves descend), with duplicates across
+    # runs and -0.0 and +0.0 mixed: the values of np.unique, and of equal
+    # values the first in the input kept, so of the zeros the first zero
+    arr = np.array(
+        [v for xs, down in runs for v in sorted(xs, reverse=down)], dtype=np.float64
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        got = _sorted_unique(arr.copy())
+    assert np.array_equal(got, np.unique(arr))
+    zeros = arr[arr == 0.0]
+    if zeros.size:
+        assert np.signbit(got[got == 0.0]) == np.signbit(zeros[0])
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.floats(-1e8, 1e8), min_size=1, max_size=60))
 def test_exact_cumsum_tracks_exact_prefixes(xs):

@@ -157,19 +157,25 @@ def test_to_eulerian_blocks_equal_whole_array_pushforward(example, times, monkey
     # F sum and the last node carried: blocks one short of, equal to and one
     # past the cell count, and several blocks, give the whole-array
     # solution field for field, atoms (at collapses) included
+    # (blocks of 7 cells all real, taken whole, and blocks with atom or
+    # empty cells among them, gathered)
     cfg = ExperimentConfig(example=example, alpha=0.5, T=3.0)
     s0 = initial_state(cfg, 2.0**-6)
     collapses = events(s0, max(times)).times
     n_atoms = 0
+    kinds = set()
     for t in times + collapses[:: max(1, len(collapses) // 3)]:
         for side in ("left", "right"):
             s = evolve(s0, t, side=side)
             want = whole_array_to_eulerian(s)
             n_atoms += len(want.mu.atoms)
+            real = (s.d_y > ATOM_WIDTH_TOL)[: s.n_cells // 7 * 7].reshape(-1, 7)
+            kinds |= set(real.all(axis=1).tolist())
             for chunk in (s.n_cells + 1, s.n_cells, s.n_cells - 1, 7):
                 monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
                 _assert_same_solution(to_eulerian(s), want)
     assert n_atoms > 0
+    assert kinds == {True, False}
 
 
 def test_to_eulerian_blocks_carry_the_running_maxima(peakon_state, monkeypatch):
@@ -189,11 +195,13 @@ def test_to_eulerian_blocks_carry_the_running_maxima(peakon_state, monkeypatch):
         _assert_same_solution(to_eulerian(s), want)
 
 
-def test_to_eulerian_checks_its_nodes_once(peakon_state, monkeypatch):
-    # u and F_ac share one node array, which is checked to increase once
+def test_to_eulerian_does_not_check_its_nodes_again(peakon_state, monkeypatch):
+    # u and F_ac share one node array, which _Kept makes strictly
+    # increasing from the checked positions: no scan checks it again
     checked = []
     increasing = eulerian._increasing
     monkeypatch.setattr(eulerian, "_increasing", lambda x: checked.append(x) or increasing(x))
     sol = to_eulerian(evolve(peakon_state, 2.5))
     assert sol.mu.F_ac.nodes is sol.u.nodes
-    assert sum(x is sol.u.nodes for x in checked) == 1
+    assert not any(x is sol.u.nodes for x in checked)
+    assert np.all(np.diff(sol.u.nodes) > 0.0)

@@ -98,8 +98,8 @@ def _integrals(fam, t, z):
     """B, J1 and J2 of the family fam at the time t and the point z, read
     from its columns there."""
     c = fam.columns(z)
-    ((_, j1),), ((_, j2),) = fam._J12(t, c)
-    return fam._B(t, c), j1, j2
+    ((_, B),), ((_, j1),), ((_, j2),) = fam._B(t, c), *fam._J12(t, c)
+    return B, j1, j2
 
 
 def test_cosine_dissipation_integrals_match_quadrature():
@@ -435,6 +435,8 @@ def _assert_bitwise_profile(got, want):
     [
         ("cosine", 0.0, 0.6),
         ("cosine", 0.5, 1.2),
+        # before the first break: no dissipation pieces, though alpha > 0
+        ("cosine", 0.5, 0.6),
         ("cusp", 0.0, 3.0),
         ("cusp", 0.5, 0.0),
         ("cusp", 0.5, 2.0),
