@@ -121,6 +121,15 @@ def _report_lines(report):
         yield f"{k:>3d} {dx:12.6g} {err:14.6e} {eoc_s}"
 
 
+def _write_snapshot(cfg, sol, name) -> None:
+    """Write sol as CSV file name under cfg.out_dir, if one is set."""
+    if cfg.out_dir:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, name)
+        write_solution_csv(sol, path)
+        print(f"wrote {path}")
+
+
 def _cmd_solve(args) -> int:
     cfg = _build_config(args)
     final = to_eulerian(evolve(initial_state(cfg, args.dx), cfg.T))
@@ -129,12 +138,8 @@ def _cmd_solve(args) -> int:
         f"solved example={cfg.example} alpha={cfg.alpha:g} dx={args.dx:g} "
         f"t={final.time:g}: {final.u.nodes.size} nodes, energy {mass:.12g}"
     )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        name = f"solution_{cfg.example}_alpha{cfg.alpha:g}_dx{args.dx:g}_t{final.time:g}.csv"
-        path = os.path.join(cfg.out_dir, name)
-        write_solution_csv(final, path)
-        print(f"wrote {path}")
+    name = f"solution_{cfg.example}_alpha{cfg.alpha:g}_dx{args.dx:g}_t{final.time:g}.csv"
+    _write_snapshot(cfg, final, name)
     return 0
 
 
@@ -146,12 +151,7 @@ def _cmd_project(args) -> int:
         f"projected example={cfg.example} dx={args.dx:g}: "
         f"{sol.u.nodes.size} nodes, energy {mass:.12g}"
     )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        name = f"projected_{cfg.example}_dx{args.dx:g}.csv"
-        path = os.path.join(cfg.out_dir, name)
-        write_solution_csv(sol, path)
-        print(f"wrote {path}")
+    _write_snapshot(cfg, sol, f"projected_{cfg.example}_dx{args.dx:g}.csv")
     return 0
 
 

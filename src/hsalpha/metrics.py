@@ -102,15 +102,15 @@ def l2_diff(a, b) -> float:
 
 def _abs_linear_integrals(da: np.ndarray, db: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact ∫|linear| per segment of width w given endpoint values, made in
-    w: 0.5 w (|da| + |db|), and w (da² + db²) / (2 (|da| + |db|)) only on
-    the segments where da and db have opposite signs (the line crosses 0)."""
-    cross = np.flatnonzero(da * db < 0.0)
+    w: 0.5 w (|da| + |db|), or w (da² + db²) / (2 (|da| + |db|)) where da
+    and db have opposite signs (the line crosses 0), both on the whole block
+    (on the cosine's measure-rate rungs most segments cross)."""
     tri = np.abs(da) + np.abs(db)
-    da, db = da[cross], db[cross]
-    crossing = w[cross] * (da * da + db * db) / (2.0 * tri[cross])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = w * (da * da + db * db) / (2.0 * tri)
     w *= 0.5
     w *= tri
-    w[cross] = crossing
+    np.copyto(w, crossing, where=da * db < 0.0)
     return w
 
 

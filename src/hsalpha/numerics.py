@@ -73,15 +73,16 @@ def stable_sum(x: np.ndarray) -> float:
 #: Floats in one 2-D array of a batched evaluation, whose rows are times
 #: and whose columns are the points of one time (state nodes or table
 #: points), and in one block of the 1-d passes (_blocks(n)) that bound the
-#: scratch of the single-time stages (to_lagrangian, to_eulerian,
-#: ReferenceProfile tables, w1, the validation of arrays) by a few arrays of
-#: this size whatever their input's size.  Larger chunks mean fewer numpy
-#: calls per time but more memory in flight.  A run_eoc rung keeps five
-#: arrays of this size in one Workspace for all its chunks: on the cusp
-#: rungs k=4,5 a call then takes about 450 minor page faults (40-49k when
-#: every chunk made its own arrays) and peaks about 0.3 MB lower; 2^16
-#: floats would make the call a fifth faster and its traced peak 1.7 MB
-#: higher.
+#: scratch of the single-time stages (to_lagrangian, to_eulerian, w1, the
+#: validation of arrays, and the reference table of one time, whose tiles
+#: hold this many static points and the moving points among them) by a few
+#: arrays of this size whatever their input's size.  Larger chunks mean
+#: fewer numpy calls per time but more memory in flight.  A run_eoc rung
+#: keeps five arrays of this size in one Workspace for all its chunks: on
+#: the cusp rungs k=4,5 a call then takes about 450 minor page faults
+#: (40-49k when every chunk made its own arrays) and peaks about 0.3 MB
+#: lower; 2^16 floats would make the call a fifth faster and its traced
+#: peak 1.7 MB higher.
 _CHUNK_FLOATS = 2**15
 
 

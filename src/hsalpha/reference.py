@@ -45,9 +45,10 @@ datum window and geometric ladders at fixed anchors) and a moving part
 run over both and their values are merged in order.  Outside the window
 every column but z is constant, so the characteristics there move rigidly
 and the sparse tails carry them.  Every table has the knots of the one
-built from scratch, with the same values.  A ladder rung evaluates the
-tables of many times in one batch, on one static part
-(``ReferenceSolution._rung``).
+built from scratch, with the same values.  One builder (``_tables``) makes
+the tables of ``profile`` and of a ladder rung (``ReferenceSolution._rung``,
+one static part per rung): several times in one batch, one time in tiles
+of static points.  Where the maps overflow, both raise NumericError.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ import scipy
 
 from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
-from .numerics import _Kept, _abs_max, _all_finite, _blocks, _running_max, _sorted_unique, _take
+from .numerics import Workspace, _Kept, _abs_max, _all_finite, _blocks, _running_max, _take
+from .numerics import _sorted_unique
 
 __all__ = [
     "ReferenceSolution",
@@ -613,11 +615,6 @@ def _static_points(fam, n_base):
     return _sorted_unique(z)
 
 
-def _static_table(fam, n_base):
-    """The columns at _static_points(fam, n_base)."""
-    return fam.columns(_static_points(fam, n_base))
-
-
 #: points per tail of a table
 _TAIL = 9
 
@@ -638,19 +635,69 @@ def _moving_points(fam, t, x_lo, x_hi):
     return moving, z_lo, z_hi
 
 
-def _table_values(fam, static, t, x_lo, x_hi, cumulative=False, ws=None):
-    """The maps' values on the tables for the times t that cover [x_lo,
-    x_hi] (all 1-d arrays, or scalars for one table): y and U, and F if
-    cumulative.
+def _maps(fam, t, static, moving, before, cumulative, ws=None):
+    """[y, U], or [y, U, F] if cumulative, at the times of the column t,
+    one row per time: the maps on the static columns and on the moving
+    points (row j of the 2-d array moving, sorted, for time j), merged in z
+    order.  before is the static z's searchsorted of moving: a moving point
+    goes before the static point at that place.  With a Workspace ws,
+    y lives in slot 1, U in slot 0 and F in slot 2: each map's static values
+    are made in slot 3 and its row takes the slot of what the map read last
+    (slots 2 and 4 hold scratch).  Without one, what a map read is dropped
+    once its row is made."""
+    m, n = t.shape[0], static["z"].shape[-1]
+    shape, width = (m, n), n + moving.shape[1]
+    at = (before + np.arange(moving.shape[1]) + width * np.arange(m)[:, None]).ravel()
+    extra = fam.columns(moving)
+    of_static = _take(ws, 4, (m, width), bool)
+    of_static[...] = True
+    of_static.ravel()[at] = False
 
-    Row j of a map holds its values at the static points and at row j's
-    moving points, in z order, points that coincide included (they have
-    equal values, so a table's knots are those of its distinct points); the
-    table proper is the row's stretch [lo_j, hi_j) inside its z-range
-    [z_lo, z_hi].  The maps run over the static points and over the moving
-    points, and their values are merged into each row.  With a Workspace
-    ws, y lives in its slot 1 and U in slot 0, and slots 2 to 4 hold
-    scratch.  Returns (the maps' rows, lo, hi).
+    def merged(on_static, slot, f, *pieces):
+        # the map f on the moving points; where there are none, a copy of
+        # the static values (in the slot)
+        row = _take(ws, slot, (m, width))
+        if not at.size:
+            row[...] = on_static
+            return row
+        row.ravel()[at] = f(fam, t, extra, *pieces).ravel()
+        row[of_static] = on_static.ravel()
+        return row
+
+    j1, j2 = fam._J12(t, static, ws)
+    e1, e2 = fam._J12(t, extra) if at.size else ((), ())
+    on_static = _char_velocity(fam, t, static, j1, _take(ws, 3, shape))
+    U = merged(on_static, 0, _char_velocity, e1)
+    del j1, on_static
+    on_static = _char_position(fam, t, static, j2, _take(ws, 3, shape), _take(ws, 2, shape))
+    rows = [merged(on_static, 1, _char_position, e2), U]
+    del j2, on_static
+    if cumulative:
+        on_static = _char_cumulative(fam, t, static, _take(ws, 3, shape))
+        rows.append(merged(on_static, 2, _char_cumulative))
+    return rows
+
+
+def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
+    """Yields, for each time of the 1-d array t, the table that covers
+    [x_lo, x_hi] (1-d arrays too, or scalars for one time): its knots, u
+    there, and F there if cumulative.
+
+    The table's points are the stretch inside the time's z-range of the
+    sorted static points z (cols their columns: given for several times,
+    made per tile for one time if not given) and the time's moving points,
+    merged in z order (a moving point goes before the static points it does
+    not exceed; points that coincide have equal values); the maps run over
+    each part and are merged by _maps.  The knots are where the running max
+    of y increases to the next point, and the last point.  Several times are
+    one batch of (times x points) rows over all of z: y never decreases
+    before a row's stretch (the tail outside the window moves rigidly), so
+    the picks are taken on whole rows.  One time is taken in tiles of
+    _CHUNK_FLOATS static points and the moving points that sort among them,
+    the running maxima carried and _Kept holding the look-ahead from tile to
+    tile.  Both take their arrays from the Workspace ws if given (slots 0 to
+    4).  Raises NumericError where the z-range or the maps' values
+    overflow.
     """
     # Characteristics outside the datum window move rigidly (constant u,
     # constant F), so resolution is only spent on the window itself; sparse
@@ -659,126 +706,49 @@ def _table_values(fam, static, t, x_lo, x_hi, cumulative=False, ws=None):
     # stick out only when its anchor lies outside the window, as the cusp's
     # fixed 0 and its moving edge can.
     t = np.reshape(t, (-1, 1))
-    moving, z_lo, z_hi = _moving_points(fam, t, x_lo, x_hi)
-
-    # row j's moving points go before the static points they sort before:
-    # their places in the raveled rows, and the places the static points fill
-    zs = static["z"]
-    m, n_static, n_moving = t.size, zs.size, moving.shape[1]
-    width = n_static + n_moving
-    lo = zs.searchsorted(z_lo[:, 0]) + (moving < z_lo).sum(axis=1)
-    hi = zs.searchsorted(z_hi[:, 0], side="right") + (moving <= z_hi).sum(axis=1)
-    at = zs.searchsorted(moving) + np.arange(n_moving) + width * np.arange(m)[:, None]
-    at = at.ravel()
-    of_static = _take(ws, 4, (m, width), bool)
-    of_static[...] = True
-    of_static.ravel()[at] = False
-    extra = fam.columns(moving)
-
-    def merged(on_static, on_moving, slot):
-        row = _take(ws, slot, (m, width))
-        row.ravel()[at] = on_moving.ravel()
-        row[of_static] = on_static.ravel()
-        return row
-
-    # each map's values on the static points are made in slot 3, and its row
-    # takes the slot of what the map read last; without a workspace, what a
-    # map read is dropped once its row is made
-    shape = (m, n_static)
-    j1, j2 = fam._J12(t, static, ws)
-    e1, e2 = fam._J12(t, extra)
-    on_static = _char_velocity(fam, t, static, j1, _take(ws, 3, shape))
-    U = merged(on_static, _char_velocity(fam, t, extra, e1), 0)
-    del j1, on_static
-    on_static = _char_position(fam, t, static, j2, _take(ws, 3, shape), _take(ws, 2, shape))
-    Y = merged(on_static, _char_position(fam, t, extra, e2), 1)
-    del j2, on_static
-    rows = [Y, U]
-    if cumulative:
-        on_static = _char_cumulative(fam, t, static, _take(ws, 3, shape))
-        rows.append(merged(on_static, _char_cumulative(fam, t, extra), 2))
-    return rows, lo, hi
-
-
-def _table_rows(fam, static, t, x_lo, x_hi, ws=None):
-    """Yields (knots, knot_u) of profile()'s table for each time of the 1-d
-    array t, covering [x_lo, x_hi] (1-d arrays too), all rows evaluated at
-    once and each row's knots picked when it is yielded.
-
-    The running max and the knots kept (where y increases to the next
-    point, and the last point) are taken on the whole rows: on each row's
-    stretch [lo, hi) they are those of the stretch alone, as y never
-    decreases before it (the tail outside the window moves rigidly).  With
-    a Workspace ws, _table_values uses it and slot 4 holds scratch.
-    """
-    (Y, U), lo, hi = _table_values(fam, static, t, x_lo, x_hi, ws=ws)
-    _running_max(Y)
-    keep = _take(ws, 4, Y.shape, bool)
-    np.greater(Y[:, 1:], Y[:, :-1], out=keep[:, :-1])
-    keep[np.arange(Y.shape[0]), hi - 1] = True
-    cols = np.arange(Y.shape[1])
-    keep &= cols >= lo[:, None]
-    keep &= cols < hi[:, None]
-    for y, u, k in zip(Y, U, keep):
-        yield y[k], u[k]
-
-
-# a time so large that the maps overflow is reported by the checks that
-# the table's values are finite
-@np.errstate(over="ignore", invalid="ignore")
-def _table_profile(fam, t, x_lo, x_hi, n_base):
-    """profile()'s table at time t covering [x_lo, x_hi], for n_base.
-
-    The table's points (the static ones and the moving ones, merged in z
-    order) are taken in column blocks of _CHUNK_FLOATS: each block's maps,
-    their running max (carried from block to block) and the knots kept (see
-    _Kept: a block's last point waits for the next block's first) are those
-    of the whole table, so the memory is that of the knots, of one array of
-    z and of a few blocks.  Raises NumericError when the maps overflow.
-    """
-    t_col = np.reshape(t, (1, 1))
-    moving, z_lo, z_hi = _moving_points(fam, t_col, x_lo, x_hi)
-    z_lo, z_hi = _finite(z_lo.item(), t), _finite(z_hi.item(), t)
-    z = _static_points(fam, n_base)
-    z = np.insert(z, z.searchsorted(moving[0]), moving[0])
-    z = z[z.searchsorted(z_lo) : z.searchsorted(z_hi, side="right")]
-
-    kept = _Kept(z.size, 3)
-    y_max = F_max = -np.inf
-    for b, e in _blocks(z.size):
-        c = fam.columns(z[b:e])
-        j1, j2 = fam._J12(t_col, c)
-        (u,) = _char_velocity(fam, t_col, c, j1)
-        (y,) = _char_position(fam, t_col, c, j2)
-        (F,) = _char_cumulative(fam, t_col, c)
-        if not _all_finite(y, u, F):
-            raise _overflow(t)
-        y[0], F[0] = max(y[0], y_max), max(F[0], F_max)
-        y_max, F_max = _running_max(y)[-1], _running_max(F)[-1]
-        kept.add(y, u, F)
-    y_k, u_k, F_k = kept.close()
-    v_inf = _char_total(fam, t)
-
-    def u_at(x):
-        return np.interp(x, y_k, u_k)
-
-    def F_at(x):
-        return np.interp(x, y_k, F_k)
-
-    def measure():
-        # checked finite above, and _Kept made y_k strictly increasing
-        return EnergyMeasure(F_ac=PiecewiseLinear._checked(y_k, F_k))
-
-    return ReferenceProfile(
-        time=t,
-        u_at=u_at,
-        F_at=F_at,
-        sup_u=_abs_max(u_k),
-        v_inf=v_inf,
-        _measure_factory=measure,
-        knots=y_k,
-        knot_u=u_k,
-    )
+    # overflow is reported by the finite checks; the errstate ends before a yield
+    with np.errstate(over="ignore", invalid="ignore"):
+        moving, z_lo, z_hi = _moving_points(fam, t, x_lo, x_hi)
+        if not _all_finite(z_lo[:, 0], z_hi[:, 0]):
+            raise _overflow(t.max())
+        before = z.searchsorted(moving)
+        s_lo, s_hi = z.searchsorted(z_lo[:, 0]), z.searchsorted(z_hi[:, 0], side="right")
+        m_lo, m_hi = (moving < z_lo).sum(axis=1), (moving <= z_hi).sum(axis=1)
+        if t.size > 1:
+            rows = _maps(fam, t, cols, moving, before, cumulative, ws)
+            if not _all_finite(*(row.ravel() for row in rows)):
+                raise _overflow(t.max())
+            for row in rows[::2]:
+                _running_max(row)
+            Y, lo, hi = rows[0], s_lo + m_lo, s_hi + m_hi
+            keep = _take(ws, 4, Y.shape, bool)
+            np.greater(Y[:, 1:], Y[:, :-1], out=keep[:, :-1])
+            keep[np.arange(t.size), hi - 1] = True
+            places = np.arange(Y.shape[1])
+            keep &= places >= lo[:, None]
+            keep &= places < hi[:, None]
+            tables = (tuple(row[j][keep[j]] for row in rows) for j in range(t.size))
+        else:
+            s_lo, s_hi, m_lo, m_hi = (int(v[0]) for v in (s_lo, s_hi, m_lo, m_hi))
+            tiles = [(s_lo + b, s_lo + e) for b, e in _blocks(s_hi - s_lo)]
+            # a tile's moving points sort after the previous tile's static points
+            starts = [b for b, _ in tiles[1:]]
+            cuts = [m_lo, *(m_lo + before[0, m_lo:m_hi].searchsorted(starts)), m_hi]
+            kept = _Kept(s_hi - s_lo + m_hi - m_lo, 2 + cumulative)
+            tops = [-np.inf, -np.inf]
+            for (b, e), mb, me in zip(tiles, cuts, cuts[1:]):
+                static = {k: v[b:e] for k, v in cols.items()} if cols else fam.columns(z[b:e])
+                rows = _maps(fam, t, static, moving[:, mb:me], before[:, mb:me] - b, cumulative, ws)
+                rows = [row[0] for row in rows]
+                if not _all_finite(*rows):
+                    raise _overflow(t.max())
+                # y and F, carried from the previous tile
+                for i, row in enumerate(rows[::2]):
+                    row[0] = max(row[0], tops[i])
+                    tops[i] = _running_max(row)[-1]
+                kept.add(*rows)
+            tables = [tuple(kept.close())]
+    yield from tables
 
 
 def _multipeakon_profile(alpha, t, side="right"):
@@ -928,11 +898,12 @@ class ReferenceSolution:
         cover of its broken arcs).  The table is built afresh on every call,
         and nothing is kept between calls.  The moving points are merged in
         order, and the table has the knots a from-scratch build would give,
-        value for value.  The maps run over the table in column blocks of
-        numerics._CHUNK_FLOATS points, so besides the knots (and u and F
-        there) the call holds one array of the table's z and a few blocks.
-        Raises ConfigError for a negative or non-finite t, and NumericError
-        when the characteristics overflow by t.
+        value for value.  The maps run over the table in tiles of
+        numerics._CHUNK_FLOATS static points (_tables), in one Workspace of
+        the call, so besides the knots (and u and F there) the call holds
+        the static z and a few tiles.  Raises ConfigError for a negative or
+        non-finite t, and NumericError when the characteristics overflow by
+        t.
         """
         _check_time(t)
         if self.family == "multipeakon_appA":
@@ -942,7 +913,29 @@ class ReferenceSolution:
             x_lo = fam.window[0]
         if x_hi is None:
             x_hi = fam.window[1]
-        return _table_profile(fam, t, x_lo, x_hi, max(int(n_base), 101))
+        z = _static_points(fam, max(int(n_base), 101))
+        ((y_k, u_k, F_k),) = _tables(fam, z, t, x_lo, x_hi, cumulative=True, ws=Workspace())
+
+        def u_at(x):
+            return np.interp(x, y_k, u_k)
+
+        def F_at(x):
+            return np.interp(x, y_k, F_k)
+
+        def measure():
+            # checked finite, and _Kept made y_k strictly increasing
+            return EnergyMeasure(F_ac=PiecewiseLinear._checked(y_k, F_k))
+
+        return ReferenceProfile(
+            time=t,
+            u_at=u_at,
+            F_at=F_at,
+            sup_u=_abs_max(u_k),
+            v_inf=_char_total(fam, t),
+            _measure_factory=measure,
+            knots=y_k,
+            knot_u=u_k,
+        )
 
     def _rung(self, n_base):
         """profile() at many times, for one ladder rung.
@@ -951,10 +944,15 @@ class ReferenceSolution:
         knot_u, u_at) of the profile at each time of the 1-d array t,
         covering [x_lo, x_hi] (1-d arrays too): the knots, u there, and u as
         a function where it is not the interpolant of the knots (the
-        closed-form family; else None).  The tables are built in batches of
-        times, on one static part built here for n_base, in the Workspace ws
-        if given (slots 0 to 4, see _table_rows).  width is the number of
-        points in a row of such a batch (0 for the closed-form family).
+        closed-form family; else None).  The tables are built by _tables in
+        chunks of times (numerics._blocks of rows of width points), on one
+        static part and its columns built here for n_base, in the Workspace
+        ws if given (slots 0 to 4): a chunk of one row (every chunk, if a
+        row is wider than half of _CHUNK_FLOATS, or a rung's last) is taken
+        in tiles, as profile() takes its table.  width is the number of
+        points in a row (0 for the closed-form family).  Raises
+        NumericError, as profile() does, at a time where the
+        characteristics overflow.
         """
         if self.family == "multipeakon_appA":
 
@@ -964,15 +962,16 @@ class ReferenceSolution:
 
             return closed_form_rows, 0
         fam = self._fam
-        static = _static_table(fam, max(int(n_base), 101))
+        z = _static_points(fam, max(int(n_base), 101))
+        cols = fam.columns(z)
         # a row's moving points are as many at every time (rows before the
         # cosine's first break pad theirs), and all there at a late time
         late = np.full((1, 1), np.inf)
-        width = static["z"].size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
+        width = z.size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
 
         def table_rows(t, x_lo, x_hi, ws=None):
             for b, e in _blocks(t.size, width):
-                for knots, knot_u in _table_rows(fam, static, t[b:e], x_lo[b:e], x_hi[b:e], ws):
+                for knots, knot_u in _tables(fam, z, t[b:e], x_lo[b:e], x_hi[b:e], cols, ws=ws):
                     yield knots, knot_u, None
 
         return table_rows, width

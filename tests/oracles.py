@@ -10,8 +10,9 @@ them shares any update formula with the closed-form map in
 
 ``oracle_profile`` builds a reference table from scratch at every call,
 with the cosine and cusp formulas written out in z (no precomputed
-columns, no reuse between calls), and ``union_sup_rel_err`` measures the
-sup error on the union of the solution's nodes and the table's knots.
+columns, no reuse between calls, no tiles: one array per map over the
+whole table), and ``union_sup_rel_err`` measures the sup error on the
+union of the solution's nodes and the table's knots.
 ``ReferenceSolution.profile`` and ``harness.run_eoc`` must agree with them
 bit for bit.
 
@@ -24,10 +25,9 @@ and ``check_solution_consistency`` the invariant that ties a pushforward's
 kink-minimizing slope order; ``harness.write_solution_csv`` and
 ``projection.project`` must agree with them byte for byte.
 
-``whole_array_w1``, ``whole_array_profile``, ``whole_array_to_lagrangian``
-and ``whole_array_to_eulerian`` are ``metrics.w1``,
-``ReferenceSolution.profile``, ``lagrangian.to_lagrangian`` and
-``pushforward.to_eulerian`` as they were before those worked in blocks of
+``whole_array_w1``, ``whole_array_to_lagrangian`` and
+``whole_array_to_eulerian`` are ``metrics.w1``, ``lagrangian.to_lagrangian``
+and ``pushforward.to_eulerian`` as they were before those worked in blocks of
 ``numerics._CHUNK_FLOATS``: each step over whole arrays (with
 ``np.unique``, a 3-nodes-per-pair layout that is then compressed, and
 ``whole_array_exact_cumsum``).  The library must agree with them bit for
@@ -54,12 +54,7 @@ from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
 from hsalpha.pushforward import ATOM_MASS_TOL, ATOM_WIDTH_TOL
-from hsalpha.reference import (
-    ReferenceProfile,
-    _char_total,
-    _geometric_ladder as _library_ladder,
-    _table_values,
-)
+from hsalpha.reference import ReferenceProfile
 
 _PI = math.pi
 
@@ -590,6 +585,7 @@ def _family_profile(fam, t, x_lo, x_hi, n_base, widened_bulk):
         v_inf=v_inf,
         _measure_factory=measure,
         knots=y_k,
+        knot_u=u_k,
     )
 
 
@@ -794,46 +790,6 @@ def whole_array_w1(m1: EnergyMeasure, m2: EnergyMeasure) -> float:
     da = _cumulative(m1, lo, "right") - _cumulative(m2, lo, "right")
     db = _cumulative(m1, hi, "left") - _cumulative(m2, hi, "left")
     return _abs_linear_integral(da, db, hi - lo)
-
-
-def _whole_static_table(fam, n_base):
-    w_lo, w_hi = fam.window
-    bulk = np.linspace(w_lo - 1.0, w_hi + 1.0, n_base)
-    bulk = bulk[bulk.searchsorted(w_lo) : bulk.searchsorted(w_hi, side="right")]
-    z = np.unique(np.concatenate((bulk, _library_ladder(fam.fixed_anchors))))
-    return fam.columns(z)
-
-
-def whole_array_profile(ref, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
-    """ReferenceSolution.profile for the cosine and cusp families: the maps
-    run over the whole static table and the moving points, their values are
-    merged into one row, and the knots are picked on the whole row."""
-    fam = ref._fam
-    if x_lo is None:
-        x_lo = fam.window[0]
-    if x_hi is None:
-        x_hi = fam.window[1]
-    static = _whole_static_table(fam, max(int(n_base), 101))
-    (Y, U, F), (lo,), (hi,) = _table_values(fam, static, t, x_lo, x_hi, cumulative=True)
-    y, u, F = Y[0, lo:hi], U[0, lo:hi], F[0, lo:hi]
-    y = _running_max(y)
-    F = _running_max(F)
-    keep = _keep_last(y)
-    y_k, u_k, F_k = y[keep], u[keep], F[keep]
-
-    def measure():
-        return EnergyMeasure(F_ac=PiecewiseLinear(nodes=y_k, values=F_k))
-
-    return ReferenceProfile(
-        time=t,
-        u_at=lambda x: np.interp(x, y_k, u_k),
-        F_at=lambda x: np.interp(x, y_k, F_k),
-        sup_u=float(np.max(np.abs(u_k))),
-        v_inf=_char_total(fam, t),
-        _measure_factory=measure,
-        knots=y_k,
-        knot_u=u_k,
-    )
 
 
 def _whole_breaking_times(d_y, d_U):

@@ -181,6 +181,14 @@ def test_overflow_exits_3(capsys, argv):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", ["1e103", "1e150"])
+def test_reference_overflow_on_a_rung_exits_3(T, capsys):
+    # the evolution stays finite, the reference tables' J2 cubes do not
+    argv = ["eoc", "--example", "cusp", "--alpha", "0.5", "--T", T, "--k-min", "1"]
+    assert cli.main(argv + ["--time-samples", "2"]) == 3
+    assert "reference characteristics overflow" in capsys.readouterr().err
+
+
 def test_numeric_errors_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise NumericError("tolerance blown")

@@ -374,19 +374,27 @@ def test_run_eoc_cusp_below_zero_converges():
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, sizes",
     [
-        ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(2, 3)),
-        ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2,)),
-        ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(2,)),
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(2, 3)), (512, 2**40)),
+        (ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2,)), (512, 2**40)),
+        (ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(2,)), (1, 2**40)),
+        # at 1 float a table of one time is a tile per static point (2,500
+        # to 3,900 per row), so the table families take it on a coarse rung
+        # and few times (the cosine's 0.6 and 1.2 lie before and after its
+        # break)
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(1,), time_samples=3), (1,)),
+        (ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(1,), time_samples=3), (1,)),
     ],
-    ids=["cusp", "cosine", "appendixA"],
+    ids=["cusp", "cosine", "appendixA", "cusp-1-float", "cosine-1-float"],
 )
-def test_run_eoc_rows_do_not_depend_on_the_chunk_size(cfg, monkeypatch):
-    # one time per chunk, and every time of a rung in one chunk (the cosine
+def test_run_eoc_rows_do_not_depend_on_the_chunk_size(cfg, sizes, monkeypatch):
+    # one time per chunk (at 1 float, also a block edge at every entry of
+    # the 1-d passes), a table row of one time in tiles (at 512 floats, 5 to
+    # 8 tiles per row), and every time of a rung in one chunk (the cosine
     # rung then mixes times before and after its first break)
     rows = run_eoc(cfg).rows
-    for floats in (1, 2**40):
+    for floats in sizes:
         monkeypatch.setattr(numerics, "_CHUNK_FLOATS", floats)
         assert run_eoc(cfg).rows == rows
 

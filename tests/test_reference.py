@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import hsalpha.numerics as numerics
 from hsalpha.errors import ConfigError, NumericError
 from hsalpha.evolution import evolve, total_energy
-from hsalpha.harness import ExperimentConfig, run_solve
+from hsalpha.harness import ExperimentConfig, run_eoc, run_solve
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.numerics import Workspace
 from hsalpha.projection import ProjectionConfig, project
@@ -23,7 +23,7 @@ from hsalpha.reference import (
     multipeakon_exact,
 )
 import oracles
-from oracles import oracle_profile, whole_array_profile
+from oracles import oracle_profile
 
 PI = math.pi
 
@@ -386,7 +386,7 @@ def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
     # point-by-point maps and the oracle's, row by row of one batch
     fam = CuspFamily(a, b, alpha)
     ofam = oracles._CuspFamily(a, b, alpha)
-    c = reference._static_table(fam, 4001)
+    c = fam.columns(reference._static_points(fam, 4001))
     ts = _cusp_times(a, b)
     t = ts[:, None]
     j1, j2 = fam._J12(t, c, Workspace())
@@ -403,22 +403,111 @@ def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
         assert np.array_equal(Y[row], oracles._char_position(ofam, tj, c["z"]))
 
 
+def _rung_rows(ref, ts, x_lo, x_hi):
+    rows, width = ref._rung(n_base=6159)
+    got = list(rows(ts, x_lo, x_hi, Workspace(ts.size * width)))
+    assert len(got) == ts.size
+    assert all(u_at is None for *_, u_at in got)
+    return got
+
+
+def _assert_rows_equal_tables(ref, got, ts, x_lo, x_hi):
+    # each row is the table of profile() and the from-scratch one, bit for bit
+    for (knots, knot_u, _), tj, lo, hi in zip(got, ts.tolist(), x_lo, x_hi):
+        for prof in (
+            ref.profile(tj, x_lo=lo, x_hi=hi, n_base=6159),
+            oracle_profile(ref, tj, x_lo=lo, x_hi=hi, n_base=6159),
+        ):
+            assert knots.tobytes() == prof.knots.tobytes()
+            assert knot_u.tobytes() == prof.knot_u.tobytes()
+
+
+def _table_args(ref, ts):
+    lo, hi = ref.initial_datum().support_hint
+    return ts, np.full(ts.size, lo - 0.2) - 0.01 * np.arange(ts.size), np.full(ts.size, hi + 0.3)
+
+
 @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-1.0, -0.5), (0.2, 1.0)])
 def test_cusp_batched_tables_equal_profiles(a, b):
     # one batch of early and late rows, with the running max and the kept
     # knots taken on the whole batch, gives each time's profile() table
     ref = ReferenceSolution(family="cusp", alpha=0.5, a=a, b=b)
-    ts = _cusp_times(a, b)
-    x_lo = np.full(ts.size, a - 0.2) - 0.01 * np.arange(ts.size)
-    x_hi = np.full(ts.size, b + 0.3)
-    rows, width = ref._rung(n_base=6159)
-    got = list(rows(ts, x_lo, x_hi, Workspace(ts.size * width)))
-    assert len(got) == ts.size
-    for (knots, knot_u, u_at), tj, lo, hi in zip(got, ts.tolist(), x_lo, x_hi):
-        prof = ref.profile(tj, x_lo=lo, x_hi=hi, n_base=6159)
-        assert u_at is None
-        assert np.array_equal(knots, prof.knots)
-        assert np.array_equal(knot_u, prof.knot_u)
+    args = _table_args(ref, _cusp_times(a, b))
+    _assert_rows_equal_tables(ref, _rung_rows(ref, *args), *args)
+
+
+#: rows before the cosine's first break pad their moving points in a batch
+#: with later rows; the arc covers are thin just after the break
+_COSINE_TIMES = np.array(
+    [0.0, 0.3, 2.0 / PI, 2.0 / PI * (1.0 + 1e-12), 2.0 / PI + 1e-3, 0.9, 1.2, 3.0, 10.0]
+)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_cosine_batched_tables_equal_profiles(alpha, monkeypatch):
+    # a cosine row is wider than half a chunk: the chunk is widened to hold
+    # the whole batch
+    ref = ReferenceSolution(family="cosine", alpha=alpha)
+    args = _table_args(ref, _COSINE_TIMES)
+    monkeypatch.setattr(numerics, "_CHUNK_FLOATS", _COSINE_TIMES.size * ref._rung(6159)[1])
+    _assert_rows_equal_tables(ref, _rung_rows(ref, *args), *args)
+
+
+@pytest.mark.parametrize("family", ["cusp", "cosine"])
+def test_tiled_rung_rows_equal_profiles(family, monkeypatch):
+    # a row wider than half a chunk is a chunk of its own, taken in tiles of
+    # _CHUNK_FLOATS static points: with tiles of 64 and 1000 points (the
+    # cosine's arc covers then straddle tiles), one tile per row, and
+    # chunks of two rows whose last chunk holds one, every row is the
+    # from-scratch table and profile()'s, bit for bit
+    ref = ReferenceSolution(family=family, alpha=0.5)
+    ts = _cusp_times(-1.0, 1.0)[1:] if family == "cusp" else _COSINE_TIMES
+    assert ts.size % 2 == 1
+    args = _table_args(ref, ts)
+    width = ref._rung(n_base=6159)[1]
+    for chunk in (64, 1000, width, 2 * width):
+        monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        _assert_rows_equal_tables(ref, _rung_rows(ref, *args), *args)
+
+
+@pytest.mark.parametrize(
+    "family, t, coincide",
+    [
+        # from t = 3 on, the moving ladder at -r^3 = a is the static one at a
+        ("cusp", 3.0, True),
+        ("cusp", 5.0, True),
+        # points of an arc cover sort just before the first static point of
+        # a tile, at every tile start inside the cover
+        ("cosine", 1.2, False),
+        ("cosine", 2.0 / PI + 1e-3, False),
+    ],
+)
+def test_tile_edge_moving_points(family, t, coincide, monkeypatch):
+    # tiles that start where a moving point sorts: at a static point equal
+    # to it, or with moving points between the previous tile's last static
+    # point and the tile's first; profile() and a rung's one-row table are
+    # the from-scratch table, bit for bit
+    ref = ReferenceSolution(family=family, alpha=0.5)
+    z = reference._static_points(ref._fam, 6159)
+    x_lo, x_hi = -2.0, 6.0
+    moving = reference._moving_points(ref._fam, np.full((1, 1), t), x_lo, x_hi)[0][0]
+    want = oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=6159)
+    # a tile starts where -1.0 sorts, or where a cover point does
+    before = z.searchsorted(moving[~np.isin(moving, z)])
+    edges = [int(z.searchsorted(-1.0))] if coincide else [64, int(before[before.size // 2])]
+    for chunk in edges:
+        # the static points in the z-range start at 0
+        starts = np.arange(chunk, z.size, chunk)
+        if coincide:
+            assert np.isin(z[starts], moving).any()
+        else:
+            assert np.isin(starts, before).any()
+        monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
+        _assert_bitwise_profile(ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=6159), want)
+        ts = np.array([t])
+        (row,) = _rung_rows(ref, ts, np.array([x_lo]), np.array([x_hi]))
+        assert row[0].tobytes() == want.knots.tobytes()
+        assert row[1].tobytes() == want.knot_u.tobytes()
 
 
 def _assert_bitwise_profile(got, want):
@@ -444,20 +533,27 @@ def _assert_bitwise_profile(got, want):
     ],
 )
 def test_profile_blocks_equal_whole_array_profile(family, alpha, t, monkeypatch):
-    # the table is built in column blocks of _CHUNK_FLOATS points, with the
-    # running max and _keep_last's look-ahead carried across blocks: a table
-    # one short of a block, of one block, one past it and of several blocks
-    # gives the whole-array table bit for bit
+    # the table is built in tiles of _CHUNK_FLOATS static points, with the
+    # running max and _Kept's look-ahead carried across tiles: one tile with
+    # room to spare, one tile just full, two tiles (the second of one
+    # point), four tiles and tiles of 64 points give the from-scratch table
+    # (one array per map) bit for bit
     ref = ReferenceSolution(family=family, alpha=alpha)
-    want = whole_array_profile(ref, t, x_lo=-2.0, x_hi=6.0, n_base=6159)
+    want = oracle_profile(ref, t, x_lo=-2.0, x_hi=6.0, n_base=6159)
     sizes = []
     monkeypatch.setattr(reference, "_Kept", lambda n, k: sizes.append(n) or numerics._Kept(n, k))
     _assert_bitwise_profile(ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
     (n,) = sizes
     assert n > want.knots.size / 2
-    for chunk in (n + 1, n, n - 1, n // 4, 64):
+    # every static point lies in the table's z-range
+    s = reference._static_points(ref._fam, 6159).size
+    for chunk in (s + 1, s, s - 1, s // 4, 64):
         monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
         _assert_bitwise_profile(ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
+
+
+def _huge_rung(T):
+    return ExperimentConfig(example="cusp", alpha=0.5, T=T, k_range=(1,), time_samples=2)
 
 
 _HUGE = [
@@ -474,6 +570,9 @@ _HUGE = [
     ("cosine", lambda ref: ref.eval_u(1e120, 0.3)),
     ("multipeakon_appA", lambda ref: ref.profile(1e200)),
     ("multipeakon_appA", lambda ref: ref.eval_F(1e200, 0.3)),
+    # a ladder rung's tables: the evolution stays finite, J2's cubes do not
+    ("cusp", lambda ref: run_eoc(_huge_rung(1e103))),
+    ("cusp", lambda ref: run_eoc(_huge_rung(1e150))),
 ]
 
 
