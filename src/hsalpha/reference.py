@@ -31,13 +31,13 @@ cusp rho(z) = |z|^(1/3) on the broken branch.  A family (CosineFamily,
 CuspFamily) evaluates those once per table point as ``columns(z)`` ("z",
 "u" for ubar, "F" for Fbar, and what its integrals read), and reads them at
 the times t: ``_B(t, c)`` and ``_J12(t, c, ws=None)`` give B, and J1 and
-J2, each as a list of pieces (index, values), none where it is zero, that
-put values, broadcast, on the points v[index] of an array v of the maps'
-shape (pieces may live in slots 0 to 2 of the Workspace ws).  ``B_inf``,
-``J1_inf`` and ``J2_inf`` are the integrals over the whole line; a table
-refines at ``fixed_anchors`` and at ``moving_points(t, pad)`` (one row per
-time of the column t); ``window``, ``u_max``, ``F_inf`` and ``alpha`` are
-the datum window, max |ubar|, Fbar at +inf and the dissipated fraction.
+J2, point by point, each an array of the maps' shape or None where it is
+zero (the cusp's J1 and J2 live in slots 0 and 1 of the Workspace ws if
+given, slot 2 holding scratch).  ``B_inf``, ``J1_inf`` and ``J2_inf`` are
+the integrals over the whole line; a table refines at ``fixed_anchors``
+and at ``moving_points(t, pad)`` (one row per time of the column t);
+``window``, ``u_max``, ``F_inf`` and ``alpha`` are the datum window,
+max |ubar|, Fbar at +inf and the dissipated fraction.
 Whatever reads t takes a time or a column of times.  The dense table of
 ``ReferenceSolution.profile`` has a static part (a uniform bulk inside the
 datum window and geometric ladders at fixed anchors) and a moving part
@@ -64,6 +64,7 @@ from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
 from .numerics import Workspace, _Kept, _abs_max, _all_finite, _blocks, _running_max, _take
 from .numerics import _sorted_unique
+from .projection import MAX_CELLS
 
 __all__ = [
     "ReferenceSolution",
@@ -84,11 +85,15 @@ REFERENCE_FAMILIES = ("multipeakon_appA", "cosine", "cusp")
 #: xtol of the root finder that inverts y in eval_u and eval_F
 _INV_TOL = 1e-12
 
+#: the largest n_base of profile(): the most a ladder rung asks for
+_MAX_N_BASE = 3 * (MAX_CELLS + 1)
+
 
 def _check_finite(**values):
-    """ConfigError unless every value given (a time or a position) is finite."""
+    """ConfigError unless every value given (a time or a position, or None
+    for a default) is finite."""
     for what, v in values.items():
-        if not math.isfinite(v):
+        if v is not None and not math.isfinite(v):
             raise ConfigError(f"{what} must be finite")
 
 
@@ -207,7 +212,8 @@ def _each(f, t):
 
 def _cube(x):
     """x ** 3, with _each; an infinity where it overflows (as numpy's pow
-    gives), which the callers report as a NumericError."""
+    gives), which the tables report as a NumericError.  It places the
+    cusp's moving anchor -r(t)^3."""
 
     def cube(v):
         try:
@@ -216,11 +222,6 @@ def _cube(x):
             return math.copysign(math.inf, v)
 
     return _each(cube, x)
-
-
-def _run(mask):
-    """The length of the leading run of True in the 1-d bool array mask."""
-    return mask.size if mask.all() else int(mask.argmin())
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +319,11 @@ class CosineFamily:
         return g(t, w, _lam(w), np.cos(_PI * w))
 
     def _arc_sum(self, g, t, c):
-        # sum over the arcs of g(clip(z, lo, hi)) - g(lo), as pieces: inside
-        # an arc g reads the columns, outside it is g at the nearer end; an
-        # empty arc adds exact zeros, so before the first break, no pieces
+        # sum over the arcs of g(clip(z, lo, hi)) - g(lo): inside an arc g
+        # reads the columns, outside it is g at the nearer end; an empty arc
+        # adds exact zeros, so before the first break, None
         if not np.any(t * _PI > 2.0):
-            return []
+            return None
         z = c["z"]
         total = np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)))
         for lo, hi in self._arcs(t):
@@ -330,7 +331,7 @@ class CosineFamily:
             inside = g(t, z, c["F"], c["u"])
             clipped = np.where(z < lo, g_lo, np.where(z > hi, g_hi, inside))
             total = total + clipped - g_lo
-        return [((...,), total)]
+        return total
 
     def _arc_total(self, g, t):
         return _each(
@@ -344,7 +345,7 @@ class CosineFamily:
         return self._arc_sum(self._g_b, t, c)
 
     def _J12(self, t, c, ws=None):
-        """J1 and J2 at the times t and the columns c, as pieces (_arc_sum)."""
+        """J1 and J2 at the times t and the columns c (_arc_sum)."""
         return self._arc_sum(self._g_j1, t, c), self._arc_sum(self._g_j2, t, c)
 
     def B_inf(self, t):
@@ -377,12 +378,13 @@ class CuspFamily:
     with rho = min(rho(z), r),
 
         J1 = (4/3) (t (r - rho) - 1.5 (r^2 - rho^2)),
-        J2 = (2/27) ((t - 3 rho)^3 - (t - 3 r)^3).
+        J2 = (2/27) ((t - 3 rho)^3 - (t - 3 r)^3)
+           = (2/9) (A^2 + A B + B^2) (r - rho),  A = t - 3 rho, B = t - 3 r.
 
-    Both read rho(z) only through rho, which is r wherever z has not broken
-    (there J1 is +0 and J2 the round-off of two cubes of t - 3r) and v_top
-    wherever z >= min(b, 0): on a table's columns, J1 and J2 are evaluated
-    point by point only between those two stretches (see ``_J12``).
+    J2 is evaluated in the factored form: the difference of the two cubes,
+    each about t^3, would cancel every digit of J2 at large t, and the
+    factors overflow only where 3 t^2 does.  Both are +0 wherever z has
+    not broken (rho = r).
     """
 
     def __init__(self, a, b, alpha):
@@ -426,74 +428,39 @@ class CuspFamily:
 
     def _B(self, t, c):
         r = self._r(t)
-        return [((...,), (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0))]
+        return (4.0 / 3.0) * np.maximum(r - c["rho"], 0.0)
 
     def _J12(self, t, c, ws=None):
-        """J1 and J2 at the times t and the columns c, as lists of pieces
-        (see the module docstring).
-
-        On 1-d columns (a table's), a leading run of columns with rho(z) >=
-        r at every time of t and a trailing run with z >= min(b, 0) have one
-        value per time each: each is evaluated at the run's first column,
-        and only the columns between them point by point, in arrays of their
-        own (slots 0 and 1 of the Workspace ws if given, slot 2 holding
-        scratch).  Every value is the one of the point-by-point evaluation.
-        """
-        rho = c["rho"]
-        at_t = self._at(t)
-        if np.ndim(rho) != 1:
-            j1, j2 = self._j12_pointwise(t, rho, at_t)
-            return [((...,), j1)], [((...,), j2)]
-        n = rho.size
-        i1 = n - _run((c["z"] >= self._top)[::-1])
-        i0 = min(_run(rho >= np.max(at_t[0])), i1)
-        j1, j2 = [], []
-        for lo, hi in ((0, i0), (i0, i1), (i1, n)):
-            if lo == hi:
-                continue
-            if lo == i0:
-                values = self._j12_pointwise(t, rho[lo:hi], at_t, ws)
-            else:
-                values = self._j12_pointwise(t, rho[lo : lo + 1], at_t)
-            j1.append(((..., slice(lo, hi)), values[0]))
-            j2.append(((..., slice(lo, hi)), values[1]))
-        return j1, j2
-
-    def _at(self, t):
-        """r at the times t, with the base t - 3r cubed by np.power and by
-        _cube."""
+        """J1 and J2 at the times t and the columns c, point by point (in
+        slots 0 and 1 of the Workspace ws if given, slot 2 holding
+        scratch)."""
         r = self._r(t)
-        base = t - 3.0 * r
-        return r, np.power(base, 3), _cube(base)
-
-    def _j12_pointwise(self, t, rho, at_t=None, ws=None):
-        """J1 and J2 at the times t for the rho column rho, point by point
-        (in slots 0 and 1 of the Workspace ws if given, slot 2 holding
-        scratch); at_t is _at(t) if known."""
-        r, cube_np, cube_py = self._at(t) if at_t is None else at_t
-        shape = np.broadcast(t, rho).shape
-        j1, j2, rho_t = (_take(ws, i, shape) for i in range(3))
-        # term by term in j1 and j2, from one rho = min(rho, r); every point
-        # with rho = r has the base t - 3r, often 0 or a negative round-off,
-        # where pow is slow: its cube is filled in instead
-        np.minimum(rho, r, out=rho_t)
-        j2[...] = cube_np
-        np.multiply(rho_t, 3.0, out=j1)
-        np.subtract(t, j1, out=j1)
-        np.power(j1, 3, out=j2, where=rho_t < r)
-        j2 -= cube_py
-        j2 *= 2.0 / 27.0
-        np.subtract(r, rho_t, out=j1)
+        B = t - 3.0 * r
+        shape = np.broadcast(t, c["rho"]).shape
+        j1, j2, rho = (_take(ws, i, shape) for i in range(3))
+        np.minimum(c["rho"], r, out=rho)
+        # term by term in place (a temporary of this shape per term made a
+        # cusp rung about a third slower): J2 from A = t - 3 rho, then J1
+        np.multiply(rho, 3.0, out=j2)
+        np.subtract(t, j2, out=j2)
+        np.multiply(j2, B, out=j1)
+        j2 *= j2
+        j2 += j1
+        j2 += B * B
+        j2 *= 2.0 / 9.0
+        np.subtract(r, rho, out=j1)
+        j2 *= j1
         j1 *= t
-        rho_t *= rho_t
-        np.subtract(r * r, rho_t, out=rho_t)
-        rho_t *= 1.5
-        j1 -= rho_t
+        rho *= rho
+        np.subtract(r * r, rho, out=rho)
+        rho *= 1.5
+        j1 -= rho
         j1 *= 4.0 / 3.0
         return j1, j2
 
-    # the totals over [v_top, r], each written as its value over [0, r] less
-    # its value over [0, v_top], which is an exact zero for b >= 0
+    # the totals over [v_top, r]: B and J1 each written as its value over
+    # [0, r] less its value over [0, v_top], which is an exact zero for
+    # b >= 0, and J2 as J2 at rho = v_top
     def B_inf(self, t):
         return (4.0 / 3.0) * self._r(t) - (4.0 / 3.0) * self._v_top
 
@@ -502,15 +469,17 @@ class CuspFamily:
         return (4.0 / 3.0) * (t * r - 1.5 * r * r) - (4.0 / 3.0) * (t * v - 1.5 * v * v)
 
     def J2_inf(self, t):
-        r, v, t3 = self._r(t), self._v_top, _cube(t)
-        return (2.0 / 27.0) * (t3 - _cube(t - 3.0 * r)) - (2.0 / 27.0) * (t3 - _cube(t - 3.0 * v))
+        r, v = self._r(t), self._v_top
+        B, C = t - 3.0 * r, t - 3.0 * v
+        return (2.0 / 9.0) * (C * C + C * B + B * B) * (r - v)
 
 
 # The characteristic maps take a family, a time or a column of times, the
-# columns c = fam.columns(z) and the pieces of the dissipation integral that
-# they read there (fam._J12), which they overwrite.  The tables' maps run
-# over (times x points) arrays, so they update one array in place (out if
-# given; tmp is scratch of its shape), term by term in the order of
+# columns c = fam.columns(z) and the dissipation integral that they read
+# there (fam._J12, None where it is zero), which they overwrite.  The
+# tables' maps run over (times x points) arrays, so they update one array in
+# place (out if given; tmp is scratch of its shape), term by term in the
+# order of
 #   U = u + t F/2 - t F_inf/4 - alpha J1/2 + alpha J1_inf/4,
 #   y = z + t u + t^2 F/4 - t^2 F_inf/8 - alpha J2/2 + alpha J2_inf/4.
 
@@ -519,11 +488,11 @@ def _new(t, c):
     return np.empty(np.broadcast(t, c["z"]).shape)
 
 
-def _less(v, pieces, scale):
-    """v - scale J, in place, J given as pieces."""
-    for index, j in pieces:
+def _less(v, j, scale):
+    """v - scale j, in place (j None where it is zero)."""
+    if j is not None:
         j *= scale
-        v[index] -= j
+        v -= j
 
 
 def _char_velocity(fam, t, c, j1, out=None):
@@ -653,19 +622,19 @@ def _maps(fam, t, static, moving, before, cumulative, ws=None):
     of_static[...] = True
     of_static.ravel()[at] = False
 
-    def merged(on_static, slot, f, *pieces):
+    def merged(on_static, slot, f, *integral):
         # the map f on the moving points; where there are none, a copy of
         # the static values (in the slot)
         row = _take(ws, slot, (m, width))
         if not at.size:
             row[...] = on_static
             return row
-        row.ravel()[at] = f(fam, t, extra, *pieces).ravel()
+        row.ravel()[at] = f(fam, t, extra, *integral).ravel()
         row[of_static] = on_static.ravel()
         return row
 
     j1, j2 = fam._J12(t, static, ws)
-    e1, e2 = fam._J12(t, extra) if at.size else ((), ())
+    e1, e2 = fam._J12(t, extra) if at.size else (None, None)
     on_static = _char_velocity(fam, t, static, j1, _take(ws, 3, shape))
     U = merged(on_static, 0, _char_velocity, e1)
     del j1, on_static
@@ -902,10 +871,21 @@ class ReferenceSolution:
         numerics._CHUNK_FLOATS static points (_tables), in one Workspace of
         the call, so besides the knots (and u and F there) the call holds
         the static z and a few tiles.  Raises ConfigError for a negative or
-        non-finite t, and NumericError when the characteristics overflow by
-        t.
+        non-finite t, a non-finite x_lo or x_hi, an n_base that is not an
+        integer of at most 3 (projection.MAX_CELLS + 1), and a side other
+        than "left" or "right"; NumericError when the characteristics
+        overflow by t.
         """
         _check_time(t)
+        _check_finite(x_lo=x_lo, x_hi=x_hi)
+        try:
+            ok = int(n_base) == n_base <= _MAX_N_BASE
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"n_base must be an integer of at most {_MAX_N_BASE}")
+        if side not in ("left", "right"):
+            raise ConfigError("side must be 'left' or 'right'")
         if self.family == "multipeakon_appA":
             return _multipeakon_profile(self.alpha, t, side=side)
         fam = self._fam

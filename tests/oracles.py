@@ -471,7 +471,8 @@ class _CuspFamily:
     def J2(self, t, z):
         r = self._r(t)
         rho = np.minimum(self._rho(z), r)
-        return (2.0 / 27.0) * ((t - 3.0 * rho) ** 3 - (t - 3.0 * r) ** 3)
+        A, B = t - 3.0 * rho, t - 3.0 * r
+        return (2.0 / 9.0) * (A * A + A * B + B * B) * (r - rho)
 
     # integrals over [0, r] less the same integrals over [0, v_top]
     def B_inf(self, t):
@@ -483,9 +484,8 @@ class _CuspFamily:
 
     def J2_inf(self, t):
         r, v = self._r(t), self._v_top
-        return (2.0 / 27.0) * (t ** 3 - (t - 3.0 * r) ** 3) - (2.0 / 27.0) * (
-            t ** 3 - (t - 3.0 * v) ** 3
-        )
+        B, C = t - 3.0 * r, t - 3.0 * v
+        return (2.0 / 9.0) * (C * C + C * B + B * B) * (r - v)
 
     def anchors(self, t):
         pts = [self.a, 0.0, self.b]

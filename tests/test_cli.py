@@ -181,12 +181,19 @@ def test_overflow_exits_3(capsys, argv):
     assert "numeric error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("T", ["1e103", "1e150"])
+@pytest.mark.parametrize("T", ["1.2e154"])
 def test_reference_overflow_on_a_rung_exits_3(T, capsys):
-    # the evolution stays finite, the reference tables' J2 cubes do not
+    # the evolution stays finite, the reference tables' t^2 F_inf does not
     argv = ["eoc", "--example", "cusp", "--alpha", "0.5", "--T", T, "--k-min", "1"]
     assert cli.main(argv + ["--time-samples", "2"]) == 3
     assert "reference characteristics overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", ["1e103", "1e150"])
+def test_rung_short_of_the_reference_overflow_exits_0(T, capsys):
+    argv = ["eoc", "--example", "cusp", "--alpha", "0.5", "--T", T, "--k-min", "1"]
+    assert cli.main(argv + ["--time-samples", "2"]) == 0
+    assert "2.637239e-01" in capsys.readouterr().out
 
 
 def test_numeric_errors_exit_3(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from hsalpha.evolution import evolve, total_energy
 from hsalpha.harness import ExperimentConfig, run_eoc, run_solve
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.numerics import Workspace
-from hsalpha.projection import ProjectionConfig, project
+from hsalpha.projection import MAX_CELLS, ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 import hsalpha.reference as reference
 from hsalpha.reference import (
@@ -98,8 +99,7 @@ def _integrals(fam, t, z):
     """B, J1 and J2 of the family fam at the time t and the point z, read
     from its columns there."""
     c = fam.columns(z)
-    ((_, B),), ((_, j1),), ((_, j2),) = fam._B(t, c), *fam._J12(t, c)
-    return B, j1, j2
+    return fam._B(t, c), *fam._J12(t, c)
 
 
 def test_cosine_dissipation_integrals_match_quadrature():
@@ -160,6 +160,105 @@ def test_cusp_below_zero_integrals_match_quadrature():
             assert float(_integrals(fam, t, z)[i]) == pytest.approx(want, abs=1e-8)
         want = quad(fn, lower, b, limit=200, epsabs=1e-12)[0]
         assert float(total(t)) == pytest.approx(want, abs=1e-8)
+
+
+# The maps at fixed z against a 60-digit evaluation (stdlib decimal) of the
+# closed forms in the module docstring of hsalpha.reference: the cusp's J2 as
+# the difference of its cubes, the cosine's sin and arcsin by series and
+# Newton steps.
+
+_D = decimal.Decimal
+_DPI = _D("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _dsin(x):
+    term = total = x
+    n = 1
+    while abs(term) > _D("1e-70"):
+        term *= -x * x / ((n + 1) * (n + 2))
+        total += term
+        n += 2
+    return total
+
+
+def _dcos(x):
+    return _dsin(_DPI / 2 - x)
+
+
+def _dasin(x):
+    y = _D(math.asin(float(x)))
+    for _ in range(8):
+        y -= (_dsin(y) - x) / _dcos(y)
+    return y
+
+
+def _dcbrt(x):
+    return (abs(x) ** (_D(1) / 3)).copy_sign(x)
+
+
+def _exact_maps(t, z, u, F, F_inf, j1, j1_inf, j2, j2_inf):
+    alpha = _D("0.5")
+    U = u + t * F / 2 - t * F_inf / 4 - alpha * j1 / 2 + alpha * j1_inf / 4
+    y = z + t * u + t * t * F / 4 - t * t * F_inf / 8 - alpha * j2 / 2 + alpha * j2_inf / 4
+    return y, U
+
+
+def _cusp_exact(t, z):
+    # a = -1, b = 1, alpha = 1/2: the broken region is [-r^3, 0)
+    w = min(max(z, _D(-1)), _D(1))
+    r = min(_D(1), t / 3)
+    rho = min(_dcbrt(-min(max(z, _D(-1)), _D(0))), r)
+    j1 = lambda p: _D(4) / 3 * (t * (r - p) - _D("1.5") * (r * r - p * p))
+    j2 = lambda p: _D(2) / 27 * ((t - 3 * p) ** 3 - (t - 3 * r) ** 3)
+    F = _D(4) / 3 * (_dcbrt(w) + 1)
+    return _exact_maps(t, z, _dcbrt(w) ** 2, F, _D(8) / 3, j1(rho), j1(0), j2(rho), j2(0))
+
+
+def _cosine_exact(t, z):
+    # alpha = 1/2; the arcs are broken from t = 2/pi on
+    lam = lambda w: _DPI * _DPI * w / 2 - _DPI * _dsin(2 * _DPI * w) / 4
+    g = (
+        lambda w: t * lam(w) + 2 * _dcos(_DPI * w),
+        lambda w: (t * t * lam(w) + 4 * t * _dcos(_DPI * w) + 4 * w) / 2,
+    )
+    at, total = [_D(0), _D(0)], [_D(0), _D(0)]
+    zeta = _dasin(2 / (_DPI * t)) / _DPI
+    for lo, hi in ((zeta, 1 - zeta), (2 + zeta, 3 - zeta)):
+        for i in range(2):
+            at[i] += g[i](min(max(z, lo), hi)) - g[i](lo)
+            total[i] += g[i](hi) - g[i](lo)
+    w = min(max(z, _D(0)), _D(4))
+    u, F = _dcos(_DPI * w), lam(w)
+    return _exact_maps(t, z, u, F, lam(_D(4)), at[0], total[0], at[1], total[1])
+
+
+_EXACT = {
+    "cusp": (CuspFamily(-1.0, 1.0, 0.5), _cusp_exact, [-1.5, -0.9, -0.5, -0.2, -1e-3, 0.3, 2.0]),
+    "cosine": (CosineFamily(0.5), _cosine_exact, [-0.5, 0.3, 0.75, 1.5, 2.2, 2.5, 3.5, 5.0]),
+}
+
+
+@pytest.mark.parametrize("t", [3.0, 1e3, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("family", ["cusp", "cosine"])
+def test_maps_match_a_decimal_evaluation_up_to_large_times(family, t):
+    # y and U of the float maps are within 1e-14 relative of the exact maps
+    # at the same z, up to t = 1e10: J2 written as a difference of two cubes
+    # of about t^3 would cancel its digits
+    fam, exact, zs = _EXACT[family]
+    c = fam.columns(np.array(zs))
+    j1, j2 = fam._J12(t, c)
+    got = zip(reference._char_position(fam, t, c, j2), reference._char_velocity(fam, t, c, j1))
+    with decimal.localcontext(prec=60):
+        for z, (y, U) in zip(zs, got):
+            for value, want in zip((y, U), exact(_D(t), _D(z))):
+                assert abs((_D(float(value)) - want) / want) <= _D("1e-14"), (z, value, want)
+
+
+def test_cusp_eval_u_at_a_large_time():
+    # u(1e10, 0.3) = -0.3124999998.  U's terms each reach about t F_inf
+    # there, so U keeps an absolute error of about eps t F_inf = 6e-6 (the
+    # float maps read -0.3124985695 at the z nearest the exact one)
+    assert ReferenceSolution("cusp", 0.5).eval_u(1e10, 0.3) == pytest.approx(-0.3125, abs=1e-5)
 
 
 @pytest.mark.parametrize("a, b", [(-6.0, -5.0), (-1.0, -0.5)])
@@ -381,24 +480,17 @@ def _cusp_times(a, b):
 @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-0.7, 1.3), (-1.0, -0.5), (0.2, 1.0)])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
-    # J1 and J2 evaluated point by point only between the unbroken and the
-    # rho = v_top stretches give the maps bit for bit: against the library's
-    # point-by-point maps and the oracle's, row by row of one batch
+    # the maps on a batch of table rows, J1 and J2 in a Workspace, equal the
+    # oracle's maps bit for bit, row by row
     fam = CuspFamily(a, b, alpha)
     ofam = oracles._CuspFamily(a, b, alpha)
     c = fam.columns(reference._static_points(fam, 4001))
     ts = _cusp_times(a, b)
     t = ts[:, None]
     j1, j2 = fam._J12(t, c, Workspace())
-    assert len(j1) == len(j2) <= 3
     U = reference._char_velocity(fam, t, c, j1, np.empty((ts.size, c["z"].size)))
     Y = reference._char_position(fam, t, c, j2, np.empty(U.shape), np.empty(U.shape))
     for row, tj in enumerate(ts.tolist()):
-        j1_pt, j2_pt = fam._j12_pointwise(tj, c["rho"])
-        U_pt = reference._char_velocity(fam, tj, c, [((...,), j1_pt)])
-        Y_pt = reference._char_position(fam, tj, c, [((...,), j2_pt)])
-        assert np.array_equal(U[row], U_pt)
-        assert np.array_equal(Y[row], Y_pt)
         assert np.array_equal(U[row], oracles._char_velocity(ofam, tj, c["z"]))
         assert np.array_equal(Y[row], oracles._char_position(ofam, tj, c["z"]))
 
@@ -524,7 +616,7 @@ def _assert_bitwise_profile(got, want):
     [
         ("cosine", 0.0, 0.6),
         ("cosine", 0.5, 1.2),
-        # before the first break: no dissipation pieces, though alpha > 0
+        # before the first break: no dissipation integrals (None), though alpha > 0
         ("cosine", 0.5, 0.6),
         ("cusp", 0.0, 3.0),
         ("cusp", 0.5, 0.0),
@@ -560,8 +652,8 @@ _HUGE = [
     ("cusp", lambda ref: ref.profile(1e200)),
     ("cusp", lambda ref: ref.eval_u(1e200, 0.3)),
     ("cusp", lambda ref: ref.eval_F(1e200, 0.3)),
-    # the table's reach fits in a float, the cubes of J2 do not
-    ("cusp", lambda ref: ref.profile(1e150)),
+    # the table's reach 1 + t u_max + t^2 F_inf overflows
+    ("cusp", lambda ref: ref.profile(1.2e154)),
     ("cusp", lambda ref: ref.eval_u(1e150, 0.3)),
     ("cosine", lambda ref: ref.profile(1e200)),
     ("cosine", lambda ref: ref.eval_u(1e200, 0.3)),
@@ -570,9 +662,10 @@ _HUGE = [
     ("cosine", lambda ref: ref.eval_u(1e120, 0.3)),
     ("multipeakon_appA", lambda ref: ref.profile(1e200)),
     ("multipeakon_appA", lambda ref: ref.eval_F(1e200, 0.3)),
-    # a ladder rung's tables: the evolution stays finite, J2's cubes do not
-    ("cusp", lambda ref: run_eoc(_huge_rung(1e103))),
-    ("cusp", lambda ref: run_eoc(_huge_rung(1e150))),
+    # a ladder rung: at 1.2e154 the evolution stays finite and the tables
+    # do not; from 1e155 the evolution overflows first
+    ("cusp", lambda ref: run_eoc(_huge_rung(1.2e154))),
+    ("cusp", lambda ref: run_eoc(_huge_rung(1e155))),
 ]
 
 
@@ -585,6 +678,38 @@ def test_huge_finite_time_raises_numeric_error(family, call):
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
             call(ref)
+
+
+@pytest.mark.parametrize("T", [1e103, 1e150, 1e153])
+def test_huge_rung_short_of_the_overflow_returns_finite_rows(T):
+    # the rung's tables overflow only where t^2 F_inf does: up to there
+    # every k=1 row reads the error of the rung at T = 1e103
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = run_eoc(_huge_rung(T)).rows
+    assert row[2] == pytest.approx(0.2637239398, rel=1e-9)
+
+
+_BAD_PROFILE_ARGS = {
+    "n_base-nan": dict(n_base=math.nan),
+    "n_base-inf": dict(n_base=math.inf),
+    "n_base-fraction": dict(n_base=4001.5),
+    "n_base-huge": dict(n_base=10**12),
+    "n_base-above-a-ladder": dict(n_base=3 * (MAX_CELLS + 1) + 1),
+    "x_lo-nan": dict(x_lo=math.nan),
+    "x_lo-inf": dict(x_lo=math.inf),
+    "x_hi-minus-inf": dict(x_hi=-math.inf),
+    "side": dict(side="middle"),
+}
+
+
+@pytest.mark.parametrize("family", ["cosine", "cusp"])
+@pytest.mark.parametrize("kwargs", _BAD_PROFILE_ARGS.values(), ids=_BAD_PROFILE_ARGS.keys())
+def test_profile_rejects_bad_arguments(family, kwargs):
+    # raised before any table is made (an n_base of 10**12 would ask for
+    # terabytes)
+    with pytest.raises(ConfigError):
+        ReferenceSolution(family=family, alpha=0.5).profile(1.0, **kwargs)
 
 
 def _energy_at_minus_one(family):
