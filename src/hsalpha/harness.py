@@ -388,6 +388,109 @@ def run_measure_rates(cfg: ExperimentConfig) -> EocReport:
     return _ladder(cfg, "w1", "w1", rung)
 
 
+# _g17's tables: 10^k for k <= 20 (exact doubles) and its Veltkamp halves;
+# the four-digit groups "0000".."9999" as little-endian uint32 (one ASCII
+# digit a byte) and their trailing zeros ("0000" has 4); _BELOW[c] the mask
+# of a word's c low bytes; _KEEP[s * _G17_COLS + e] the columns s..e of a row.
+_SPLIT = 2.0**27 + 1.0
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS4 = _DIGITS.view("<u4").ravel()
+_ZEROS4 = np.logical_and.accumulate(_DIGITS[..., ::-1] == 48, -1).sum(-1, np.int8).ravel()
+_BELOW = np.array([2 ** (8 * c) - 1 for c in range(9)], dtype=np.uint64)
+#: Columns of one value's text: '-0.000' (the longest text left of the
+#: digits) at 0..5, the 17 digits at 6..22, the separator at 23 at most, and
+#: a spare column 24, so that columns 17..24 can be viewed as one word.
+_G17_COLS = 25
+_COL = np.arange(_G17_COLS)
+_KEEP = ((_COL >= _COL[:, None, None]) & (_COL <= _COL[:, None])).reshape(-1, _G17_COLS)
+
+
+def _scaled_round(a, k):
+    """round-half-even(a * 10^k) as int64, exact where it is at least 2^53:
+    Dekker's product gives a * 10^k = hi + lo exactly, and hi >= 2^53 is an
+    even integer.  Each step is a ufunc call of its own, so no fused
+    multiply-add enters."""
+    hi = a * _POW10.take(k)
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = a_hi * p_hi - hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _g17(values, seps: bytes) -> bytes:
+    """The bytes of ``"%.17g" % x`` for every x of values (float64, shape
+    (rows, len(seps))), each followed by seps[j] for column j.
+
+    The values that %g writes in fixed notation (decimal exponent X in
+    [-4, 16], and zeros) are formatted here: D = round(|x| 10^(16 - X))
+    (X guessed from log10 and stepped once where D has not 17 digits), D's
+    digits written into a row of _G17_COLS bytes, the digits left of the
+    point moved one column left to make room for it, and only the columns
+    from the sign to the last nonzero digit (or the point's left neighbour)
+    and the separator kept.  The others go through %.17g and are spliced in.
+    """
+    v = values.ravel()
+    n = v.size
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = np.floor(np.log10(a))
+    zero = a == 0.0
+    slow = ~(((X >= -4) & (X <= 16)) | zero)
+    a[slow] = 1.0
+    X[slow | zero] = 0.0
+    X = X.astype(np.int64)
+    D = _scaled_round(a, 16 - X)
+    redo = np.flatnonzero((D >= 10**17) | ((D < 10**16) & ~zero))
+    X[redo] += np.where(D[redo] >= 10**17, 1, -1)
+    lost = redo[(X[redo] < -4) | (X[redo] > 16)]
+    slow[lost], a[lost], X[lost] = True, 1.0, 0
+    D[redo] = _scaled_round(a[redo], 16 - X[redo])
+    t, r = np.divmod(D, 10**16)
+    q, s = np.divmod(r, 10**8)
+    q1, q2 = np.divmod(q.astype(np.int32), 10**4)
+    s1, s2 = np.divmod(s.astype(np.int32), 10**4)
+    text = np.full((n, _G17_COLS), ord("0"), dtype=np.uint8)
+    groups = text[:, 3:23].view("<u4")  # "000" and D's first digit, then four digits each
+    for j, g in enumerate((t, q1, q2, s1, s2)):
+        groups[:, j] = _DIGITS4.take(g)
+    # trailing zeros of D: 16 for D = 0, which then keeps no digit right of the point
+    high = _ZEROS4.take(q2) + _ZEROS4.take(q1) * (q2 == 0)
+    zeros = _ZEROS4.take(s2) + _ZEROS4.take(s1) * (s2 == 0) + high * (s == 0)
+    point = 6 + X
+    # move the digits left of the point one column left, 8 columns at a time
+    # (a little-endian word: column i + j is its j-th lowest byte)
+    for i in (0, 8, 16):
+        below = np.clip(point - i, 0, 8)  # columns i.. left of the point
+        if not below.any():
+            break
+        w = text[:, i : i + 8].view("<u8")[:, 0]
+        w ^= (w ^ text[:, i + 1 : i + 9].view("<u8")[:, 0]) & _BELOW.take(below)
+    flat = text.reshape(-1)
+    row = np.arange(0, n * _G17_COLS, _G17_COLS)
+    flat[row + point] = ord(".")
+    lead = point - 1 - np.maximum(X, 0)  # the first column of |x|'s text
+    flat[row + lead - 1] = ord("-")
+    start = lead - np.signbit(v)
+    end = np.where(16 - zeros > X, 23 - zeros, point)  # the separator's column
+    fb = np.flatnonzero(slow)
+    start[fb] = end[fb]
+    flat[row + end] = np.tile(np.frombuffer(seps, dtype=np.uint8), n // len(seps))
+    kept = flat[_KEEP.take(start * _G17_COLS + end, axis=0).reshape(-1)]
+    if fb.size:
+        texts = [("%.17g" % x).encode() for x in v[fb].tolist()]
+        at = np.repeat(np.cumsum(end - start + 1)[fb] - 1, [len(b) for b in texts])
+        kept = np.insert(kept, at, np.frombuffer(b"".join(texts), dtype=np.uint8))
+    return kept.tobytes()
+
+
 def write_solution_csv(sol: EulerianSolution, path: str) -> None:
     """Write one snapshot as CSV columns x,u,F (17 significant digits).
 
@@ -395,7 +498,7 @@ def write_solution_csv(sol: EulerianSolution, path: str) -> None:
     as two consecutive rows with the same x.  Rows are formatted and written
     in blocks of :data:`_CSV_BLOCK_ROWS`, so the text of the whole file is
     never held at once; the bytes are those of formatting each value with
-    ``.17g`` row by row.
+    ``"%.17g"`` row by row, made by :func:`_g17`.
     """
     atom_pos = sol.mu.atom_positions
     xs = np.union1d(sol.u.nodes, atom_pos) if atom_pos.size else sol.u.nodes
@@ -407,8 +510,7 @@ def write_solution_csv(sol: EulerianSolution, path: str) -> None:
         repeats[at] = 2
         rows = np.repeat(rows, repeats, axis=0)
         rows[at + np.arange(1, at.size + 1), 2] = eval_cumulative(sol.mu, atom_pos, side="right")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,u,F\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,u,F\n")
         for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[start : start + _CSV_BLOCK_ROWS]
-            fh.write(("%.17g,%.17g,%.17g\n" * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(_g17(rows[start : start + _CSV_BLOCK_ROWS], b",,\n"))

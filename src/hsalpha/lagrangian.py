@@ -104,10 +104,11 @@ def breaking_time(d_y: float, d_U: float) -> float:
 
 
 def _breaking_times(d_y: np.ndarray, d_U: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each cell's breaking time from its derivatives at time 0, in out."""
+    """Each cell's breaking time from its derivatives at time 0, in out (inf
+    where -2 d_y / d_U overflows, as for a subnormal d_U)."""
     out.fill(np.inf)
     neg = d_U < 0.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out[neg] = -2.0 * d_y[neg] / d_U[neg]
     out[(d_U == 0.0) & (d_y == 0.0)] = 0.0
     return np.abs(out, out=out)

@@ -33,18 +33,30 @@ ATOM_WIDTH_TOL = 1e-14
 ATOM_MASS_TOL = 1e-14
 
 
+def _check_steps(drop, y):
+    """Raise CorruptStateError if a step (drop) of the nodal positions y falls
+    below -1e-12 max(1, max|y|), per row along the last axis: a position of
+    about 3e3 has an ulp of 4.5e-13, so an absolute 1e-12 would call a few
+    ulps of round-off corrupt.  max|y| is taken only after a step falls below
+    -1e-12."""
+    if drop.size and drop.min() < -1e-12:
+        worst = drop.min(axis=-1)
+        bad = worst < -1e-12 * np.maximum(1.0, np.abs(y).max(axis=-1))
+        if bad.any():
+            raise CorruptStateError(
+                f"Lagrangian positions decrease by {-worst[bad].min():.3e}; state is corrupt"
+            )
+
+
 def _positions(y, U, scratch=None):
     """The running max of nodal positions y along the last axis (one state
     per row), made in y itself, after checking that y and the velocities U
-    are finite and that y decreases nowhere by more than 1e-12 (the steps
-    of y are taken in scratch if given)."""
+    are finite and that y steps down nowhere beyond _check_steps' bound (the
+    steps of y are taken in scratch if given)."""
     if not (np.isfinite(y).all() and np.isfinite(U).all()):
         raise NumericError("Lagrangian positions or velocities are not finite")
     drop = np.subtract(y[..., 1:], y[..., :-1], out=scratch)
-    if drop.size and drop.min() < -1e-12:
-        raise CorruptStateError(
-            f"Lagrangian positions decrease by {-drop.min():.3e}; state is corrupt"
-        )
+    _check_steps(drop, y)
     # Tiny negative jumps are round-off residue on collapsed cells.
     return _running_max(y, drop < 0.0)
 
@@ -85,8 +97,8 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
     F_ac; cells with d_y <= 1e-14 and d_V > 1e-14 become point masses at
     their (common) y-value, consecutive ones and ones at one y merged; cells
     degenerate in both senses are removed.  Raises NumericError if the nodal
-    y or U values are not finite, CorruptStateError if y decreases by more
-    than 1e-12 anywhere.
+    y or U values are not finite, CorruptStateError if y decreases anywhere
+    by more than 1e-12 max(1, max|y|).
 
     The cells are taken in blocks of _CHUNK_FLOATS, with the running max of
     y, the compensated sum of F and the last node of each block carried to
@@ -104,11 +116,7 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
     atom_cells = []
     for b, e in _blocks(n):
         y = s.y[b : e + 1].copy()
-        drop = y[1:] - y[:-1]
-        if drop.min() < -1e-12:
-            raise CorruptStateError(
-                f"Lagrangian positions decrease by {-drop.min():.3e}; state is corrupt"
-            )
+        _check_steps(y[1:] - y[:-1], s.y)
         # tiny negative jumps are round-off residue on collapsed cells
         y[0] = y_max
         y_max = _running_max(y)[-1]

@@ -836,6 +836,14 @@ class ReferenceSolution:
 
     @np.errstate(over="ignore", invalid="ignore")
     def eval_u(self, t, x) -> float:
+        """u(t, x), by inverting the characteristic position map at x.
+
+        At large t the result has an absolute error of about eps t F_inf
+        (eps = 2^-52): U's terms each reach about t F_inf and cancel to u.
+        Against a 60-digit evaluation of the same maps (alpha 1/2, x = 0.3)
+        it is off by 1.4e-6 on the cusp at t = 1e10, and on the cosine by
+        3.3e-13, 4.9e-10 and 3.4e-8 at t = 1e3, 1e6 and 1e8.
+        """
         _check_time(t)
         _check_finite(position=x)
         if self.family == "multipeakon_appA":
@@ -846,6 +854,12 @@ class ReferenceSolution:
 
     @np.errstate(over="ignore", invalid="ignore")
     def eval_F(self, t, x) -> float:
+        """The cumulative energy F(t, x), by inverting the same map as eval_u.
+
+        F does not take U's cancellation, whose error in u is about
+        eps t F_inf (see eval_u): at the points quoted there it is within
+        2e-15 of F at the exactly inverted z.
+        """
         _check_time(t)
         _check_finite(position=x)
         if self.family == "multipeakon_appA":

@@ -877,7 +877,7 @@ def _whole_positions(y, U):
     if not (np.isfinite(y).all() and np.isfinite(U).all()):
         raise NumericError("Lagrangian positions or velocities are not finite")
     drop = np.diff(y)
-    if drop.size and drop.min() < -1e-12:
+    if drop.size and drop.min() < -1e-12 * max(1.0, float(np.abs(y).max())):
         raise CorruptStateError(f"Lagrangian positions decrease by {-drop.min():.3e}")
     return _running_max(y.copy(), drop < 0.0)
 

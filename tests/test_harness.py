@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsalpha.numerics as numerics
 from hsalpha.errors import ConfigError
@@ -13,6 +15,7 @@ from hsalpha.eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear, m
 from hsalpha.harness import (
     EocReport,
     ExperimentConfig,
+    _g17,
     _rel_err,
     config_from_dict,
     dx_of_level,
@@ -277,6 +280,59 @@ def test_solution_csv_matches_per_row_writer(tmp_path, snapshot):
     write_solution_csv(sol, str(tmp_path / "blocks.csv"))
     per_row_solution_csv(sol, str(tmp_path / "rows.csv"))
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _assert_g17(xs):
+    """_g17 gives the bytes of "%.17g" per value, with one separator or two."""
+    xs = np.asarray(xs, dtype=np.float64).ravel()
+    assert _g17(xs[:, None], b"\n") == "".join("%.17g\n" % x for x in xs.tolist()).encode()
+    rows = np.column_stack((xs, xs[::-1]))
+    want = "".join("%.17g,%.17g\n" % (x, y) for x, y in rows.tolist())
+    assert _g17(rows, b",\n") == want.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_g17_equals_percent_format(xs):
+    _assert_g17(xs)
+
+
+def test_g17_around_powers_of_ten():
+    # the 64 doubles on each side of the double nearest 10^X: where log10
+    # guesses the exponent one off and the 17-digit rounding can carry
+    for X in range(-5, 18):
+        bits = np.array([float(f"1e{X}")]).view(np.int64) + np.arange(-64, 65)
+        near = bits.view(np.float64)
+        _assert_g17(np.concatenate((near, -near)))
+
+
+def test_g17_rounds_exact_ties_to_even():
+    # odd m/4 in [2^50, 2^51) and odd m/8 in [2^49, 2^50) end halfway between
+    # two 17-digit decimals
+    m = 2 * np.random.default_rng(5).integers(2**51, 2**52, 2000) + 1
+    _assert_g17(np.concatenate((m / 4.0, m / 8.0, -m / 4.0)))
+
+
+def test_g17_zeros_subnormals_extremes_and_each_exponent():
+    tiny = np.finfo(np.float64).tiny
+    big = np.finfo(np.float64).max
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny - 5e-324, tiny, big, -big, np.inf, -np.inf, np.nan]
+    # one value per fixed-notation exponent X in [-4, 16], with 17, 2 and 1
+    # significant digits, and the exponents either side
+    each = [float(f"{d}e{X}") for X in range(-6, 19) for d in ("1.2345678901234567", "1.5", "1")]
+    _assert_g17(edges + each + [-x for x in each])
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(T=100.0, k_range=(1, 2), a=-2.0, b=0.5), dict(T=1e153, k_range=(1,), time_samples=2)]
+)
+def test_cusp_ladder_at_large_T_is_not_corrupt(kw):
+    # the nodes reach |y| of about 3e3 at T = 100 (cusp on [-2, 1/2]) and
+    # about 2e305 at T = 1e153: steps down of 1.1e-12 and up to 5e291 there,
+    # within 1e-12 max|y|, are round-off, not a corrupt state
+    rep = run_eoc(ExperimentConfig(example="cusp", alpha=1.0, **kw))
+    assert [r[0] for r in rep.rows] == list(kw["k_range"])
+    assert all(0.0 < r[2] < 1.0 for r in rep.rows)
 
 
 def _sup_rel_err(sol, prof):

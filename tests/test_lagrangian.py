@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ def test_breaking_time_examples():
     # collapsed cell with negative slope: breaks immediately, not at -0.0
     t = breaking_time(0.0, -1.0)
     assert t == 0.0 and math.copysign(1.0, t) == 1.0
+
+
+def test_breaking_time_overflow_is_silent_inf():
+    # -2 d_y / d_U overflows for a subnormal d_U: the time is inf, with no warning
+    d_y, d_U = np.array([1.0, 0.5, 1.0]), np.array([-1e-320, -0.5, -5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = lagrangian._breaking_times(d_y, d_U, np.empty(3))
+    assert tau.tolist() == [math.inf, 2.0, math.inf]
 
 
 def test_round_trip_at_time_zero():
