@@ -232,6 +232,20 @@ def _add_atoms(m: EnergyMeasure, base, x, side: str):
     return base + cum[np.searchsorted(m.atom_positions, x, side=side)]
 
 
+def _atom_rows(m: EnergyMeasure, x, u, F_ac):
+    """The rows (x, u, F) of a profile with values u at the nodes x, among
+    which are m's atoms, given m's a.c. cumulative F_ac at x: F = mu((-inf,
+    x)) at every node, and each atom's node appears once more, right after
+    it, with F = mu((-inf, x]).  With no atoms, x, u and F_ac are returned
+    as they are."""
+    if m.atom_positions.size == 0:
+        return x, u, F_ac
+    at = np.searchsorted(x, m.atom_positions) + 1
+    right = F_ac[at - 1] + np.cumsum(m.atom_masses)
+    left = _add_atoms(m, F_ac, x, "left")
+    return np.insert(x, at, x[at - 1]), np.insert(u, at, u[at - 1]), np.insert(left, at, right)
+
+
 def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
     """Build the datum for piecewise-linear ``u`` through ``points``.
 

@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError
-from .eulerian import EulerianSolution, InitialDatum, eval_cumulative, make_multipeakon
+from .eulerian import EulerianSolution, InitialDatum, _atom_rows, make_multipeakon
 from .evolution import _event_times, _map, evolve
 from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
@@ -495,21 +495,16 @@ def write_solution_csv(sol: EulerianSolution, path: str) -> None:
     """Write one snapshot as CSV columns x,u,F (17 significant digits).
 
     At an atom the cumulative jumps; the file records both one-sided values
-    as two consecutive rows with the same x.  Rows are formatted and written
-    in blocks of :data:`_CSV_BLOCK_ROWS`, so the text of the whole file is
-    never held at once; the bytes are those of formatting each value with
-    ``"%.17g"`` row by row, made by :func:`_g17`.
+    as two consecutive rows with the same x, F from the left and then from
+    the right (:func:`eulerian._atom_rows`, which also makes the Lagrangian
+    lift's nodes).  Rows are formatted and written in blocks of
+    :data:`_CSV_BLOCK_ROWS`, so the text of the whole file is never held at
+    once; the bytes are those of formatting each value with ``"%.17g"`` row
+    by row, made by :func:`_g17`.
     """
     atom_pos = sol.mu.atom_positions
     xs = np.union1d(sol.u.nodes, atom_pos) if atom_pos.size else sol.u.nodes
-    rows = np.column_stack((xs, sol.u(xs), eval_cumulative(sol.mu, xs, side="left")))
-    if atom_pos.size:
-        # each atom's node gets a second row carrying the right-hand value
-        at = np.searchsorted(xs, atom_pos)
-        repeats = np.ones(xs.size, dtype=np.int64)
-        repeats[at] = 2
-        rows = np.repeat(rows, repeats, axis=0)
-        rows[at + np.arange(1, at.size + 1), 2] = eval_cumulative(sol.mu, atom_pos, side="right")
+    rows = np.column_stack(_atom_rows(sol.mu, xs, sol.u(xs), sol.mu.F_ac(xs)))
     with open(path, "wb") as fh:
         fh.write(b"x,u,F\n")
         for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):

@@ -9,9 +9,11 @@ the full (left-continuous) energy cumulative.  Inverting,
 
 and the state carries :math:`\bar U = \bar u(\bar y)` together with the
 cumulative energy :math:`\bar V = \xi - \bar y`.  For projected data the
-inverse is explicit on a nodal grid: each grid pair contributes an atom cell
-(present when the pair carries an atom; there :math:`y_\xi = 0`,
-:math:`V_\xi = 1`) and two half cells with
+inverse is explicit at the grid nodes: each node x has
+:math:`\xi = x + \mu((-\infty, x))`, and each atom, which sits on a pair
+edge, adds one node with :math:`\xi = x + \mu((-\infty, x])`.  So each grid
+pair contributes an atom cell (present when the pair carries an atom; there
+:math:`y_\xi = 0`, :math:`V_\xi = 1`) and two half cells with
 
 .. math::
 
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .numerics import _blocks, _cumsum_from, _increasing
+from .eulerian import _atom_rows
+from .numerics import _blocks, _increasing
 from .projection import ProjectedDatum
 
 __all__ = ["LagrangianState", "to_lagrangian", "breaking_time"]
@@ -117,77 +120,32 @@ def _breaking_times(d_y: np.ndarray, d_U: np.ndarray, out: np.ndarray) -> np.nda
 def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     """Map a projected datum to its Lagrangian state at time 0.
 
-    Per grid pair the node layout is ``[left edge, post-atom, midpoint]`` with
-    the closing edge shared with the next pair; pairs without an atom have
-    no post-atom node.  Atom cells get ``d_y = d_U = 0``, ``d_V = 1``
-    exactly.  ``alpha`` is the dissipation parameter the state will evolve
-    under.  Raises NumericError when the coordinates xi do not increase (an
-    energy so large that x + F(x) loses the mesh, or overflows), and
-    ConfigError for an atom right of the last pair.
-
-    The nodes are written in place in blocks of _CHUNK_FLOATS pairs, and the
-    cell derivatives in blocks of as many cells, so the scratch is a few
-    blocks whatever the mesh.
+    Each node x of the datum gives a node with y = x, U = u(x) and
+    V = mu((-inf, x)), and each atom one more right after it, with
+    V = mu((-inf, x]); xi = y + V.  Atom cells get ``d_y = d_U = 0``,
+    ``d_V = 1`` exactly.  ``alpha`` is the dissipation parameter the state
+    will evolve under.  Raises NumericError when the coordinates xi do not
+    increase (an energy so large that x + F(x) loses the mesh, or
+    overflows), and ConfigError for an atom off the even nodes (the pair
+    edges) or on or right of the last node, as a hand-built datum can place
+    one.  The cell derivatives are made in blocks of _CHUNK_FLOATS cells,
+    so their scratch is a few blocks whatever the mesh.
     """
     nodes = p.u.nodes
-    uvals = p.u.values
-    fvals = p.mu.F_ac.values
-    m = (nodes.size - 1) // 2
-    xe, xo = nodes[::2], nodes[1::2]
-    ue, uo = uvals[::2], uvals[1::2]
-    fe, fo = fvals[::2], fvals[1::2]
-
-    # the pair of each atom, and the mass a pair carries (if atoms share a
-    # pair, the last one's)
-    pair = np.searchsorted(xe, p.mu.atom_positions)
-    if pair.size and pair[-1] >= m:
-        raise ConfigError("an atom lies right of the last grid pair")
-    atom_mass = p.mu.atom_masses
-    last = np.ones(pair.size, dtype=bool)
-    last[:-1] = pair[1:] != pair[:-1]
-    n = 2 * m + 1 + int(np.count_nonzero(atom_mass[last] > 0.0))
-    xi, y, u, v = (np.empty(n) for _ in range(4))
-
+    at = np.searchsorted(nodes, p.mu.atom_positions)
+    if at.size and at[-1] >= nodes.size - 1:
+        raise ConfigError("an atom lies on or right of the last node")
+    if (at % 2).any() or (nodes[at] != p.mu.atom_positions).any():
+        raise ConfigError("an atom lies off the even nodes of the grid")
     # nodal cumulative energy, taken straight from the F values so nearly
     # flat segments keep their sign (xi - y would cancel away the low bits
-    # of F wherever |x| dominates and can go an ulp negative); the atoms'
-    # cumulative mass is np.cumsum's, carried from block to block
-    node, cum = 0, None
-    for i, j in _blocks(m):
-        masses = np.zeros(j - i)
-        a0, a1 = pair.searchsorted(i), pair.searchsorted(j)
-        masses[pair[a0:a1] - i] = atom_mass[a0:a1]
-        cum_after, cum_before = _cumsum_from(masses, cum)
-        cum = cum_after[-1]
-        v_even = fe[i:j] + cum_before
-        v_mid = fo[i:j] + cum_after
-        has = masses > 0.0
-        if has.any():
-            # two nodes per pair, and one more after each pair with an atom
-            edge = node + 2 * np.arange(j - i) + (np.cumsum(has) - has)
-            mid = edge + 1 + has
-            post = edge[has] + 1
-            v_post = (fe[i:j] + cum_after)[has]
-            xi[post] = xe[i:j][has] + v_post
-            y[post] = xe[i:j][has]
-            u[post] = ue[i:j][has]
-            v[post] = v_post
-        else:
-            edge = slice(node, node + 2 * (j - i), 2)
-            mid = slice(node + 1, node + 2 * (j - i), 2)
-        xi[edge] = xe[i:j] + v_even
-        y[edge] = xe[i:j]
-        u[edge] = ue[i:j]
-        v[edge] = v_even
-        xi[mid] = xo[i:j] + v_mid
-        y[mid] = xo[i:j]
-        u[mid] = uo[i:j]
-        v[mid] = v_mid
-        node += 2 * (j - i) + int(np.count_nonzero(has))
-    v[-1] = fe[m] + (0.0 if cum is None else cum)
-    xi[-1] = xe[m] + v[-1]
-    y[-1] = xe[m]
-    u[-1] = ue[m]
+    # of F wherever |x| dominates and can go an ulp negative)
+    y, u, v = _atom_rows(p.mu, nodes, p.u.values, p.mu.F_ac.values)
+    if not at.size:  # the state owns its arrays
+        y, u, v = (np.empty(nodes.size) for _ in range(3))
+        y[:], u[:], v[:] = nodes, p.u.values, p.mu.F_ac.values
+    xi = y + v
+    n = xi.size
 
     cells = _blocks(n - 1)
     if not all((xi[b + 1 : e + 1] > xi[b:e]).all() for b, e in cells):

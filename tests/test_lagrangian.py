@@ -7,12 +7,13 @@ import pytest
 
 import hsalpha.lagrangian as lagrangian
 import hsalpha.numerics as numerics
-from hsalpha.eulerian import InitialDatum, PiecewiseConstant, PiecewiseLinear
+from hsalpha.errors import ConfigError
+from hsalpha.eulerian import EnergyMeasure, InitialDatum, PiecewiseConstant, PiecewiseLinear
 from hsalpha.evolution import evolve
 from hsalpha.lagrangian import LagrangianState, breaking_time, to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
-from hsalpha.reference import cosine_datum, cusp_datum
+from hsalpha.reference import cosine_datum, cusp_datum, multipeakon_datum
 
 from conftest import random_multipeakon
 from oracles import whole_array_to_lagrangian
@@ -185,16 +186,44 @@ def _assert_same_state(got, want):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
-@pytest.mark.parametrize("datum", [cosine_datum, cusp_datum, _atomic_datum])
+def _adjacent_atoms_datum():
+    """_atomic_datum's profile with atoms on two adjacent pair edges of the
+    grid dx = 2^-8, so that the nodes after both atoms sit one pair apart."""
+    return dataclasses.replace(_atomic_datum(), atoms=((0.25, 0.1), (0.25 + 2.0**-7, 0.2)))
+
+
+@pytest.mark.parametrize("datum", [cosine_datum, cusp_datum, _atomic_datum, _adjacent_atoms_datum])
 def test_to_lagrangian_blocks_equal_whole_array_layout(datum, monkeypatch):
-    # the compact node layout is written block by block (pairs, then cells):
-    # blocks one short of, equal to and one past the pair count and the
-    # cell count, and several blocks, give the 3-nodes-per-pair layout's
-    # state field for field
+    # the node arrays are made whole and the cell derivatives block by
+    # block: blocks one short of, equal to and one past the pair count and
+    # the cell count, and several blocks, give the 3-nodes-per-pair layout's
+    # state field for field, with one node more after each atom
     p = project(datum(), ProjectionConfig(dx=2.0**-8))
     want = whole_array_to_lagrangian(p, alpha=0.5)
     m, n = (p.u.nodes.size - 1) // 2, want.n_cells
-    assert (datum is _atomic_datum) == (n > 2 * m)
+    assert bool(p.mu.atoms) == (n > 2 * m)
     for chunk in (m + 1, m, m - 1, n + 1, n, n - 1, 7):
         monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
         _assert_same_state(to_lagrangian(p, alpha=0.5), want)
+
+
+@pytest.mark.parametrize(
+    "atoms, match",
+    [
+        (((0.25, 0.1),), "off the even nodes"),
+        (((0.3, 0.1),), "off the even nodes"),
+        (((0.3, 0.1), (0.5, 0.2)), "off the even nodes"),
+        (((1.0, 0.1),), "right of the last"),
+    ],
+    ids=["odd_node", "between_nodes", "two_in_one_pair", "last_node"],
+)
+def test_to_lagrangian_refuses_atoms_off_the_pair_edges(atoms, match):
+    # a datum built by hand can put an atom on an odd node, between nodes,
+    # or at the end of the grid, where the lift has no node pair for it;
+    # moving it to a pair edge, or merging two atoms of one pair, would
+    # change the measure without a word
+    p = project(multipeakon_datum(), ProjectionConfig(dx=0.25))
+    assert p.u.nodes[-1] == 1.0
+    p = dataclasses.replace(p, mu=EnergyMeasure(p.mu.F_ac, atoms))
+    with pytest.raises(ConfigError, match=match):
+        to_lagrangian(p)
