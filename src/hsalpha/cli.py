@@ -4,7 +4,10 @@ Subcommands: ``solve`` (one mesh, one final time, CSV snapshot), ``project``
 (projection only, CSV of the projected datum), ``eoc`` (convergence ladder),
 ``measure-rates`` (Wasserstein-1 ladder at a probe time, alpha = 0 only).
 Settings come from a JSON config file (--config, keys mirroring
-ExperimentConfig, unknown keys rejected) and/or flags; flags win.
+ExperimentConfig, unknown keys rejected) and/or flags; flags win.  Each
+subcommand takes only the flags it reads; the file, which describes one
+experiment for all four, is checked whole, and the keys a subcommand does
+not read are then ignored.
 
 Exit codes: 0 success, 2 configuration problem (an output directory that
 cannot be written included), 3 numeric/tolerance failure.
@@ -43,52 +46,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    parsers = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (
+            ("solve", "run one mesh to one time, write x,u,F CSV"),
+            ("project", "project the datum only, write x,u,F CSV"),
+            ("eoc", "convergence ladder for the wave profile"),
+            ("measure-rates", "Wasserstein-1 ladder at probe time T (alpha = 0)"),
+        )
+    }
+    # each subcommand takes only the flags it reads
+    for p in parsers.values():
         p.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
         p.add_argument("--out", help="output directory for CSV files")
         p.add_argument("--example", choices=("appendixA", "cosine", "cusp", "multipeakon"))
-        p.add_argument("--alpha", type=float, help="dissipation fraction in [0, 1]")
-        p.add_argument("--T", type=float, help="final (or probe) time")
         p.add_argument("--a", type=float, help="cusp interval left end")
         p.add_argument("--b", type=float, help="cusp interval right end")
-        p.add_argument("--time-samples", type=int, dest="time_samples")
-        p.add_argument(
-            "--points",
-            help='multipeakon nodes as JSON, e.g. "[[0, 0.5], [0.5, 0]]"',
-        )
-        return p
-
-    for name, text in (
-        ("solve", "run one mesh to one time, write x,u,F CSV"),
-        ("project", "project the datum only, write x,u,F CSV"),
-    ):
-        p = common(sub.add_parser(name, help=text))
-        p.add_argument("--dx", type=float, required=True, help="mesh size (0, 1]")
-    for name, text in (
-        ("eoc", "convergence ladder for the wave profile"),
-        ("measure-rates", "Wasserstein-1 ladder at probe time T (alpha = 0)"),
-    ):
-        p = common(sub.add_parser(name, help=text))
-        p.add_argument("--k-min", type=int, dest="k_min", help="first ladder rung")
-        p.add_argument("--k-max", type=int, dest="k_max", help="last ladder rung")
-
+        p.add_argument("--points", help='multipeakon nodes as JSON, e.g. "[[0, 0.5], [0.5, 0]]"')
+    for name in ("solve", "eoc", "measure-rates"):
+        parsers[name].add_argument("--alpha", type=float, help="dissipation fraction in [0, 1]")
+        parsers[name].add_argument("--T", type=float, help="final (or probe) time")
+    for name in ("solve", "project"):
+        parsers[name].add_argument("--dx", type=float, required=True, help="mesh size (0, 1]")
+    for name in ("eoc", "measure-rates"):
+        parsers[name].add_argument("--k-min", type=int, dest="k_min", help="first ladder rung")
+        parsers[name].add_argument("--k-max", type=int, dest="k_max", help="last ladder rung")
+    parsers["eoc"].add_argument("--time-samples", type=int, dest="time_samples")
     return parser
 
 
-def _build_config(args, need_T: bool = True) -> ExperimentConfig:
-    d = _read_config(args.config) if args.config else {}
-    overlays = {
-        "example": args.example,
-        "alpha": args.alpha,
-        "T": args.T,
-        "a": args.a,
-        "b": args.b,
-        "time_samples": args.time_samples,
-        "out_dir": args.out,
-    }
-    for key, val in overlays.items():
-        if val is not None:
-            d[key] = val
+def _build_config(args, **unread) -> ExperimentConfig:
+    """The config of the file and the flags, flags winning; unread gives the
+    command's stand-ins for the required keys it does not read."""
+    d = {**unread, **(_read_config(args.config) if args.config else {})}
+    for key in ("example", "alpha", "T", "a", "b", "time_samples"):
+        if getattr(args, key, None) is not None:
+            d[key] = getattr(args, key)
+    if args.out is not None:
+        d["out_dir"] = args.out
     if args.points is not None:
         try:
             d["points"] = json.loads(args.points)
@@ -107,9 +102,7 @@ def _build_config(args, need_T: bool = True) -> ExperimentConfig:
     if "alpha" not in d:
         raise ConfigError("alpha must be given (--alpha or config file)")
     if "T" not in d:
-        if need_T:
-            raise ConfigError("a final time is required (--T or config file)")
-        d["T"] = 1.0
+        raise ConfigError("a final time is required (--T or config file)")
     return config_from_dict(d)
 
 
@@ -144,7 +137,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    cfg = _build_config(args, need_T=False)
+    # the t=0 projection reads neither alpha nor T
+    cfg = _build_config(args, alpha=0.0, T=1.0)
     sol = to_eulerian(initial_state(cfg, args.dx))
     mass = sol.mu.total_mass()
     print(

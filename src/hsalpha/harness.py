@@ -263,7 +263,19 @@ def initial_state(cfg: ExperimentConfig, dx: float) -> LagrangianState:
     return to_lagrangian(projected, alpha=cfg.alpha)
 
 
-def _merged_times(s, t_list):
+def _merged_times(s, ts: np.ndarray) -> np.ndarray:
+    """The nondecreasing times ts and every breaking time of s up to ts[-1]."""
+    return np.union1d(ts, _event_times(s, float(ts[-1]))[0])
+
+
+def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
+    """Full pipeline at one mesh size, returning one Eulerian snapshot per time.
+
+    Projects cfg's datum at mesh size dx and returns, for each of the
+    nondecreasing times t in t_list, ``to_eulerian(evolve(s0, t))``: the
+    snapshot mapped in closed form from the t=0 state s0, whatever breaking
+    events lie between the times.
+    """
     ts = np.asarray(t_list, dtype=float)
     if ts.size == 0:
         raise ConfigError("t_list must be nonempty")
@@ -271,23 +283,8 @@ def _merged_times(s, t_list):
         raise ConfigError("t_list entries must be finite and nonnegative")
     if np.any(np.diff(ts) < 0.0):
         raise ConfigError("t_list must be nondecreasing")
-    return np.union1d(ts, _event_times(s, float(ts[-1]))[0])
-
-
-def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
-    """Full pipeline at one mesh size, returning Eulerian snapshots.
-
-    Projects cfg's datum at mesh size dx, evolves through the nondecreasing
-    times in t_list, and returns the pushed-forward solution at each time.
-    Breaking-event times up to max(t_list) are inserted automatically, so the
-    returned list may be longer than t_list; each snapshot carries its time.
-    """
-    s = initial_state(cfg, dx)
-    out = []
-    for t in _merged_times(s, t_list):
-        s = evolve(s, float(t))
-        out.append(to_eulerian(s))
-    return out
+    s0 = initial_state(cfg, dx)
+    return [to_eulerian(evolve(s0, t)) for t in ts.tolist()]
 
 
 def _rel_err(nodes, values, knots, knot_u, ref_at_nodes=None) -> float:

@@ -127,11 +127,14 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     will evolve under.  Raises NumericError when the coordinates xi do not
     increase (an energy so large that x + F(x) loses the mesh, or
     overflows), and ConfigError for an atom off the even nodes (the pair
-    edges) or on or right of the last node, as a hand-built datum can place
-    one.  The cell derivatives are made in blocks of _CHUNK_FLOATS cells,
-    so their scratch is a few blocks whatever the mesh.
+    edges) or on or right of the last node, or for an F_ac on other nodes
+    than u's, as a hand-built datum can have.  The cell derivatives are
+    made in blocks of _CHUNK_FLOATS cells, so their scratch is a few blocks
+    whatever the mesh.
     """
     nodes = p.u.nodes
+    if p.mu.F_ac.nodes is not nodes and not np.array_equal(p.mu.F_ac.nodes, nodes):
+        raise ConfigError("the energy cumulative F_ac must have the nodes of u")
     at = np.searchsorted(nodes, p.mu.atom_positions)
     if at.size and at[-1] >= nodes.size - 1:
         raise ConfigError("an atom lies on or right of the last node")

@@ -54,7 +54,7 @@ RADICAND_CLAMP = 1e-12
 
 #: Largest number of grid cells project() accepts.  One float array over the
 #: nodes is then 512 MiB, and a solve holds a few dozen of them; a finer dx
-#: or a wider window is refused before anything is allocated.
+#: or a wider support is refused before anything is allocated.
 MAX_CELLS = 2**26
 
 #: Largest even-node index |j| of a default window.  Beyond it the nodes
@@ -92,21 +92,16 @@ class SignRule(enum.Enum):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Grid spacing, even-pair window and slope sign rule."""
+    """Grid spacing and slope sign rule; the even-pair window is
+    :func:`default_window`."""
 
     dx: float
-    window: tuple[int, int] | None = None
     sign_rule: SignRule = SignRule.MINIMIZE_KINK
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dx <= 1.0):
             raise ConfigError("dx must lie in (0, 1]")
         object.__setattr__(self, "sign_rule", SignRule.coerce(self.sign_rule))
-        if self.window is not None:
-            j0, j1 = self.window
-            if int(j0) != j0 or int(j1) != j1 or j1 <= j0:
-                raise ConfigError("window must be an integer pair (j_min, j_max) with j_min < j_max")
-            object.__setattr__(self, "window", (int(j0), int(j1)))
 
 
 @dataclass(frozen=True)
@@ -172,22 +167,19 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     round-off allowance, see :data:`RADICAND_CLAMP`) raises
     :class:`ConsistencyError`: the datum violates ``F_ac' >= u_x^2`` in the
     pair average.  Negative values inside the tolerance are clamped to zero.
-    A window of more than :data:`MAX_CELLS` cells raises :class:`ConfigError`.
+    A :func:`default_window` of more than :data:`MAX_CELLS` cells raises
+    :class:`ConfigError`.
     The order of each pair's two half-cell slopes follows ``cfg.sign_rule``;
     the default greedy rule runs as a two-state scan over the pairs (see
     :class:`SignRule`), in array operations rather than a loop over pairs.
     """
     dx = cfg.dx
-    j_min, j_max = cfg.window if cfg.window is not None else default_window(d, dx)
+    j_min, j_max = default_window(d, dx)
     if 2 * (j_max - j_min) > MAX_CELLS:
         raise ConfigError(
             f"dx = {dx:g} gives {2 * (j_max - j_min)} cells on this window, "
             f"more than the {MAX_CELLS} allowed"
         )
-    lo, hi = _required_span(d)
-    x_left, x_right = 2.0 * dx * j_min, 2.0 * dx * j_max
-    if x_left > lo - dx or x_right < hi + dx:
-        raise ConfigError("window must cover the support and atoms with a margin")
 
     n_pairs = j_max - j_min
     xe = 2.0 * dx * np.arange(j_min, j_max + 1)
@@ -231,8 +223,6 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
         pos = np.array([p for p, _ in d.atoms])
         mas = np.array([m for _, m in d.atoms])
         jp = np.floor(pos / (2.0 * dx)).astype(np.int64)
-        if np.any(jp < j_min) or np.any(jp >= j_max):
-            raise ConfigError("window must cover all atoms")
         merged = np.zeros(n_pairs)
         np.add.at(merged, jp - j_min, mas)
         for j in np.nonzero(merged)[0]:

@@ -766,8 +766,9 @@ class ReferenceSolution:
     """Evaluatable ground-truth solution for one benchmark family.
 
     family is one of "multipeakon_appA" (closed form), "cosine", "cusp"
-    (closed-form characteristics, numerically inverted).  Times and
-    positions must be finite.
+    (closed-form characteristics, numerically inverted); a and b, the cusp
+    interval, stay at -1 and 1 for the other two.  Times and positions must
+    be finite.
     """
 
     family: str
@@ -782,6 +783,8 @@ class ReferenceSolution:
             raise ConfigError("alpha must lie in [0, 1]")
         if self.family == "cusp" and not self.a <= self.b:
             raise ConfigError("cusp interval needs a <= b")
+        if self.family != "cusp" and (self.a, self.b) != (-1.0, 1.0):
+            raise ConfigError(f"a and b set the cusp interval; family {self.family} reads none")
 
     @functools.cached_property
     def _fam(self):
@@ -888,7 +891,9 @@ class ReferenceSolution:
         non-finite t, a non-finite x_lo or x_hi, an n_base that is not an
         integer of at most 3 (projection.MAX_CELLS + 1), and a side other
         than "left" or "right"; NumericError when the characteristics
-        overflow by t.
+        overflow by t.  side, the one-sided limit at an event time, matters
+        only for the two-peak family: the cosine and cusp energies stay
+        absolutely continuous, so their left and right limits coincide.
         """
         _check_time(t)
         _check_finite(x_lo=x_lo, x_hi=x_hi)

@@ -36,9 +36,39 @@ def test_solve_writes_snapshot(tmp_path, capsys):
 
 
 def test_project_smoke(capsys):
-    rc = cli.main(["project", "--example", "cusp", "--alpha", "0", "--dx", "0.125"])
+    rc = cli.main(["project", "--example", "cusp", "--dx", "0.125"])
     assert rc == 0
     assert "projected example=cusp" in capsys.readouterr().out
+
+
+def test_config_keys_a_command_does_not_read_are_ignored(tmp_path):
+    # one file describes one experiment for all four commands
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"example": "cusp", "alpha": 1.0, "T": 7.0, "time_samples": 9}))
+    for out, extra in (("a", ["--config", str(cfg)]), ("b", ["--example", "cusp"])):
+        assert cli.main(["project", "--dx", "0.125", "--out", str(tmp_path / out)] + extra) == 0
+    name = "projected_cusp_dx0.125.csv"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--alpha", "0"],
+        ["project", "--T", "1"],
+        ["project", "--time-samples", "5"],
+        ["solve", "--alpha", "0", "--T", "1", "--time-samples", "5"],
+        ["measure-rates", "--alpha", "0", "--T", "1", "--time-samples", "5"],
+    ],
+    ids=["project-alpha", "project-T", "project-time-samples", "solve-time-samples", "rates-time-samples"],
+)
+def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
+    dx = ["--dx", "0.25"] if argv[0] in ("solve", "project") else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--example", "cosine"] + dx)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_eoc_smoke(capsys):
@@ -240,12 +270,19 @@ _JSON = st.recursive(
     max_leaves=6,
 )
 _FLAGS = {"time_samples": "time-samples", "out_dir": "out"}
+# the settings a command takes no flag for, since it does not read them
+_UNREAD = {
+    "project": ("alpha", "T", "time_samples"),
+    "solve": ("time_samples",),
+    "measure-rates": ("time_samples",),
+}
 
 
 @st.composite
 def _argv(draw, tmp):
     """A CLI call: valid settings, up to two of them replaced by an extreme
-    or wrongly typed value, given as flags or in a config file."""
+    or wrongly typed value, given in a config file or as flags (only those
+    the command reads)."""
     command = draw(st.sampled_from(["solve", "project", "eoc", "measure-rates"]))
     example = draw(st.sampled_from(["appendixA", "cosine", "cusp", "multipeakon"]))
     alpha = 0.0 if command == "measure-rates" else draw(st.floats(0.0, 1.0))
@@ -284,7 +321,8 @@ def _argv(draw, tmp):
             argv += [f"--k-min={lo}", f"--k-max={hi}"]
         if "points" in cfg:
             cfg["points"] = json.dumps(cfg["points"])
-        return argv + [f"--{_FLAGS.get(key, key)}={val}" for key, val in cfg.items()]
+        flags = {key: val for key, val in cfg.items() if key not in _UNREAD.get(command, ())}
+        return argv + [f"--{_FLAGS.get(key, key)}={val}" for key, val in flags.items()]
     text = json.dumps(cfg) if draw(st.integers(0, 9)) else draw(_JSON.map(json.dumps) | st.just("{"))
     (tmp / "config.json").write_text(text)
     return argv + [f"--config={tmp / 'config.json'}"]

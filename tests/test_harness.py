@@ -106,23 +106,29 @@ def test_run_solve_matches_closed_form_at_collapse():
 
 
 @pytest.mark.parametrize(
-    "cfg, dx",
+    "cfg, dx, times",
     [
-        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0), 2.0**-6),
-        (ExperimentConfig(example="cosine", alpha=0.75, T=1.0), 2.0**-4),
+        # cusp k=3: 64 breaking times in (0.39, 2.994]
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0), 2.0**-6, lambda ev: [0.0, ev[1], 1.5, ev[-1], 3.0]),
+        # appendixA: every cell breaks at t = 2, here asked for twice
+        (ExperimentConfig(example="appendixA", alpha=0.5, T=3.0), 0.25, lambda ev: [0.0, 1.0, ev[0], ev[0], 3.0]),
     ],
+    ids=["cusp", "appendixA"],
 )
-def test_final_snapshot_in_one_map_matches_run_solve(cfg, dx):
-    # the one-map final state equals the last snapshot of the event-by-event
-    # march up to round-off
-    direct = to_eulerian(evolve(initial_state(cfg, dx), cfg.T))
-    marched = run_solve(cfg, dx, [cfg.T])
-    assert len(marched) > 1  # the march stopped at breaking events
-    final = marched[-1]
-    assert direct.time == final.time == cfg.T
-    xs = np.union1d(direct.u.nodes, final.u.nodes)
-    assert np.max(np.abs(direct.u(xs) - final.u(xs))) <= 1e-12
-    assert direct.mu.total_mass() == pytest.approx(final.mu.total_mass(), rel=1e-14)
+def test_run_solve_maps_each_time_from_t0(cfg, dx, times):
+    # one snapshot per requested time, each the one-map snapshot of the
+    # t=0 state bit for bit, at times before, at and after breaking events
+    s0 = initial_state(cfg, dx)
+    t_list = times(events(s0, cfg.T).times)
+    assert t_list[0] < t_list[1] < t_list[2] <= t_list[3] < t_list[4] == cfg.T
+    sols = run_solve(cfg, dx, t_list)
+    assert [sol.time for sol in sols] == t_list
+    for t, sol in zip(t_list, sols):
+        want = to_eulerian(evolve(s0, t))
+        assert sol.u.nodes.tobytes() == want.u.nodes.tobytes()
+        assert sol.u.values.tobytes() == want.u.values.tobytes()
+        assert sol.mu.F_ac.values.tobytes() == want.mu.F_ac.values.tobytes()
+        assert sol.mu.atoms == want.mu.atoms
 
 
 def test_run_solve_validates_time_list():
@@ -137,11 +143,11 @@ def test_run_solve_validates_time_list():
 
 def test_run_solve_energy_monotone():
     cfg = ExperimentConfig(example="appendixA", alpha=0.7, T=3.0)
-    sols = run_solve(cfg, 0.25, [0.5, 1.5, 2.5, 3.0])
+    sols = run_solve(cfg, 0.25, [0.5, 1.5, 2.0, 2.5, 3.0])
     masses = [s.mu.total_mass() for s in sols]
     assert all(b <= a + 1e-14 for a, b in zip(masses, masses[1:]))
-    # event time 2.0 was inserted automatically
-    assert any(s.time == 2.0 for s in sols)
+    # the event at t = 2.0 removes alpha of the energy 1/2
+    assert masses[1] == 0.5 and masses[2] == pytest.approx(0.15, rel=1e-14)
 
 
 def test_alpha_irrelevant_before_first_event():

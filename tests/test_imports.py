@@ -28,7 +28,7 @@ def loaded():
 out = {{"scipy": "scipy" in sys.modules, "after_import": loaded()}}
 runs = (
     ["solve", "--example", "cosine", "--alpha", "0", "--T", "1", "--dx", "0.0625"],
-    ["project", "--example", "cusp", "--alpha", "0", "--dx", "0.125"],
+    ["project", "--example", "cusp", "--dx", "0.125"],
     ["eoc", "--example", "cusp", "--alpha", "0.5", "--T", "1", "--k-min", "1", "--k-max", "2"],
     ["measure-rates", "--example", "cosine", "--alpha", "0", "--T", "0.5", "--k-min", "2"],
 )

@@ -227,3 +227,19 @@ def test_to_lagrangian_refuses_atoms_off_the_pair_edges(atoms, match):
     p = dataclasses.replace(p, mu=EnergyMeasure(p.mu.F_ac, atoms))
     with pytest.raises(ConfigError, match=match):
         to_lagrangian(p)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [lambda x: 2.0 * x, lambda x: x[:-1]],
+    ids=["scaled_nodes", "one_node_fewer"],
+)
+def test_to_lagrangian_refuses_F_on_other_nodes(nodes):
+    # the lift reads F_ac's values at u's nodes by index: on other nodes it
+    # would take F at the wrong places (scaled), or fail in numpy (shorter)
+    p = project(multipeakon_datum(), ProjectionConfig(dx=0.25))
+    x = p.mu.F_ac.nodes
+    F = PiecewiseLinear(nodes(x), p.mu.F_ac(nodes(x)))
+    p = dataclasses.replace(p, mu=EnergyMeasure(F, p.mu.atoms))
+    with pytest.raises(ConfigError, match="nodes of u"):
+        to_lagrangian(p)

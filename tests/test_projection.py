@@ -31,8 +31,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ProjectionConfig(dx=2.0)
     with pytest.raises(ConfigError):
-        ProjectionConfig(dx=0.25, window=(3, 3))
-    with pytest.raises(ConfigError):
         ProjectionConfig(dx=0.25, sign_rule="bogus")
     cfg = ProjectionConfig(dx=0.25, sign_rule="plus_first")
     assert cfg.sign_rule is SignRule.PLUS_FIRST
@@ -40,9 +38,7 @@ def test_config_validation():
 
 def test_default_window_margin(peakon_datum):
     assert default_window(peakon_datum, 0.25) == (-1, 2)
-    # window that misses the required one-pair margin is rejected
-    with pytest.raises(ConfigError):
-        project(peakon_datum, ProjectionConfig(dx=0.25, window=(0, 1)))
+    assert project(peakon_datum, ProjectionConfig(dx=0.25)).window == (-1, 2)
 
 
 def test_ramp_datum_is_projected_exactly(peakon_datum):
@@ -255,14 +251,16 @@ def test_cell_count_guard_refuses_before_evaluating():
     # 2 * (j_max - j_min) cells: dx = 1e-12 on [-1, 1] asks for about 2e12
     with pytest.raises(ConfigError, match="cells"):
         project(_unevaluable_datum(-1.0, 1.0), ProjectionConfig(dx=1e-12))
-    half = MAX_CELLS // 2
-    with pytest.raises(ConfigError, match="cells"):
-        project(_unevaluable_datum(0.0, 1.0), ProjectionConfig(dx=1.0, window=(-1, half)))
+    # the window (-1, 2^25 + 1) on [0, 1] at dx = 2^-26: 4 cells over the cap
+    with pytest.raises(ConfigError, match=f"{MAX_CELLS + 4} cells"):
+        project(_unevaluable_datum(0.0, 1.0), ProjectionConfig(dx=2.0**-26))
 
 
 def test_cell_count_guard_boundary(monkeypatch):
+    # on the support [0, 1.5] the window is (-1, ceil(0.75 / dx) + 1):
+    # 16 cells at dx = 1/8, the cap, and 18 at dx = 1/9
     monkeypatch.setattr(projection, "MAX_CELLS", 16)
-    d = make_multipeakon([(0.0, 0.5), (0.5, 0.0)])
-    assert project(d, ProjectionConfig(dx=0.25, window=(-2, 6))).u.nodes.size == 17
-    with pytest.raises(ConfigError, match="cells"):
-        project(d, ProjectionConfig(dx=0.25, window=(-2, 7)))
+    d = make_multipeakon([(0.0, 0.5), (1.5, 0.0)])
+    assert project(d, ProjectionConfig(dx=1.0 / 8.0)).u.nodes.size == 17
+    with pytest.raises(ConfigError, match="18 cells"):
+        project(d, ProjectionConfig(dx=1.0 / 9.0))

@@ -10,7 +10,7 @@ import hsalpha.eulerian as eulerian
 import hsalpha.numerics as numerics
 from hsalpha.errors import CorruptStateError
 from hsalpha.evolution import events, evolve, total_energy
-from hsalpha.harness import ExperimentConfig, initial_state, run_solve
+from hsalpha.harness import ExperimentConfig, initial_state
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import Workspace
 from hsalpha.pushforward import ATOM_WIDTH_TOL, _u_rows, eval_F, eval_u, to_eulerian
@@ -98,14 +98,21 @@ def test_atoms_split_by_a_nearly_collapsed_cell_merge():
 
 
 def test_run_solve_with_atoms_split_by_a_nearly_collapsed_cell():
-    # at the second event time, cells 10241 and 10243 are atoms at one y and
-    # cell 10242 between them has d_y = 1.6e-14
+    # the state chained from event to event: at the second event time,
+    # cells 10241 and 10243 are atoms at one y and cell 10242 between them
+    # has d_y = 1.6e-14
     cfg = ExperimentConfig(example="cosine", alpha=0.5, T=1.2)
     t = 0.6366197845818602
-    sols = run_solve(cfg, 2.0**-12, [t])
-    assert sols[-1].time == t and len(sols[-1].mu.atoms) == 2
-    energy = total_energy(evolve(initial_state(cfg, 2.0**-12), t))
-    assert math.isclose(sols[-1].mu.total_mass(), energy, rel_tol=1e-14)
+    s = s0 = initial_state(cfg, 2.0**-12)
+    times = events(s0, t).times
+    assert len(times) == 2 and times[-1] == t
+    for tau in times:
+        s = evolve(s, tau)
+    assert s.d_y[10242] == pytest.approx(1.6e-14, rel=0.1)
+    sol = to_eulerian(s)
+    assert sol.time == t and len(sol.mu.atoms) == 2
+    energy = total_energy(evolve(s0, t))
+    assert math.isclose(sol.mu.total_mass(), energy, rel_tol=1e-14)
 
 
 @settings(max_examples=150, deadline=None)

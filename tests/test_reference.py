@@ -294,6 +294,15 @@ def test_reference_validation():
         ref.eval_u(-0.5, 0.0)
 
 
+@pytest.mark.parametrize("family", ["cosine", "multipeakon_appA"])
+@pytest.mark.parametrize("a, b", [(-3.0, 7.0), (-1.0, 2.0), (0.0, 1.0)])
+def test_reference_refuses_a_cusp_interval_for_other_families(family, a, b):
+    # only the cusp reads a and b; the other families would ignore them
+    with pytest.raises(ConfigError, match="reads none"):
+        ReferenceSolution(family, 0.5, a=a, b=b)
+    ReferenceSolution(family, 0.5, a=-1, b=1)  # the defaults
+
+
 @pytest.mark.parametrize("family", ["multipeakon_appA", "cosine", "cusp"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_times_and_positions_raise_config_error(family, bad):
