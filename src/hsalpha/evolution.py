@@ -127,26 +127,19 @@ def _clusters(s: LagrangianState, t: np.ndarray, side: str, ws=None):
     return cand, k < n_member[:, None], first
 
 
-def _event_times(s: LagrangianState, T: float):
-    """The times of ``events(s, T)`` as an array, with the cells that break
-    by T in tau order and where each event's cells start among them."""
-    if not np.isfinite(T):
-        raise ConfigError("event horizon T must be finite")
-    cells, hit, first = _clusters(s, np.array([float(T)]), "right")
-    n = int(hit.sum())
-    cells, first = cells[:n], first[0, :n]
-    starts = np.flatnonzero(np.diff(first, prepend=-np.inf))
-    return first[starts], cells, starts
-
-
 def events(s: LagrangianState, T: float) -> EventSchedule:
     """Breaking events of ``s`` with times up to T, clustered by tie_tol(T).
 
     Cells already flagged broken, cells with tau = 0 (initial point masses,
     which never dissipate), and cells that never break are excluded.
     """
-    times, cells, starts = _event_times(s, T)
-    times = tuple(times.tolist())
+    if not np.isfinite(T):
+        raise ConfigError("event horizon T must be finite")
+    cells, hit, first = _clusters(s, np.array([float(T)]), "right")
+    n = int(hit.sum())
+    cells, first = cells[:n], first[0, :n]
+    starts = np.flatnonzero(np.diff(first, prepend=-np.inf))
+    times = tuple(first[starts].tolist())
     return EventSchedule(times=times, cells_at=dict(zip(times, np.split(cells, starts[1:]))))
 
 

@@ -381,15 +381,15 @@ def test_sup_rel_err_equals_union_form_on_closed_form_profile():
 def _from_scratch_eoc_errors(cfg, chained=True, widened_bulk=False):
     """run_eoc's Err column with a from-scratch table (the closed form for
     appendixA, which has no table; the table with its bulk over the widened
-    window if widened_bulk), snapshots chained event to event (or each
-    evolved from t=0), and the union-form error at every snapshot."""
+    window if widened_bulk), snapshots chained sample to sample (or each
+    evolved from t=0), and the union-form error at every sample."""
     ref = reference_for(cfg)
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
     errs = []
     for k in cfg.k_range:
         s0 = s = initial_state(cfg, dx_of_level(k))
         worst = 0.0
-        for t in np.union1d(samples, events(s, cfg.T).times):
+        for t in samples:
             s = evolve(s if chained else s0, float(t))
             sol = to_eulerian(s)
             nodes = sol.u.nodes
@@ -419,14 +419,27 @@ def _from_scratch_eoc_errors(cfg, chained=True, widened_bulk=False):
         (ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(1, 2, 3)), False),
         # T lies past the last break (3 * 0.7^(1/3)), where r(t) saturates
         (ExperimentConfig(example="cusp", alpha=1.0, T=4.0, k_range=(3, 4), a=-0.7, b=1.3), True),
+        # a breaking time near t = 2.39 reads more than every sample at k = 3
+        # and 4, and the grid holds the samples alone; chaining moves the
+        # errors by round-off
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(3, 4), a=-2.0, b=-0.5), False),
     ],
-    ids=["cusp", "cosine", "appendixA", "cusp-asymmetric"],
+    ids=["cusp", "cosine", "appendixA", "cusp-asymmetric", "cusp-below-zero"],
 )
 def test_run_eoc_errors_equal_from_scratch_tables(cfg, chained):
     errs = [row[2] for row in run_eoc(cfg).rows]
     assert errs == _from_scratch_eoc_errors(cfg, chained)
     # the knots the widened bulk adds lie where u is constant
     assert errs == _from_scratch_eoc_errors(cfg, chained, widened_bulk=True)
+
+
+def test_run_eoc_cusp_fine_rungs_tend_to_two_thirds():
+    # 8196 to 131076 cells: the rungs stay cheap, as the grid does not grow
+    # with the cells, and the order tends to the cusp's 2/3
+    cfg = ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(6, 7, 8))
+    _, _, errs, eocs = zip(*run_eoc(cfg).rows)
+    assert errs[0] > errs[1] > errs[2]
+    assert all(abs(eoc - 2.0 / 3.0) < 0.01 for eoc in eocs[1:])
 
 
 def test_run_eoc_cusp_below_zero_converges():
