@@ -5,8 +5,11 @@ lift the projected pair to characteristic coordinates (lagrangian), evolve
 in closed form between wave-breaking events while removing the fraction
 alpha of concentrating energy at each event (evolution), and push the result
 back to a wave profile with its energy measure (pushforward).  Reference
-solutions, error metrics, and the convergence-study harness support the
-accompanying verification suite.
+solutions, the Wasserstein-1 energy distance (metrics) and the
+convergence-study harness measure the scheme's errors.  The estimators that
+only the verification suite uses (L² and sampled sup distances, the Besov
+seminorm of the datum's slope, the projection error) live in its
+``tests/oracles.py``.
 """
 
 from .errors import (
@@ -37,25 +40,16 @@ from .harness import (
     run_solve,
     write_solution_csv,
 )
-from .lagrangian import LagrangianState, breaking_time, to_lagrangian
-from .metrics import (
-    BesovEstimate,
-    besov_seminorm,
-    default_h_grid,
-    l2_diff,
-    linf_diff,
-    linf_diff_sampled,
-    w1,
-)
+from .lagrangian import LagrangianState, to_lagrangian
+from .metrics import w1
 from .projection import (
     ProjectedDatum,
     ProjectionConfig,
     SignRule,
     default_window,
     project,
-    projection_error,
 )
-from .pushforward import eval_F, eval_u, to_eulerian
+from .pushforward import to_eulerian
 from .reference import (
     CosineFamily,
     CuspFamily,
@@ -87,24 +81,14 @@ __all__ = [
     "ProjectedDatum",
     "default_window",
     "project",
-    "projection_error",
     "LagrangianState",
-    "breaking_time",
     "to_lagrangian",
     "EventSchedule",
     "events",
     "evolve",
     "total_energy",
     "to_eulerian",
-    "eval_u",
-    "eval_F",
-    "linf_diff",
-    "linf_diff_sampled",
-    "l2_diff",
     "w1",
-    "BesovEstimate",
-    "besov_seminorm",
-    "default_h_grid",
     "ReferenceSolution",
     "ReferenceProfile",
     "CosineFamily",

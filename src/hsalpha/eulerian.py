@@ -170,9 +170,10 @@ class InitialDatum:
 
     ``u``, ``u_x`` and ``F_ac`` are vectorized callables; for data built by
     :func:`make_multipeakon` they are :class:`PiecewiseLinear` /
-    :class:`PiecewiseConstant` instances, which downstream code exploits for
-    exact error computation.  ``singularities`` lists points where ``u_x``
-    blows up, used to split quadrature intervals.
+    :class:`PiecewiseConstant` instances, which the test oracles (the
+    projection error, the Besov seminorm) exploit for exact error
+    computation.  ``singularities`` lists points where ``u_x`` blows up, at
+    which those oracles split their quadrature intervals.
     """
 
     u: Callable

@@ -37,7 +37,7 @@ from .eulerian import _atom_rows
 from .numerics import _blocks, _increasing
 from .projection import ProjectedDatum
 
-__all__ = ["LagrangianState", "to_lagrangian", "breaking_time"]
+__all__ = ["LagrangianState", "to_lagrangian"]
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,6 @@ class LagrangianState:
     @property
     def widths(self) -> np.ndarray:
         return self.xi[1:] - self.xi[:-1]
-
-
-def breaking_time(d_y: float, d_U: float) -> float:
-    """Wave-breaking time of a single cell from its derivatives at time 0."""
-    if d_U == 0.0 and d_y == 0.0:
-        return 0.0
-    if d_U < 0.0:
-        return abs(-2.0 * d_y / d_U)  # abs() normalizes -0.0
-    return np.inf
 
 
 def _breaking_times(d_y: np.ndarray, d_U: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .eulerian import (
-    EnergyMeasure,
-    InitialDatum,
-    PiecewiseConstant,
-    PiecewiseLinear,
-    eval_cumulative,
-)
-from . import metrics
+from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear
 
 __all__ = [
     "MAX_CELLS",
@@ -41,7 +34,6 @@ __all__ = [
     "ProjectedDatum",
     "default_window",
     "project",
-    "projection_error",
 ]
 
 # radicands in [-RADICAND_CLAMP, 0) are roundoff and clamp to zero; anything
@@ -230,64 +222,3 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
 
     u = PiecewiseLinear(x_all, u_all)
     return ProjectedDatum(u, EnergyMeasure(u._with_values(f_all), tuple(atoms)), dx, (j_min, j_max))
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
-def _segment_quad(fn, edges: np.ndarray) -> tuple[float, float]:
-    """Gauss-Legendre(8) integrals of ``|fn|`` and ``fn^2`` per segment, summed."""
-    a = edges[:-1]
-    width = np.diff(edges)
-    xs = a[:, None] + (0.5 * (_GL_X + 1.0))[None, :] * width[:, None]
-    vals = fn(xs.ravel()).reshape(xs.shape)
-    w = 0.5 * width[:, None] * _GL_W[None, :]
-    return float(np.sum(w * np.abs(vals))), float(np.sum(w * vals * vals))
-
-
-def projection_error(d: InitialDatum, p: ProjectedDatum) -> tuple[float, float, float, float, float]:
-    """Projection error of ``p`` against its datum.
-
-    Returns ``(linf_u, l2_u, l2_ux, l1_F, l2_F)`` over the projection window.
-    ``l2_ux`` is computed exactly through the identity
-    :math:`\\int (\\bar u_x - s)^2 = \\Delta F_{ac} - 2 s \\Delta\\bar u + s^2 w`
-    per half cell, which needs only the datum's endpoint evaluators.  The
-    remaining integrals are exact for piecewise-linear data aligned with the
-    grid and high-order sampled quadrature otherwise; ``linf_u`` is sampled
-    (a lower bound on the true sup) unless the datum is piecewise linear.
-    """
-    nodes = p.u.nodes
-    exact_pl = isinstance(d.u, PiecewiseLinear) and isinstance(d.u_x, PiecewiseConstant)
-
-    if exact_pl:
-        linf_u = metrics.linf_diff(d.u, p.u)
-    else:
-        linf_u = metrics.linf_diff_sampled(d.u, p.u, n_samples=9)
-
-    diff_u = lambda x: np.asarray(d.u(x), dtype=np.float64) - p.u(x)
-    _, l2u_sq = _segment_quad(diff_u, nodes)
-    l2_u = np.sqrt(l2u_sq)
-
-    # exact slope-error identity per half cell
-    seg_du = np.diff(np.asarray(d.u(nodes), dtype=np.float64))
-    seg_df = np.diff(np.asarray(d.F_ac(nodes), dtype=np.float64))
-    s = p.u.slopes
-    w = np.diff(nodes)
-    contrib = seg_df - 2.0 * s * seg_du + s * s * w
-    l2_ux = np.sqrt(max(0.0, float(np.sum(contrib))))
-
-    atom_pos = [a for a, _ in d.atoms] + [a for a, _ in p.mu.atoms]
-    edges = np.unique(np.concatenate((nodes, np.asarray(atom_pos, dtype=np.float64))))
-    f_exact = d.F_ac
-    d_pos = np.array([a for a, _ in d.atoms])
-    d_cum = np.concatenate(([0.0], np.cumsum([m for _, m in d.atoms])))
-
-    def full_datum_F(x):
-        base = np.asarray(f_exact(x), dtype=np.float64)
-        if d_pos.size:
-            base = base + d_cum[np.searchsorted(d_pos, x, side="left")]
-        return base
-
-    diff_F = lambda x: full_datum_F(x) - eval_cumulative(p.mu, x, side="left")
-    l1_F, l2F_sq = _segment_quad(diff_F, edges)
-    return (float(linf_u), float(l2_u), float(l2_ux), float(l1_F), float(np.sqrt(l2F_sq)))

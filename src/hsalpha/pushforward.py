@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CorruptStateError, NumericError
-from .eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear, eval_cumulative
+from .eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear
 from .lagrangian import LagrangianState
 from .numerics import _ExactPrefix, _Kept, _all_finite, _blocks, _running_max, _take
 
-__all__ = ["to_eulerian", "eval_u", "eval_F", "ATOM_WIDTH_TOL", "ATOM_MASS_TOL"]
+__all__ = ["to_eulerian", "ATOM_WIDTH_TOL", "ATOM_MASS_TOL"]
 
 #: A cell is width-degenerate when d_y is at or below this threshold.  Exact
 #: zeros are produced analytically by projection and evolution; the threshold
@@ -155,13 +155,3 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
     u = PiecewiseLinear._checked(x_nodes, u_nodes)
     mu = EnergyMeasure(F_ac=u._with_values(F_vals), atoms=atoms)
     return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)
-
-
-def eval_u(sol: EulerianSolution, x: float):
-    """Wave profile value at x (piecewise linear, constant extension)."""
-    return sol.u(x)
-
-
-def eval_F(sol: EulerianSolution, x: float, side: str = "left"):
-    """Cumulative energy of sol.mu at x, left-continuous by default."""
-    return eval_cumulative(sol.mu, x, side=side)

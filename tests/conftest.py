@@ -3,7 +3,7 @@ import pytest
 
 from hsalpha.eulerian import make_multipeakon
 from hsalpha.projection import ProjectionConfig, project
-from hsalpha.lagrangian import to_lagrangian
+from hsalpha.lagrangian import _breaking_times, to_lagrangian
 
 # collected by test_acceptance, printed after the run so every criterion gets
 # its own visible line regardless of output capture
@@ -36,3 +36,8 @@ def random_multipeakon(rng: np.random.Generator, n_cells: int = 10):
     slopes = rng.uniform(-2.0, 2.0, n_cells)
     vals = np.concatenate(([0.0], np.cumsum(slopes * widths))) + rng.uniform(-1.0, 1.0)
     return make_multipeakon(list(zip(xs, vals)))
+
+
+def one_cell_tau(d_y: float, d_U: float) -> float:
+    """The breaking time that lagrangian._breaking_times gives one cell."""
+    return float(_breaking_times(np.array([d_y]), np.array([d_U]), np.empty(1))[0])

@@ -32,6 +32,16 @@ and ``pushforward.to_eulerian`` as they were before those worked in blocks of
 ``np.unique``, a 3-nodes-per-pair layout that is then compressed, and
 ``whole_array_exact_cumsum``).  The library must agree with them bit for
 bit.
+
+The estimators that only the tests use: ``breaking_time``, one cell's
+breaking time in scalar code, which ``lagrangian._breaking_times`` must
+match element by element; ``linf_diff`` (exact sup of a piecewise-linear
+difference) and ``linf_diff_sampled``; ``l2_diff`` (exact L² of a
+piecewise-linear or piecewise-constant difference); ``besov_seminorm``
+with ``BesovEstimate`` and ``default_h_grid``, the estimate of
+hypothesis (i), sup_h h^-beta ||u_x(.+h) - u_x||_2, that criterion 9
+checks; and ``projection_error``, the t=0 norms of a projected datum
+against its datum.
 """
 
 from __future__ import annotations
@@ -47,11 +57,13 @@ from hsalpha.eulerian import (
     EnergyMeasure,
     EulerianSolution,
     InitialDatum,
+    PiecewiseConstant,
     PiecewiseLinear,
     eval_cumulative,
 )
 from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
+from hsalpha.projection import ProjectedDatum
 from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
 from hsalpha.pushforward import ATOM_MASS_TOL, ATOM_WIDTH_TOL
 from hsalpha.reference import ReferenceProfile
@@ -919,3 +931,202 @@ def whole_array_to_eulerian(s: LagrangianState) -> EulerianSolution:
     u = PiecewiseLinear(nodes=x_nodes, values=u_nodes)
     mu = EnergyMeasure(F_ac=PiecewiseLinear(nodes=x_nodes, values=F_vals), atoms=atoms)
     return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)
+
+
+# ---------------------------------------------------------------------------
+# The test-only estimators.
+# ---------------------------------------------------------------------------
+
+
+def breaking_time(d_y: float, d_U: float) -> float:
+    """Wave-breaking time of a single cell from its derivatives at time 0."""
+    if d_U == 0.0 and d_y == 0.0:
+        return 0.0
+    if d_U < 0.0:
+        return abs(-2.0 * d_y / d_U)  # abs() normalizes -0.0
+    return np.inf
+
+
+def linf_diff(a: PiecewiseLinear, b: PiecewiseLinear) -> float:
+    """Exact sup-norm of ``a - b``: attained on the merged node set."""
+    xs = np.union1d(a.nodes, b.nodes)
+    return float(np.max(np.abs(a(xs) - b(xs))))
+
+
+def linf_diff_sampled(exact, b: PiecewiseLinear, n_samples: int) -> float:
+    """Sampled sup-norm of ``exact - b``.
+
+    Evaluates at ``b``'s nodes plus ``n_samples`` uniform interior points per
+    segment.  This is a lower bound of the true sup; refine ``n_samples``
+    until stable when the bound itself matters.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    nodes = b.nodes
+    xs = nodes
+    if nodes.size > 1:
+        frac = np.arange(1, n_samples + 1) / (n_samples + 1.0)
+        interior = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, :]
+        xs = np.concatenate((nodes, interior.ravel()))
+    vals = np.abs(np.asarray(exact(xs), dtype=np.float64) - b(xs))
+    return float(np.max(vals))
+
+
+def _l2_pl(a: PiecewiseLinear, b: PiecewiseLinear) -> float:
+    edges = np.union1d(a.nodes, b.nodes)
+    d = np.asarray(a(edges), dtype=np.float64) - b(edges)
+    scale = max(1.0, float(np.max(np.abs(a.values))), float(np.max(np.abs(b.values))))
+    if abs(d[0]) > 1e-8 * scale or abs(d[-1]) > 1e-8 * scale:
+        raise ValueError("difference is not compactly supported")
+    w = np.diff(edges)
+    d0, d1 = d[:-1], d[1:]
+    return float(np.sqrt(np.sum(w * (d0 * d0 + d0 * d1 + d1 * d1) / 3.0)))
+
+
+def _l2_pc(a: PiecewiseConstant, b: PiecewiseConstant) -> float:
+    edges = np.union1d(a.breaks, b.breaks)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    d = np.asarray(a(mid), dtype=np.float64) - np.asarray(b(mid), dtype=np.float64)
+    return float(np.sqrt(np.sum(d * d * np.diff(edges))))
+
+
+def l2_diff(a, b) -> float:
+    """Exact L² distance for matching profile kinds.
+
+    Both piecewise linear: exact segment-wise quadratic integration over the
+    merged breakpoints (the difference must vanish outside them).  Both
+    piecewise constant (derivative profiles): exact step integration, zero
+    extension outside.
+    """
+    if isinstance(a, PiecewiseLinear) and isinstance(b, PiecewiseLinear):
+        return _l2_pl(a, b)
+    if isinstance(a, PiecewiseConstant) and isinstance(b, PiecewiseConstant):
+        return _l2_pc(a, b)
+    raise TypeError("l2_diff needs two PiecewiseLinear or two PiecewiseConstant profiles")
+
+
+@dataclasses.dataclass(frozen=True)
+class BesovEstimate:
+    beta: float
+    seminorm: float
+    h_grid: tuple[float, ...]
+
+
+def default_h_grid() -> np.ndarray:
+    return np.geomspace(1e-4, 2.0, 40)
+
+
+def _translate_l2_pc(f: PiecewiseConstant, h: float) -> float:
+    edges = np.union1d(f.breaks - h, f.breaks)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    d = np.asarray(f(mid + h), dtype=np.float64) - np.asarray(f(mid), dtype=np.float64)
+    return float(np.sqrt(np.sum(d * d * np.diff(edges))))
+
+
+def _translate_l2_quad(f, h: float, support: tuple[float, float], singularities) -> float:
+    lo, hi = support
+    pts = sorted({s for s in singularities} | {s - h for s in singularities})
+    pts = [p for p in pts if lo - h < p < hi]
+
+    def sq(x):
+        return (float(f(x + h)) - float(f(x))) ** 2
+
+    val, _ = quad(sq, lo - h, hi, points=pts or None, limit=500, epsabs=1e-12, epsrel=1e-9)
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def besov_seminorm(
+    f,
+    beta: float,
+    h_grid=None,
+    *,
+    support: tuple[float, float] | None = None,
+    singularities=(),
+) -> BesovEstimate:
+    """Estimate the Besov-type seminorm ``sup_h h^{-beta} ||f(.+h) - f||_2``.
+
+    ``f`` is a compactly supported profile: a :class:`PiecewiseConstant`
+    (translate norms are then exact) or a callable with a ``support``
+    interval, integrated by adaptive quadrature with splitting at
+    ``singularities`` and their shifted images.  The result is a max over the
+    sampled ``h_grid`` — a lower bound of the true supremum over
+    h in (0, 2] that can only grow under grid refinement.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    hs = default_h_grid() if h_grid is None else np.asarray(h_grid, dtype=np.float64)
+    if hs.size == 0 or np.any(hs <= 0.0) or np.any(hs > 2.0):
+        raise ValueError("h_grid must lie in (0, 2]")
+
+    if isinstance(f, PiecewiseConstant):
+        norms = np.array([_translate_l2_pc(f, float(h)) for h in hs])
+    elif callable(f):
+        if support is None:
+            raise ValueError("callable profiles need an explicit support interval")
+        norms = np.array([_translate_l2_quad(f, float(h), support, singularities) for h in hs])
+    else:
+        raise TypeError("f must be PiecewiseConstant or callable")
+
+    est = float(np.max(norms * hs ** (-beta)))
+    return BesovEstimate(beta=float(beta), seminorm=est, h_grid=tuple(float(h) for h in hs))
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def _segment_quad(fn, edges: np.ndarray) -> tuple[float, float]:
+    """Gauss-Legendre(8) integrals of ``|fn|`` and ``fn^2`` per segment, summed."""
+    a = edges[:-1]
+    width = np.diff(edges)
+    xs = a[:, None] + (0.5 * (_GL_X + 1.0))[None, :] * width[:, None]
+    vals = fn(xs.ravel()).reshape(xs.shape)
+    w = 0.5 * width[:, None] * _GL_W[None, :]
+    return float(np.sum(w * np.abs(vals))), float(np.sum(w * vals * vals))
+
+
+def projection_error(d: InitialDatum, p: ProjectedDatum) -> tuple[float, float, float, float, float]:
+    """Projection error of ``p`` against its datum.
+
+    Returns ``(linf_u, l2_u, l2_ux, l1_F, l2_F)`` over the projection window.
+    ``l2_ux`` is computed exactly through the identity
+    :math:`\\int (\\bar u_x - s)^2 = \\Delta F_{ac} - 2 s \\Delta\\bar u + s^2 w`
+    per half cell, which needs only the datum's endpoint evaluators.  The
+    remaining integrals are exact for piecewise-linear data aligned with the
+    grid and high-order sampled quadrature otherwise; ``linf_u`` is sampled
+    (a lower bound on the true sup) unless the datum is piecewise linear.
+    """
+    nodes = p.u.nodes
+    exact_pl = isinstance(d.u, PiecewiseLinear) and isinstance(d.u_x, PiecewiseConstant)
+
+    if exact_pl:
+        linf_u = linf_diff(d.u, p.u)
+    else:
+        linf_u = linf_diff_sampled(d.u, p.u, n_samples=9)
+
+    diff_u = lambda x: np.asarray(d.u(x), dtype=np.float64) - p.u(x)
+    _, l2u_sq = _segment_quad(diff_u, nodes)
+    l2_u = np.sqrt(l2u_sq)
+
+    # exact slope-error identity per half cell
+    seg_du = np.diff(np.asarray(d.u(nodes), dtype=np.float64))
+    seg_df = np.diff(np.asarray(d.F_ac(nodes), dtype=np.float64))
+    s = p.u.slopes
+    w = np.diff(nodes)
+    contrib = seg_df - 2.0 * s * seg_du + s * s * w
+    l2_ux = np.sqrt(max(0.0, float(np.sum(contrib))))
+
+    atom_pos = [a for a, _ in d.atoms] + [a for a, _ in p.mu.atoms]
+    edges = np.unique(np.concatenate((nodes, np.asarray(atom_pos, dtype=np.float64))))
+    f_exact = d.F_ac
+    d_pos = np.array([a for a, _ in d.atoms])
+    d_cum = np.concatenate(([0.0], np.cumsum([m for _, m in d.atoms])))
+
+    def full_datum_F(x):
+        base = np.asarray(f_exact(x), dtype=np.float64)
+        if d_pos.size:
+            base = base + d_cum[np.searchsorted(d_pos, x, side="left")]
+        return base
+
+    diff_F = lambda x: full_datum_F(x) - eval_cumulative(p.mu, x, side="left")
+    l1_F, l2F_sq = _segment_quad(diff_F, edges)
+    return (float(linf_u), float(l2_u), float(l2_ux), float(l1_F), float(np.sqrt(l2F_sq)))

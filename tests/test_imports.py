@@ -1,12 +1,14 @@
-"""Importing hsalpha loads scipy but none of its submodules.
+"""Importing hsalpha loads scipy but none of its submodules, and every
+public name of the package is read by the library or the bench.
 
-The check runs in a fresh interpreter: in this process other test modules
-have already imported ``scipy.integrate``, which would hide a module-level
-submodule import in the library as well as a broken lazy call site.
+The scipy check runs in a fresh interpreter: in this process other test
+modules have already imported ``scipy.integrate``, which would hide a
+module-level submodule import in the library as well as a broken lazy call
+site.
 """
 
+import ast
 import json
-import math
 import os
 import subprocess
 import sys
@@ -14,13 +16,16 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import hsalpha
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SUBMODULES = ("scipy.integrate", "scipy.optimize", "scipy.special")
 
 SCRIPT = f"""
 import contextlib, io, json, sys
 import hsalpha, hsalpha.cli
-from hsalpha import PiecewiseConstant, ReferenceSolution, besov_seminorm
+from hsalpha import ReferenceSolution
 
 def loaded():
     return [m for m in {SUBMODULES!r} if m in sys.modules]
@@ -36,10 +41,6 @@ with contextlib.redirect_stdout(io.StringIO()):
     out["exit_codes"] = [hsalpha.cli.main(argv) for argv in runs]
 out["after_runs"] = loaded()
 out["eval_u"] = ReferenceSolution("cosine", alpha=0.0).eval_u(0.0, 0.5)
-box = PiecewiseConstant([0.0, 1.0], [1.0])
-out["besov"] = besov_seminorm(
-    lambda x: box(x), 0.5, [1.0], support=(0.0, 1.0), singularities=(0.0, 1.0)
-).seminorm
 print(json.dumps(out))
 """
 
@@ -65,7 +66,32 @@ def test_run_paths_load_no_scipy_submodule(fresh):
 
 
 def test_lazy_scipy_call_sites(fresh):
-    # the values test_reference and test_metrics expect; the box goes through
-    # the quadrature branch because it is wrapped in a plain callable
+    # the value test_reference expects, through scipy.optimize loaded on use
     assert fresh["eval_u"] == pytest.approx(0.0, abs=1e-12)
-    assert fresh["besov"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+#: Public names that no library module or bench script reads, each with the
+#: reason it is public all the same.
+ENTRY_POINTS = {
+    "run_solve",  # the solve command as a function: snapshots at chosen times
+    "load_config",  # a --config JSON file as an ExperimentConfig, for scripts
+    "eval_cumulative",  # F of a solution's measure, atoms included, at given points
+}
+
+
+def _names_read(paths) -> set[str]:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_read_by_the_library_or_the_bench():
+    modules = [p for p in (SRC / "hsalpha").glob("*.py") if p.name != "__init__.py"]
+    read = _names_read(modules + sorted((ROOT / "bench").glob("*.py")))
+    unread = sorted(set(hsalpha.__all__) - read - ENTRY_POINTS)
+    assert unread == []

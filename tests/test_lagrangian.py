@@ -10,12 +10,12 @@ import hsalpha.numerics as numerics
 from hsalpha.errors import ConfigError
 from hsalpha.eulerian import EnergyMeasure, InitialDatum, PiecewiseConstant, PiecewiseLinear
 from hsalpha.evolution import evolve
-from hsalpha.lagrangian import LagrangianState, breaking_time, to_lagrangian
+from hsalpha.lagrangian import LagrangianState, to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import cosine_datum, cusp_datum, multipeakon_datum
 
-from conftest import random_multipeakon
+from conftest import one_cell_tau, random_multipeakon
 from oracles import whole_array_to_lagrangian
 
 
@@ -92,12 +92,12 @@ def test_pure_atom_cell():
 
 
 def test_breaking_time_examples():
-    assert breaking_time(0.5, -0.5) == 2.0
-    assert breaking_time(0.5, 1.0) == math.inf
-    assert breaking_time(0.5, 0.0) == math.inf
-    assert breaking_time(0.0, 0.0) == 0.0
+    assert one_cell_tau(0.5, -0.5) == 2.0
+    assert one_cell_tau(0.5, 1.0) == math.inf
+    assert one_cell_tau(0.5, 0.0) == math.inf
+    assert one_cell_tau(0.0, 0.0) == 0.0
     # collapsed cell with negative slope: breaks immediately, not at -0.0
-    t = breaking_time(0.0, -1.0)
+    t = one_cell_tau(0.0, -1.0)
     assert t == 0.0 and math.copysign(1.0, t) == 1.0
 
 

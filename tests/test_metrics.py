@@ -6,19 +6,20 @@ import pytest
 import hsalpha.numerics as numerics
 from hsalpha.errors import MassMismatchError
 from hsalpha.eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear
-from hsalpha.metrics import (
+from hsalpha.metrics import w1
+from hsalpha.projection import ProjectionConfig, project
+from hsalpha.reference import cusp_datum
+import oracles
+from oracles import (
     _translate_l2_pc,
     besov_seminorm,
     default_h_grid,
     l2_diff,
     linf_diff,
     linf_diff_sampled,
-    w1,
+    projection_error,
+    whole_array_w1,
 )
-from hsalpha.projection import ProjectionConfig, project, projection_error
-from hsalpha.reference import cusp_datum
-import oracles
-from oracles import whole_array_w1
 
 FLAT = PiecewiseLinear(np.array([-3.0, 3.0]), np.array([0.0, 0.0]))
 

@@ -14,10 +14,9 @@ from hsalpha.projection import (
     SignRule,
     default_window,
     project,
-    projection_error,
 )
 from hsalpha.reference import cosine_datum, cusp_datum
-from oracles import greedy_sign_loop
+from oracles import greedy_sign_loop, projection_error
 
 
 def total_energy_of(d):

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsalpha.numerics as numerics
-from conftest import random_multipeakon
+from conftest import one_cell_tau, random_multipeakon
 from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear
 from hsalpha.evolution import evolve, total_energy
-from hsalpha.lagrangian import breaking_time, to_lagrangian
-from hsalpha.metrics import l2_diff, linf_diff, w1
+from hsalpha.lagrangian import _breaking_times, to_lagrangian
+from hsalpha.metrics import w1
 from hsalpha.numerics import _sorted_unique, exact_cumsum
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
-from oracles import whole_array_exact_cumsum
+from oracles import breaking_time, l2_diff, linf_diff, whole_array_exact_cumsum
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -89,7 +89,7 @@ def test_exact_cumsum_tracks_exact_prefixes(xs):
 @settings(max_examples=1000, deadline=None)
 @given(d_y=st.floats(1e-8, 1e3), d_U=st.floats(-1e3, -1e-8))
 def test_breaking_time_is_the_cell_quadratic_root(d_y, d_U):
-    tau = breaking_time(d_y, d_U)
+    tau = one_cell_tau(d_y, d_U)
     assert 0.0 < tau < np.inf
     # on-manifold cell: d_V fixed by the algebraic relation
     d_V = d_U * d_U / d_y
@@ -104,9 +104,27 @@ def test_breaking_time_is_the_cell_quadratic_root(d_y, d_U):
 @given(d_y=st.floats(0.0, 1e3), d_U=st.floats(0.0, 1e3))
 def test_breaking_time_nonnegative_slopes_never_break(d_y, d_U):
     if d_y == 0.0 and d_U == 0.0:
-        assert breaking_time(d_y, d_U) == 0.0
+        assert one_cell_tau(d_y, d_U) == 0.0
     else:
-        assert breaking_time(d_y, d_U) == np.inf
+        assert one_cell_tau(d_y, d_U) == np.inf
+
+
+_TAU_D_Y = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e300))
+_TAU_D_U = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310]), st.floats(-1e300, 1e300)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TAU_D_Y, _TAU_D_U), min_size=1, max_size=40))
+def test_breaking_times_equal_the_scalar_oracle(cells):
+    # zeros of both signs and subnormal d_U included: where -2 d_y / d_U
+    # overflows, both give inf; a zero time is +0.0 in both
+    d_y, d_U = (np.array(c, dtype=np.float64) for c in zip(*cells))
+    got = _breaking_times(d_y, d_U, np.empty(d_y.size))
+    want = np.array([breaking_time(float(a), float(b)) for a, b in cells])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=150, deadline=None)

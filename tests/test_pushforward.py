@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import hsalpha.eulerian as eulerian
 import hsalpha.numerics as numerics
 from hsalpha.errors import CorruptStateError
+from hsalpha.eulerian import eval_cumulative
 from hsalpha.evolution import events, evolve, total_energy
 from hsalpha.harness import ExperimentConfig, initial_state
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import Workspace
-from hsalpha.pushforward import ATOM_WIDTH_TOL, _u_rows, eval_F, eval_u, to_eulerian
+from hsalpha.pushforward import ATOM_WIDTH_TOL, _u_rows, to_eulerian
 from hsalpha.reference import multipeakon_exact
 from oracles import _node_picks, whole_array_to_eulerian
 
@@ -26,9 +27,9 @@ def test_atom_appears_at_collapse(peakon_state):
     after = to_eulerian(evolve(peakon_state, 2.0))
     assert after.mu.atoms == ((0.75, 0.25),)
     # u stays single valued through the collapse
-    assert eval_u(after, 0.75) == pytest.approx(0.25, abs=1e-14)
-    assert eval_F(after, 0.75, side="left") == pytest.approx(0.0, abs=1e-14)
-    assert eval_F(after, 0.75, side="right") == pytest.approx(0.25, abs=1e-14)
+    assert after.u(0.75) == pytest.approx(0.25, abs=1e-14)
+    assert eval_cumulative(after.mu, 0.75, side="left") == pytest.approx(0.0, abs=1e-14)
+    assert eval_cumulative(after.mu, 0.75, side="right") == pytest.approx(0.25, abs=1e-14)
 
 
 def test_matches_closed_form_before_and_after(peakon_state):
@@ -38,7 +39,7 @@ def test_matches_closed_form_before_and_after(peakon_state):
         xs = np.linspace(-1.0, 3.0, 257)
         u_ref, f_ref = multipeakon_exact(0.5, t, xs)
         assert np.max(np.abs(sol.u(xs) - u_ref)) <= 1e-12
-        f_num = np.array([eval_F(sol, float(x), side="right") for x in xs])
+        f_num = np.array([eval_cumulative(sol.mu, float(x), side="right") for x in xs])
         assert np.max(np.abs(f_num - f_ref)) <= 1e-12
 
 
