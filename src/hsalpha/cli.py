@@ -21,7 +21,6 @@ import os
 import sys
 
 from .errors import ConfigError, NumericError
-from .evolution import evolve
 from .harness import (
     ExperimentConfig,
     _read_config,
@@ -29,6 +28,7 @@ from .harness import (
     initial_state,
     run_eoc,
     run_measure_rates,
+    run_solve,
     write_solution_csv,
 )
 from .pushforward import to_eulerian
@@ -125,7 +125,7 @@ def _write_snapshot(cfg, sol, name) -> None:
 
 def _cmd_solve(args) -> int:
     cfg = _build_config(args)
-    final = to_eulerian(evolve(initial_state(cfg, args.dx), cfg.T))
+    (final,) = run_solve(cfg, args.dx, [cfg.T])
     mass = final.mu.total_mass()
     print(
         f"solved example={cfg.example} alpha={cfg.alpha:g} dx={args.dx:g} "

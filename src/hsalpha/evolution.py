@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .lagrangian import LagrangianState
-from .numerics import _take, exact_cumsum, stable_sum
+from .numerics import exact_cumsum, stable_sum
 
 __all__ = ["EventSchedule", "events", "evolve", "total_energy"]
 
@@ -84,7 +84,7 @@ class EventSchedule:
                 raise ValueError("every event time needs a cell list")
 
 
-def _clusters(s: LagrangianState, t: np.ndarray, side: str, ws=None):
+def _clusters(s: LagrangianState, t: np.ndarray, side: str):
     """Cells of s that break by each time of the 1-d array t, with the tie
     clusters they break in.
 
@@ -97,8 +97,7 @@ def _clusters(s: LagrangianState, t: np.ndarray, side: str, ws=None):
 
     Returns (cells, hit, first): the candidate cells in tau order, whether
     each breaks by t_j (row j), and the earliest breaking time of its
-    cluster in row j (read only where hit).  With a Workspace ws, first
-    lives in its slot 3, and slot 4 holds scratch.
+    cluster in row j (read only where hit).
     """
     tol = np.array([tie_tol(v) for v in t.tolist()])
     tau = s.tau
@@ -121,10 +120,8 @@ def _clusters(s: LagrangianState, t: np.ndarray, side: str, ws=None):
     np.greater(ct[1:] - ct[:-1], tol[:, None], out=start[:, 1:])
     start &= k < n_seed[:, None]
     # each cell's cluster begins at the last start up to it
-    at = np.multiply(start, k, out=_take(ws, 4, rows, np.intp))
-    np.maximum.accumulate(at, axis=1, out=at)
-    first = np.take(ct, at, out=_take(ws, 3, rows), mode="clip")
-    return cand, k < n_member[:, None], first
+    at = np.maximum.accumulate(start * k, axis=1)
+    return cand, k < n_member[:, None], ct[at]
 
 
 def events(s: LagrangianState, T: float) -> EventSchedule:
@@ -146,18 +143,16 @@ def events(s: LagrangianState, T: float) -> EventSchedule:
 # a time so large that the motion overflows is reported by the callers,
 # which check that y and U are finite
 @np.errstate(over="ignore", invalid="ignore")
-def _map(s: LagrangianState, t: np.ndarray, side: str = "right", ws=None):
+def _map(s: LagrangianState, t: np.ndarray, side: str = "right"):
     """The closed-form map of s to each time of the 1-d array t >= s.time.
 
     Returns (y, U, d_y, cells, hit, r): y, U and d_y at t_j in row j, as
     evolve(s, t_j, side) returns them (value for value, apart from the sign
     of a zero in y and U on a row where no cell breaks while another row's
     do); the cells that may break by max(t); and in row j whether each of
-    them breaks by t_j (hit) and how long before t_j it did (r).  With a
-    Workspace ws, y, U and d_y live in its slots 0, 1 and 2, slots 3 and 4
-    hold scratch, and r is None.
+    them breaks by t_j (hit) and how long before t_j it did (r).
     """
-    cells, hit, first = _clusters(s, t, side, ws)
+    cells, hit, first = _clusters(s, t, side)
     r = np.maximum(first, s.time, out=first)
     np.subtract(t[:, None], r, out=r)
     np.copyto(r, 0.0, where=~hit)
@@ -168,7 +163,7 @@ def _map(s: LagrangianState, t: np.ndarray, side: str = "right", ws=None):
     m, n = t.size, s.n_cells
     dt = (t - s.time)[:, None]
     acc = 0.5 * s.V - 0.25 * s.V_inf
-    y, U, d_y = _take(ws, 0, (m, n + 1)), _take(ws, 1, (m, n + 1)), _take(ws, 2, (m, n))
+    y, U, d_y = np.empty((m, n + 1)), np.empty((m, n + 1)), np.empty((m, n))
     np.multiply(dt, s.d_U, out=d_y)
     d_y += np.multiply(0.25 * dt * dt, s.d_V, out=y[:, :n])
     d_y += s.d_y
@@ -181,11 +176,11 @@ def _map(s: LagrangianState, t: np.ndarray, side: str = "right", ws=None):
     if hit.any():
         order = cells.argsort()
         cells, hit = cells[order], hit[:, order]
-        r = np.take(r, order, axis=1, out=_take(ws, 4, r.shape), mode="clip")
+        r = r[:, order]
         kept = (1.0 - s.alpha) * s.d_V[cells]
         # the collapse is exact: a breaking cell restarts from analytic zeros,
         # (0.25 r r) kept, and a cell that does not break keeps its d_y
-        restart = np.take(d_y, cells, axis=1, out=_take(ws, 3, r.shape), mode="clip")
+        restart = d_y[:, cells]
         np.multiply(0.25, r, out=restart, where=hit)
         np.multiply(restart, r, out=restart, where=hit)
         np.multiply(restart, kept, out=restart, where=hit)
@@ -197,7 +192,7 @@ def _map(s: LagrangianState, t: np.ndarray, side: str = "right", ws=None):
         # order (one that does not break by t_j adds an exact zero to row
         # j), constant between consecutive ones
         D = (s.d_V[cells] - kept) * s.widths[cells]
-        lost = _take(ws, 3, (2, m, cells.size + 1))
+        lost = np.empty((2, m, cells.size + 1))
         lost[:, :, 0] = 0.0
         np.multiply(D, r, out=lost[0, :, 1:])
         twice = np.multiply(0.5, r, out=lost[1, :, 1:])
@@ -210,10 +205,9 @@ def _map(s: LagrangianState, t: np.ndarray, side: str = "right", ws=None):
         np.subtract(total, lost, out=lost)
         # a node gains the sum over the cells left of it
         left = np.repeat(np.arange(cells.size + 1), np.diff(np.concatenate(([-1], cells, [n]))))
-        gain = _take(ws, 4, (m, n + 1))
-        U += np.take(lost[0], left, axis=1, out=gain, mode="clip")
-        y += np.take(lost[1], left, axis=1, out=gain, mode="clip")
-    return y, U, d_y, cells, hit, (r if ws is None else None)
+        U += lost[0][:, left]
+        y += lost[1][:, left]
+    return y, U, d_y, cells, hit, r
 
 
 def evolve(s: LagrangianState, t: float, side: str = "right") -> LagrangianState:

@@ -37,7 +37,7 @@ from .eulerian import EulerianSolution, InitialDatum, _atom_rows, make_multipeak
 from .evolution import _map, evolve
 from .lagrangian import LagrangianState, to_lagrangian
 from .metrics import w1
-from .numerics import Workspace, _blocks
+from .numerics import _blocks
 from .projection import ProjectionConfig, project
 from .pushforward import _u_rows, to_eulerian
 from .reference import ReferenceSolution, cosine_datum, cusp_datum, multipeakon_datum
@@ -271,7 +271,8 @@ def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
     Projects cfg's datum at mesh size dx and returns, for each of the
     nondecreasing times t in t_list, ``to_eulerian(evolve(s0, t))``: the
     snapshot mapped in closed form from the t=0 state s0, whatever breaking
-    events lie between the times.
+    events lie between the times.  s0 is dropped before the last snapshot's
+    pushforward, so one time costs what that one expression does.
     """
     ts = np.asarray(t_list, dtype=float)
     if ts.size == 0:
@@ -280,8 +281,11 @@ def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
         raise ConfigError("t_list entries must be finite and nonnegative")
     if np.any(np.diff(ts) < 0.0):
         raise ConfigError("t_list must be nondecreasing")
-    s0 = initial_state(cfg, dx)
-    return [to_eulerian(evolve(s0, t)) for t in ts.tolist()]
+    *head, last = ts.tolist()
+    s = initial_state(cfg, dx)
+    sols = [to_eulerian(evolve(s, t)) for t in head]
+    s = evolve(s, last)
+    return sols + [to_eulerian(s)]
 
 
 def _rel_err(nodes, values, knots, knot_u, ref_at_nodes=None) -> float:
@@ -299,16 +303,14 @@ def _rel_err(nodes, values, knots, knot_u, ref_at_nodes=None) -> float:
     return diff / max(den, 1e-300)
 
 
-def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles, ws) -> float:
+def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles) -> float:
     """The largest _rel_err of the snapshots of s at the times t against
-    the reference rows profiles(t, x_lo, x_hi, ws) (see
-    ReferenceSolution._rung), the Workspace ws serving the map and then,
-    once its nodes are picked, the tables."""
-    sols = _u_rows(*_map(s, t, ws=ws)[:3], ws)
+    the reference rows profiles(t, x_lo, x_hi) (see ReferenceSolution._rung)."""
+    sols = _u_rows(*_map(s, t)[:3])
     x_lo = np.array([nodes[0] for nodes, _ in sols])
     x_hi = np.array([nodes[-1] for nodes, _ in sols])
     worst = 0.0
-    for (nodes, values), (knots, knot_u, u_at) in zip(sols, profiles(t, x_lo, x_hi, ws)):
+    for (nodes, values), (knots, knot_u, u_at) in zip(sols, profiles(t, x_lo, x_hi)):
         at_nodes = None if u_at is None else u_at(nodes)
         worst = max(worst, _rel_err(nodes, values, knots, knot_u, at_nodes))
     return worst
@@ -343,19 +345,16 @@ def run_eoc(cfg: ExperimentConfig) -> EocReport:
     [0, T], the same grid on every rung.  Each snapshot is mapped from the
     t=0 state in closed form, and the snapshots of a rung are evaluated in
     chunks of times, against reference tables that share one static part
-    per rung.  A chunk's rows are as wide as the wider of a state and a
-    table, and the chunks of a rung reuse one Workspace, sized for them and
-    freed when the rung returns.
+    per rung.  A chunk holds as many times as numerics._CHUNK_FLOATS holds
+    rows as wide as the wider of a state and a table.
     """
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
 
     def rung(ref, dx):
         s = initial_state(cfg, dx)
         profiles, width = ref._rung(n_base=max(4001, 3 * (s.n_cells + 1)))
-        width = max(width, s.n_cells + 1)
-        chunks = _blocks(samples.size, width)
-        ws = Workspace((chunks[0][1] - chunks[0][0]) * width)
-        return max(_worst_rel_err(s, samples[b:e], profiles, ws) for b, e in chunks)
+        chunks = _blocks(samples.size, max(width, s.n_cells + 1))
+        return max(_worst_rel_err(s, samples[b:e], profiles) for b, e in chunks)
 
     return _ladder(cfg, "linf_u", "eoc", rung)
 

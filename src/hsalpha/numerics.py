@@ -77,12 +77,13 @@ def stable_sum(x: np.ndarray) -> float:
 #: validation of arrays, and the reference table of one time, whose tiles
 #: hold this many static points and the moving points among them) by a few
 #: arrays of this size whatever their input's size.  Larger chunks mean
-#: fewer numpy calls per time but more memory in flight.  A run_eoc rung
-#: keeps five arrays of this size in one Workspace for all its chunks: on
-#: the cusp rungs k=4,5 a call then takes about 450 minor page faults
-#: (40-49k when every chunk made its own arrays) and peaks about 0.3 MB
-#: lower; 2^16 floats would make the call a fifth faster and its traced
-#: peak 1.7 MB higher.
+#: fewer numpy calls per time but more memory in flight.  The reference
+#: tables of a run_eoc rung keep four arrays of this size in one workspace
+#: for all their chunks (reference._Workspace): on the cusp rungs k=4,5 a
+#: call then takes about 330 minor page faults, against about 1870 when
+#: every chunk makes its own table arrays (x86-64, glibc malloc); 2^16
+#: floats would make the call about a tenth faster and its traced peak
+#: 1.8 MB higher (2.3 -> 4.1 MB).
 _CHUNK_FLOATS = 2**15
 
 
@@ -92,40 +93,6 @@ def _blocks(n, width=1):
     but the last."""
     m = max(1, _CHUNK_FLOATS // width)
     return [(i, min(i + m, n)) for i in range(0, n, m)]
-
-
-class Workspace:
-    """Scratch arrays that the chunks of one batched evaluation reuse.
-
-    ``take(i, shape, dtype)`` is an uninitialised array over the memory of
-    slot i.  A slot is made with room for ``floats`` float64s, or for the
-    request if it needs more, and lives as long as the workspace: sized for
-    the largest array of an evaluation, no slot is made again while an
-    array over its old memory is still in use.  Taking slot i again ends the
-    life of whatever was taken from it before, so a workspace serves one
-    evaluation at a time, and every function that takes one says which
-    slots it writes and which of its results live there.
-    """
-
-    def __init__(self, floats=0):
-        self._slots = []
-        self._floor = 8 * floats
-
-    def take(self, i, shape, dtype=np.float64):
-        dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        self._slots += [None] * (i + 1 - len(self._slots))
-        if self._slots[i] is None or self._slots[i].size < size:
-            self._slots[i] = None
-            self._slots[i] = np.empty(max(size, self._floor), np.uint8)
-        return self._slots[i][:size].view(dtype).reshape(shape)
-
-
-def _take(ws, i, shape, dtype=np.float64):
-    """ws.take(i, shape, dtype), or a new array if ws is None."""
-    if ws is None:
-        return np.empty(shape, dtype)
-    return ws.take(i, shape, dtype)
 
 
 def _running_max(v, down=None):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CorruptStateError, NumericError
 from .eulerian import EnergyMeasure, EulerianSolution, PiecewiseLinear
 from .lagrangian import LagrangianState
-from .numerics import _ExactPrefix, _Kept, _all_finite, _blocks, _running_max, _take
+from .numerics import _ExactPrefix, _Kept, _all_finite, _blocks, _running_max
 
 __all__ = ["to_eulerian", "ATOM_WIDTH_TOL", "ATOM_MASS_TOL"]
 
@@ -48,20 +48,7 @@ def _check_steps(drop, y):
             )
 
 
-def _positions(y, U, scratch=None):
-    """The running max of nodal positions y along the last axis (one state
-    per row), made in y itself, after checking that y and the velocities U
-    are finite and that y steps down nowhere beyond _check_steps' bound (the
-    steps of y are taken in scratch if given)."""
-    if not (np.isfinite(y).all() and np.isfinite(U).all()):
-        raise NumericError("Lagrangian positions or velocities are not finite")
-    drop = np.subtract(y[..., 1:], y[..., :-1], out=scratch)
-    _check_steps(drop, y)
-    # Tiny negative jumps are round-off residue on collapsed cells.
-    return _running_max(y, drop < 0.0)
-
-
-def _u_rows(y, U, d_y, ws=None):
+def _u_rows(y, U, d_y):
     """The wave profile (nodes, values) that to_eulerian builds, for each row
     of nodal positions y, nodal velocities U and cell widths d_y, with every
     check to_eulerian makes.
@@ -70,13 +57,18 @@ def _u_rows(y, U, d_y, ws=None):
     with d_y > ATOM_WIDTH_TOL), of which only the last of those that still
     coincide after rounding is kept (so cumulative mass and the outgoing
     value survive).  The picks are made for all rows at once, y overwritten
-    by its running max.  A pick is dropped when the next pick has the same
-    y; the real cell left of that next pick then has no width in y, so
-    only the picks before such cells are compared.  With a Workspace ws,
-    slots 3 and 4 hold scratch.
+    by its running max once y and U are checked finite and y steps down
+    nowhere beyond _check_steps' bound.  A pick is dropped when the next
+    pick has the same y; the real cell left of that next pick then has no
+    width in y, so only the picks before such cells are compared.
     """
-    y = _positions(y, U, scratch=_take(ws, 3, d_y.shape))
-    picked = _take(ws, 4, y.shape, bool)
+    if not (np.isfinite(y).all() and np.isfinite(U).all()):
+        raise NumericError("Lagrangian positions or velocities are not finite")
+    drop = y[:, 1:] - y[:, :-1]
+    _check_steps(drop, y)
+    # tiny negative jumps are round-off residue on collapsed cells
+    y = _running_max(y, drop < 0.0)
+    picked = np.empty(y.shape, bool)
     picked[:, 0] = True
     real = picked[:, 1:]
     np.greater(d_y, ATOM_WIDTH_TOL, out=real)

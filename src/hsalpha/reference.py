@@ -32,10 +32,9 @@ CuspFamily) evaluates those once per table point as ``columns(z)`` ("z",
 "u" for ubar, "F" for Fbar, and what its integrals read), and reads them at
 the times t: ``_B(t, c)`` and ``_J12(t, c, ws=None)`` give B, and J1 and
 J2, point by point, each an array of the maps' shape or None where it is
-zero (the cusp's J1 and J2 live in slots 0 and 1 of the Workspace ws if
-given, slot 2 holding scratch).  ``B_inf``, ``J1_inf`` and ``J2_inf`` are
-the integrals over the whole line; a table refines at ``fixed_anchors``
-and at ``moving_points(t, pad)`` (one row per time of the column t);
+zero.  ``B_inf``, ``J1_inf`` and ``J2_inf`` are the integrals over the
+whole line; a table refines at ``fixed_anchors`` and at
+``moving_points(t, pad)`` (one row per time of the column t);
 ``window``, ``u_max``, ``F_inf`` and ``alpha`` are the datum window,
 max |ubar|, Fbar at +inf and the dissipated fraction.
 Whatever reads t takes a time or a column of times.  The dense table of
@@ -62,7 +61,7 @@ import scipy
 
 from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
-from .numerics import Workspace, _Kept, _abs_max, _all_finite, _blocks, _running_max, _take
+from .numerics import _CHUNK_FLOATS, _Kept, _abs_max, _all_finite, _blocks, _running_max
 from .numerics import _sorted_unique
 from .projection import MAX_CELLS
 
@@ -432,8 +431,7 @@ class CuspFamily:
 
     def _J12(self, t, c, ws=None):
         """J1 and J2 at the times t and the columns c, point by point (in
-        slots 0 and 1 of the Workspace ws if given, slot 2 holding
-        scratch)."""
+        the _Workspace ws if given)."""
         r = self._r(t)
         B = t - 3.0 * r
         shape = np.broadcast(t, c["rho"]).shape
@@ -472,6 +470,44 @@ class CuspFamily:
         r, v = self._r(t), self._v_top
         B, C = t - 3.0 * r, t - 3.0 * v
         return (2.0 / 9.0) * (C * C + C * B + B * B) * (r - v)
+
+
+class _Workspace:
+    """Scratch rows that the chunks of times of one ladder rung reuse
+    (ReferenceSolution._rung makes one per call).
+
+    ``take(i, shape)`` is an uninitialised float array over the memory of
+    slot i.  A slot is made with room for ``floats`` floats, or for the
+    request if it needs more, and lives as long as the workspace: sized for
+    the largest array of a chunk, no slot is made again while an array over
+    its old memory is still in use.  Taking slot i again ends the life of
+    whatever was taken from it before, so a workspace serves one chunk at a
+    time.  The slots, each taken over by the next use once the previous one
+    is read:
+
+        0  J1 (CuspFamily._J12), then the rows of U (_maps)
+        1  J2, then the rows of y
+        2  the cusp's rho, then the tmp of _char_position, then the rows of F
+        3  each map's values on the static columns
+    """
+
+    def __init__(self, floats=0):
+        self._slots = [np.empty(0) for _ in range(4)]
+        self._floor = floats
+
+    def take(self, i, shape):
+        size = math.prod(shape)
+        if self._slots[i].size < size:
+            self._slots[i] = None
+            self._slots[i] = np.empty(max(size, self._floor))
+        return self._slots[i][:size].reshape(shape)
+
+
+def _take(ws, i, shape):
+    """ws.take(i, shape), or a new array if ws is None."""
+    if ws is None:
+        return np.empty(shape)
+    return ws.take(i, shape)
 
 
 # The characteristic maps take a family, a time or a column of times, the
@@ -609,17 +645,14 @@ def _maps(fam, t, static, moving, before, cumulative, ws=None):
     one row per time: the maps on the static columns and on the moving
     points (row j of the 2-d array moving, sorted, for time j), merged in z
     order.  before is the static z's searchsorted of moving: a moving point
-    goes before the static point at that place.  With a Workspace ws,
-    y lives in slot 1, U in slot 0 and F in slot 2: each map's static values
-    are made in slot 3 and its row takes the slot of what the map read last
-    (slots 2 and 4 hold scratch).  Without one, what a map read is dropped
-    once its row is made."""
+    goes before the static point at that place.  The float arrays are taken
+    from the _Workspace ws if given; without one, what a map read is
+    dropped once its row is made."""
     m, n = t.shape[0], static["z"].shape[-1]
     shape, width = (m, n), n + moving.shape[1]
     at = (before + np.arange(moving.shape[1]) + width * np.arange(m)[:, None]).ravel()
     extra = fam.columns(moving)
-    of_static = _take(ws, 4, (m, width), bool)
-    of_static[...] = True
+    of_static = np.ones((m, width), bool)
     of_static.ravel()[at] = False
 
     def merged(on_static, slot, f, *integral):
@@ -664,9 +697,8 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
     the picks are taken on whole rows.  One time is taken in tiles of
     _CHUNK_FLOATS static points and the moving points that sort among them,
     the running maxima carried and _Kept holding the look-ahead from tile to
-    tile.  Both take their arrays from the Workspace ws if given (slots 0 to
-    4).  Raises NumericError where the z-range or the maps' values
-    overflow.
+    tile.  Both take their float rows from the _Workspace ws if given.
+    Raises NumericError where the z-range or the maps' values overflow.
     """
     # Characteristics outside the datum window move rigidly (constant u,
     # constant F), so resolution is only spent on the window itself; sparse
@@ -690,7 +722,7 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
             for row in rows[::2]:
                 _running_max(row)
             Y, lo, hi = rows[0], s_lo + m_lo, s_hi + m_hi
-            keep = _take(ws, 4, Y.shape, bool)
+            keep = np.empty(Y.shape, bool)
             np.greater(Y[:, 1:], Y[:, :-1], out=keep[:, :-1])
             keep[np.arange(t.size), hi - 1] = True
             places = np.arange(Y.shape[1])
@@ -885,13 +917,12 @@ class ReferenceSolution:
         and nothing is kept between calls.  The moving points are merged in
         order, and the table has the knots a from-scratch build would give,
         value for value.  The maps run over the table in tiles of
-        numerics._CHUNK_FLOATS static points (_tables), in one Workspace of
-        the call, so besides the knots (and u and F there) the call holds
-        the static z and a few tiles.  Raises ConfigError for a negative or
-        non-finite t, a non-finite x_lo or x_hi, an n_base that is not an
-        integer of at most 3 (projection.MAX_CELLS + 1), and a side other
-        than "left" or "right"; NumericError when the characteristics
-        overflow by t.  side, the one-sided limit at an event time, matters
+        numerics._CHUNK_FLOATS static points (_tables), so besides the knots
+        (and u and F there) the call holds the static z and a few tiles.
+        Raises ConfigError for a negative or non-finite t, a non-finite x_lo
+        or x_hi, an n_base that is not an integer of at most
+        3 (projection.MAX_CELLS + 1), and a side other than "left" or
+        "right"; NumericError when the characteristics overflow by t.  side, the one-sided limit at an event time, matters
         only for the two-peak family: the cosine and cusp energies stay
         absolutely continuous, so their left and right limits coincide.
         """
@@ -913,7 +944,7 @@ class ReferenceSolution:
         if x_hi is None:
             x_hi = fam.window[1]
         z = _static_points(fam, max(int(n_base), 101))
-        ((y_k, u_k, F_k),) = _tables(fam, z, t, x_lo, x_hi, cumulative=True, ws=Workspace())
+        ((y_k, u_k, F_k),) = _tables(fam, z, t, x_lo, x_hi, cumulative=True)
 
         def u_at(x):
             return np.interp(x, y_k, u_k)
@@ -939,23 +970,24 @@ class ReferenceSolution:
     def _rung(self, n_base):
         """profile() at many times, for one ladder rung.
 
-        Returns (rows, width).  rows(t, x_lo, x_hi, ws=None) yields (knots,
-        knot_u, u_at) of the profile at each time of the 1-d array t,
-        covering [x_lo, x_hi] (1-d arrays too): the knots, u there, and u as
-        a function where it is not the interpolant of the knots (the
+        Returns (rows, width).  rows(t, x_lo, x_hi) yields (knots, knot_u,
+        u_at) of the profile at each time of the 1-d array t, covering
+        [x_lo, x_hi] (1-d arrays too): the knots, u there, and u as a
+        function where it is not the interpolant of the knots (the
         closed-form family; else None).  The tables are built by _tables in
         chunks of times (numerics._blocks of rows of width points), on one
-        static part and its columns built here for n_base, in the Workspace
-        ws if given (slots 0 to 4): a chunk of one row (every chunk, if a
-        row is wider than half of _CHUNK_FLOATS, or a rung's last) is taken
-        in tiles, as profile() takes its table.  width is the number of
-        points in a row (0 for the closed-form family).  Raises
-        NumericError, as profile() does, at a time where the
-        characteristics overflow.
+        static part and its columns built here for n_base: a chunk of one
+        row (every chunk, if a row is wider than half of _CHUNK_FLOATS, or a
+        rung's last) is taken in tiles, as profile() takes its table.  The
+        chunks of all the calls of rows reuse one _Workspace made here, so
+        the rows of one _rung call are drawn by one generator at a time.
+        width is the number of points in a row (0 for the closed-form
+        family).  Raises NumericError, as profile() does, at a time where
+        the characteristics overflow.
         """
         if self.family == "multipeakon_appA":
 
-            def closed_form_rows(t, x_lo, x_hi, ws=None):
+            def closed_form_rows(t, x_lo, x_hi):
                 for prof in map(self.profile, t.tolist()):
                     yield prof.knots, prof.knot_u, prof.u_at
 
@@ -968,7 +1000,11 @@ class ReferenceSolution:
         late = np.full((1, 1), np.inf)
         width = z.size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
 
-        def table_rows(t, x_lo, x_hi, ws=None):
+        # a chunk's rows take at most max(_CHUNK_FLOATS, width) floats, so no
+        # slot is made again after the first chunk
+        ws = _Workspace(max(_CHUNK_FLOATS, width))
+
+        def table_rows(t, x_lo, x_hi):
             for b, e in _blocks(t.size, width):
                 for knots, knot_u in _tables(fam, z, t[b:e], x_lo[b:e], x_hi[b:e], cols, ws=ws):
                     yield knots, knot_u, None

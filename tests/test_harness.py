@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import tracemalloc
 import types
 
@@ -29,7 +30,6 @@ from hsalpha.harness import (
 )
 from hsalpha.evolution import events, evolve
 from hsalpha.lagrangian import to_lagrangian
-from hsalpha.numerics import Workspace
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import ReferenceProfile, ReferenceSolution, multipeakon_exact
@@ -129,6 +129,30 @@ def test_run_solve_maps_each_time_from_t0(cfg, dx, times):
         assert sol.u.values.tobytes() == want.u.values.tobytes()
         assert sol.mu.F_ac.values.tobytes() == want.mu.F_ac.values.tobytes()
         assert sol.mu.atoms == want.mu.atoms
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_solve_one_time_costs_the_one_expression():
+    # the t=0 state is dropped before the pushforward, so one time peaks as
+    # the expression hsalpha solve used to run (1.19x it when s0 was held)
+    cfg = ExperimentConfig(example="cosine", alpha=0.5, T=0.7)
+    dx = 2.0**-12
+    run_solve(cfg, dx, [cfg.T])  # first calls made, as in each measured one
+    want, want_peak = _traced_peak(lambda: to_eulerian(evolve(initial_state(cfg, dx), cfg.T)))
+    (got,), peak = _traced_peak(lambda: run_solve(cfg, dx, [cfg.T]))
+    assert peak <= 1.01 * want_peak
+    for f in ("u.nodes", "u.values", "mu.F_ac.values", "mu.atom_positions", "mu.atom_masses"):
+        a, b = (operator.attrgetter(f)(sol) for sol in (got, want))
+        assert a.tobytes() == b.tobytes()
+    assert (got.time, got.alpha) == (want.time, want.alpha)
 
 
 def test_run_solve_validates_time_list():
@@ -491,9 +515,9 @@ def test_run_eoc_leaves_earlier_results_alone():
 
 
 def test_interleaved_rung_rows_equal_rows_alone():
-    # each generator of table rows works in its own workspace, so drawing
-    # rows from several in turn gives what each gives alone: the tables of
-    # profile() at its times
+    # the generators of table rows of separate _rung calls work in separate
+    # workspaces, so drawing rows from several in turn gives what each gives
+    # alone: the tables of profile() at its times
     cusp = ReferenceSolution(family="cusp", alpha=0.5)
     cosine = ReferenceSolution(family="cosine", alpha=0.75)
     t = np.linspace(0.0, 3.0, 40)
@@ -504,8 +528,8 @@ def test_interleaved_rung_rows_equal_rows_alone():
     ]
     gens = []
     for ref, *args in jobs:
-        rows, width = ref._rung(n_base=4001)
-        gens.append(rows(*args, Workspace(8 * width)))
+        rows, _ = ref._rung(n_base=4001)
+        gens.append(rows(*args))
     interleaved = [[], [], []]
     for _ in range(40):
         for got, gen in zip(interleaved, gens):

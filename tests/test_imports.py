@@ -1,5 +1,6 @@
-"""Importing hsalpha loads scipy but none of its submodules, and every
-public name of the package is read by the library or the bench.
+"""Importing hsalpha loads scipy but none of its submodules, every public
+name of the package is read by the library or the bench, and only the
+reference module knows the rung's scratch workspace.
 
 The scipy check runs in a fresh interpreter: in this process other test
 modules have already imported ``scipy.integrate``, which would hide a
@@ -73,7 +74,6 @@ def test_lazy_scipy_call_sites(fresh):
 #: Public names that no library module or bench script reads, each with the
 #: reason it is public all the same.
 ENTRY_POINTS = {
-    "run_solve",  # the solve command as a function: snapshots at chosen times
     "load_config",  # a --config JSON file as an ExperimentConfig, for scripts
     "eval_cumulative",  # F of a solution's measure, atoms included, at given points
 }
@@ -95,3 +95,30 @@ def test_every_public_name_is_read_by_the_library_or_the_bench():
     read = _names_read(modules + sorted((ROOT / "bench").glob("*.py")))
     unread = sorted(set(hsalpha.__all__) - read - ENTRY_POINTS)
     assert unread == []
+
+
+def test_only_the_reference_module_knows_the_workspace():
+    # the rung's reusable scratch and its slot table are reference.py's:
+    # no other module names them or takes a ws parameter
+    bad = []
+    for path in sorted((SRC / "hsalpha").glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.alias):
+                names.append(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.arg) and node.arg == "ws":
+                names.append("ws parameter")
+            bad += [
+                (path.name, name)
+                for name in names
+                if "Workspace" in name or name in ("_take", "ws parameter")
+            ]
+    assert bad == []

@@ -13,7 +13,6 @@ from hsalpha.eulerian import eval_cumulative
 from hsalpha.evolution import events, evolve, total_energy
 from hsalpha.harness import ExperimentConfig, initial_state
 from hsalpha.lagrangian import LagrangianState
-from hsalpha.numerics import Workspace
 from hsalpha.pushforward import ATOM_WIDTH_TOL, _u_rows, to_eulerian
 from hsalpha.reference import multipeakon_exact
 from oracles import _node_picks, whole_array_to_eulerian
@@ -135,11 +134,10 @@ def test_u_rows_equal_node_picks(rows, n, seed):
         y_j = np.maximum.accumulate(y_j)
         sel, keep = _node_picks(y_j, d_y_j > ATOM_WIDTH_TOL)
         want.append((y_j[sel[keep]], U_j[sel[keep]]))
-    for ws in (None, Workspace()):
-        got = _u_rows(y.copy(), U, d_y, ws)
-        assert len(got) == rows
-        for (nodes, values), (w_nodes, w_values) in zip(got, want):
-            assert np.array_equal(nodes, w_nodes) and np.array_equal(values, w_values)
+    got = _u_rows(y.copy(), U, d_y)
+    assert len(got) == rows
+    for (nodes, values), (w_nodes, w_values) in zip(got, want):
+        assert np.array_equal(nodes, w_nodes) and np.array_equal(values, w_values)
 
 
 def _assert_same_solution(got, want):

@@ -11,7 +11,6 @@ from hsalpha.errors import ConfigError, NumericError
 from hsalpha.evolution import evolve, total_energy
 from hsalpha.harness import ExperimentConfig, run_eoc, run_solve
 from hsalpha.lagrangian import to_lagrangian
-from hsalpha.numerics import Workspace
 from hsalpha.projection import MAX_CELLS, ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 import hsalpha.reference as reference
@@ -496,7 +495,7 @@ def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
     c = fam.columns(reference._static_points(fam, 4001))
     ts = _cusp_times(a, b)
     t = ts[:, None]
-    j1, j2 = fam._J12(t, c, Workspace())
+    j1, j2 = fam._J12(t, c, reference._Workspace())
     U = reference._char_velocity(fam, t, c, j1, np.empty((ts.size, c["z"].size)))
     Y = reference._char_position(fam, t, c, j2, np.empty(U.shape), np.empty(U.shape))
     for row, tj in enumerate(ts.tolist()):
@@ -505,8 +504,8 @@ def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
 
 
 def _rung_rows(ref, ts, x_lo, x_hi):
-    rows, width = ref._rung(n_base=6159)
-    got = list(rows(ts, x_lo, x_hi, Workspace(ts.size * width)))
+    rows, _ = ref._rung(n_base=6159)
+    got = list(rows(ts, x_lo, x_hi))
     assert len(got) == ts.size
     assert all(u_at is None for *_, u_at in got)
     return got
