@@ -6,10 +6,10 @@ in closed form between wave-breaking events while removing the fraction
 alpha of concentrating energy at each event (evolution), and push the result
 back to a wave profile with its energy measure (pushforward).  Reference
 solutions, the Wasserstein-1 energy distance (metrics) and the
-convergence-study harness measure the scheme's errors.  The estimators that
-only the verification suite uses (L² and sampled sup distances, the Besov
-seminorm of the datum's slope, the projection error) live in its
-``tests/oracles.py``.
+convergence-study harness measure the scheme's errors.  The evaluators and
+estimators that only the verification suite uses (the scalar reference
+evaluators by root finding, L² and sampled sup distances, the Besov seminorm
+of the datum's slope, the projection error) live in its ``tests/oracles.py``.
 """
 
 from .errors import (

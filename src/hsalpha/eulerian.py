@@ -85,10 +85,6 @@ class PiecewiseLinear:
     def right_value(self) -> float:
         return float(self.values[-1])
 
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.nodes)
-
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)
 
@@ -172,8 +168,7 @@ class InitialDatum:
     :func:`make_multipeakon` they are :class:`PiecewiseLinear` /
     :class:`PiecewiseConstant` instances, which the test oracles (the
     projection error, the Besov seminorm) exploit for exact error
-    computation.  ``singularities`` lists points where ``u_x`` blows up, at
-    which those oracles split their quadrature intervals.
+    computation.
     """
 
     u: Callable
@@ -181,7 +176,6 @@ class InitialDatum:
     F_ac: Callable
     atoms: Sequence[tuple[float, float]] = ()
     support_hint: tuple[float, float] = (0.0, 1.0)
-    singularities: Sequence[float] = ()
 
     def __post_init__(self) -> None:
         lo, hi = self.support_hint
@@ -193,7 +187,6 @@ class InitialDatum:
         if any(b <= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
             raise ValueError("atom positions must be strictly increasing")
         object.__setattr__(self, "atoms", tuple(pairs))
-        object.__setattr__(self, "singularities", tuple(float(s) for s in self.singularities))
 
 
 @dataclass(frozen=True)

@@ -119,11 +119,6 @@ def _increasing(x):
     return not any((x[b + 1 : e + 1] - x[b:e] <= 0.0).any() for b, e in _blocks(x.size - 1))
 
 
-def _abs_max(x):
-    """np.max(np.abs(x)) of a nonempty 1-d array, block by block."""
-    return float(np.max([np.abs(x[b:e]).max() for b, e in _blocks(x.size)]))
-
-
 def _sorted_unique(x):
     """np.unique(x) of a 1-d float array x without NaNs, made in x itself:
     x is sorted in place and its distinct values are moved to its front,

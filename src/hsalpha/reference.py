@@ -22,8 +22,7 @@ For the two-peak piecewise-linear benchmark everything collapses to explicit
 branch formulas (multipeakon_exact).  For the cosine and cusp data the sets
 {tau <= t} are intervals with elementary endpoints, so B, J1, J2 have
 antiderivatives in closed form; only the final inversion x = y(t, z) is
-numerical (bracketed root finding to _INV_TOL, or a dense monotone table for
-whole-profile evaluation).
+numerical: a dense monotone table.
 
 Everything in these expressions except t and the dissipation integrals'
 dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
@@ -57,11 +56,16 @@ import functools
 import math
 
 import numpy as np
-import scipy
+
+# No module calls scipy: the import is for bench/worker.py's run record, which
+# reads sys.modules["scipy"].__version__.  It is made here, not first in
+# __init__, where the changed import order raised the benchmarks' peak RSS by
+# about 1 MB.
+import scipy  # noqa: F401
 
 from .errors import ConfigError, NumericError
 from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear, make_multipeakon
-from .numerics import _CHUNK_FLOATS, _Kept, _abs_max, _all_finite, _blocks, _running_max
+from .numerics import _CHUNK_FLOATS, _Kept, _all_finite, _blocks, _running_max
 from .numerics import _sorted_unique
 from .projection import MAX_CELLS
 
@@ -80,9 +84,6 @@ __all__ = [
 _PI = math.pi
 
 REFERENCE_FAMILIES = ("multipeakon_appA", "cosine", "cusp")
-
-#: xtol of the root finder that inverts y in eval_u and eval_F
-_INV_TOL = 1e-12
 
 #: the largest n_base of profile(): the most a ladder rung asks for
 _MAX_N_BASE = 3 * (MAX_CELLS + 1)
@@ -571,19 +572,14 @@ def _char_total(fam, t):
 class ReferenceProfile:
     """Snapshot of a reference solution at one time.
 
-    u_at and F_at evaluate the wave profile and the cumulative energy on
-    arrays; sup_u is the profile's max |u| (denominator of relative errors);
-    v_inf the retained total energy; measure() the energy measure object;
-    knots are the x positions where the profile's representation kinks
-    (useful as evaluation sites when comparing against other profiles), and
-    knot_u the profile's u there.
+    u_at evaluates the wave profile on arrays; measure() the energy measure
+    object; knots are the x positions where the profile's representation
+    kinks (useful as evaluation sites when comparing against other
+    profiles), and knot_u the profile's u there.
     """
 
     time: float
     u_at: object
-    F_at: object
-    sup_u: float
-    v_inf: float
     _measure_factory: object
     knots: object = None
     knot_u: object = None
@@ -756,11 +752,6 @@ def _multipeakon_profile(alpha, t, side="right"):
     def u_at(x):
         return multipeakon_exact(alpha, t, x, side=side)[0]
 
-    def F_at(x):
-        return multipeakon_exact(alpha, t, x, side=side)[1]
-
-    probes = np.asarray([-1.0, 0.0, 0.75, 1.0, 2.0, t + 1.0])
-    sup_u = float(np.max(np.abs(multipeakon_exact(alpha, t, probes, side=side)[0])))
     v_inf = 0.5 if _before_break(t, side) else 0.5 * (1.0 - alpha)
     x1, x2 = _two_peak_ends(alpha, t, side)
 
@@ -780,9 +771,6 @@ def _multipeakon_profile(alpha, t, side="right"):
     return ReferenceProfile(
         time=t,
         u_at=u_at,
-        F_at=F_at,
-        sup_u=sup_u,
-        v_inf=v_inf,
         _measure_factory=measure,
         knots=knots,
         knot_u=u_at(knots),
@@ -826,81 +814,11 @@ class ReferenceSolution:
             return CuspFamily(self.a, self.b, self.alpha)
         return None
 
-    def initial_datum(self) -> InitialDatum:
-        if self.family == "multipeakon_appA":
-            return multipeakon_datum()
-        if self.family == "cosine":
-            return cosine_datum()
-        return cusp_datum(self.a, self.b)
-
     def total_energy(self, t) -> float:
         _check_time(t)
         if self.family == "multipeakon_appA":
             return 0.5 if t < 2.0 else 0.5 * (1.0 - self.alpha)
         return _char_total(self._fam, t)
-
-    def _invert(self, t, x):
-        fam = self._fam
-        margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
-        lo, hi = x - margin, x + margin
-
-        def g(z):
-            c = fam.columns(np.asarray(z, dtype=float))
-            return _finite(float(_char_position(fam, t, c, fam._J12(t, c)[1])) - x, t)
-
-        g_lo, g_hi = g(lo), g(hi)
-        grow = margin
-        tries = 0
-        while g_lo > 0.0 or g_hi < 0.0:
-            grow *= 2.0
-            lo, hi = x - grow, x + grow
-            g_lo, g_hi = g(lo), g(hi)
-            tries += 1
-            if tries > 60:
-                raise NumericError("could not bracket the characteristic inversion")
-        if g_lo == 0.0:
-            return lo
-        if g_hi == 0.0:
-            return hi
-        try:
-            return scipy.optimize.brentq(g, lo, hi, xtol=_INV_TOL, maxiter=200)
-        except RuntimeError:  # at a time so large that xtol is below an ulp of z
-            raise NumericError(
-                f"the characteristic inversion does not converge at t = {t:g}"
-            ) from None
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def eval_u(self, t, x) -> float:
-        """u(t, x), by inverting the characteristic position map at x.
-
-        At large t the result has an absolute error of about eps t F_inf
-        (eps = 2^-52): U's terms each reach about t F_inf and cancel to u.
-        Against a 60-digit evaluation of the same maps (alpha 1/2, x = 0.3)
-        it is off by 1.4e-6 on the cusp at t = 1e10, and on the cosine by
-        3.3e-13, 4.9e-10 and 3.4e-8 at t = 1e3, 1e6 and 1e8.
-        """
-        _check_time(t)
-        _check_finite(position=x)
-        if self.family == "multipeakon_appA":
-            return multipeakon_exact(self.alpha, t, float(x))[0]
-        fam = self._fam
-        c = fam.columns(np.asarray(self._invert(t, float(x)), dtype=float))
-        return _finite(float(_char_velocity(fam, t, c, fam._J12(t, c)[0])), t)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def eval_F(self, t, x) -> float:
-        """The cumulative energy F(t, x), by inverting the same map as eval_u.
-
-        F does not take U's cancellation, whose error in u is about
-        eps t F_inf (see eval_u): at the points quoted there it is within
-        2e-15 of F at the exactly inverted z.
-        """
-        _check_time(t)
-        _check_finite(position=x)
-        if self.family == "multipeakon_appA":
-            return multipeakon_exact(self.alpha, t, float(x))[1]
-        c = self._fam.columns(np.asarray(self._invert(t, float(x)), dtype=float))
-        return _finite(float(_char_cumulative(self._fam, t, c)), t)
 
     def profile(self, t, x_lo=None, x_hi=None, n_base=4001, side="right") -> ReferenceProfile:
         """Dense whole-line evaluators at time t (table-backed for the
@@ -922,9 +840,10 @@ class ReferenceSolution:
         Raises ConfigError for a negative or non-finite t, a non-finite x_lo
         or x_hi, an n_base that is not an integer of at most
         3 (projection.MAX_CELLS + 1), and a side other than "left" or
-        "right"; NumericError when the characteristics overflow by t.  side, the one-sided limit at an event time, matters
-        only for the two-peak family: the cosine and cusp energies stay
-        absolutely continuous, so their left and right limits coincide.
+        "right"; NumericError when the characteristics overflow by t.
+        side, the one-sided limit at an event time, matters only for the
+        two-peak family: the cosine and cusp energies stay absolutely
+        continuous, so their left and right limits coincide.
         """
         _check_time(t)
         _check_finite(x_lo=x_lo, x_hi=x_hi)
@@ -949,9 +868,6 @@ class ReferenceSolution:
         def u_at(x):
             return np.interp(x, y_k, u_k)
 
-        def F_at(x):
-            return np.interp(x, y_k, F_k)
-
         def measure():
             # checked finite, and _Kept made y_k strictly increasing
             return EnergyMeasure(F_ac=PiecewiseLinear._checked(y_k, F_k))
@@ -959,9 +875,6 @@ class ReferenceSolution:
         return ReferenceProfile(
             time=t,
             u_at=u_at,
-            F_at=F_at,
-            sup_u=_abs_max(u_k),
-            v_inf=_char_total(fam, t),
             _measure_factory=measure,
             knots=y_k,
             knot_u=u_k,
@@ -1013,7 +926,7 @@ class ReferenceSolution:
 
 
 # ---------------------------------------------------------------------------
-# Initial data constructors and scalar convenience evaluators.
+# Initial data constructors.
 # ---------------------------------------------------------------------------
 
 def cosine_datum() -> InitialDatum:
@@ -1035,7 +948,6 @@ def cosine_datum() -> InitialDatum:
         u_x=u_x,
         F_ac=F_ac,
         support_hint=(0.0, 4.0),
-        singularities=(0.0, 1.0, 2.0, 3.0, 4.0),
     )
 
 
@@ -1061,5 +973,4 @@ def cusp_datum(a=-1.0, b=1.0) -> InitialDatum:
         u_x=u_x,
         F_ac=F_ac,
         support_hint=(float(a), float(b)),
-        singularities=(float(a), 0.0, float(b)),
     )

@@ -282,7 +282,7 @@ def test_criterion_8_invariant_sweep():
 def test_criterion_9_besov_estimates():
     cusp = cusp_datum()
     est_c = besov_seminorm(
-        cusp.u_x, 1.0 / 6.0, support=(-1.0, 1.0), singularities=cusp.singularities
+        cusp.u_x, 1.0 / 6.0, support=(-1.0, 1.0), singularities=(-1.0, 0.0, 1.0)
     )
     peak = multipeakon_datum()
     base = besov_seminorm(peak.u_x, 0.5)

@@ -13,7 +13,7 @@ from hsalpha.eulerian import (
     eval_cumulative,
     make_multipeakon,
 )
-from oracles import check_solution_consistency, validate
+from oracles import check_solution_consistency, slopes, validate
 
 
 def test_piecewise_linear_basics():
@@ -23,7 +23,7 @@ def test_piecewise_linear_basics():
     # constant extension both sides
     assert f(-5.0) == 0.0
     assert f(10.0) == 0.0
-    assert np.allclose(f.slopes, [2.0, -1.0])
+    assert np.allclose(slopes(f), [2.0, -1.0])
 
 
 def test_piecewise_linear_rejects_bad_nodes():

@@ -384,9 +384,6 @@ def test_sup_rel_err_equals_union_form():
         prof = ReferenceProfile(
             time=0.0,
             u_at=lambda x, k=knots, v=knot_u: np.interp(x, k, v),
-            F_at=None,
-            sup_u=float(np.max(np.abs(knot_u))),
-            v_inf=0.0,
             _measure_factory=None,
             knots=knots,
             knot_u=knot_u,
@@ -507,10 +504,10 @@ def test_run_eoc_leaves_earlier_results_alone():
     xs = np.linspace(-3.0, 4.0, 1001)
     fields = ("y", "U", "V", "d_y", "d_U", "d_V", "broken")
     before = [getattr(state, f).copy() for f in fields]
-    before += [prof.knots.copy(), prof.knot_u.copy(), prof.u_at(xs), prof.F_at(xs)]
+    before += [prof.knots.copy(), prof.knot_u.copy(), prof.u_at(xs), prof.measure().F_ac(xs)]
     run_eoc(cfg)
     after = [getattr(state, f) for f in fields]
-    after += [prof.knots, prof.knot_u, prof.u_at(xs), prof.F_at(xs)]
+    after += [prof.knots, prof.knot_u, prof.u_at(xs), prof.measure().F_ac(xs)]
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 

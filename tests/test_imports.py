@@ -1,18 +1,21 @@
-"""Importing hsalpha loads scipy but none of its submodules, every public
-name of the package is read by the library or the bench, and only the
-reference module knows the rung's scratch workspace.
+"""Importing hsalpha loads scipy but none of its submodules, and no module
+of the package calls scipy; every public name of the package, and every
+public member of its public classes, is read by the library or the bench;
+and only the reference module knows the rung's scratch workspace.
 
-The scipy check runs in a fresh interpreter: in this process other test
+The submodule check runs in a fresh interpreter: in this process other test
 modules have already imported ``scipy.integrate``, which would hide a
-module-level submodule import in the library as well as a broken lazy call
-site.
+module-level submodule import in the library.
 """
 
 import ast
+import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,6 @@ SUBMODULES = ("scipy.integrate", "scipy.optimize", "scipy.special")
 SCRIPT = f"""
 import contextlib, io, json, sys
 import hsalpha, hsalpha.cli
-from hsalpha import ReferenceSolution
 
 def loaded():
     return [m for m in {SUBMODULES!r} if m in sys.modules]
@@ -41,7 +43,6 @@ runs = (
 with contextlib.redirect_stdout(io.StringIO()):
     out["exit_codes"] = [hsalpha.cli.main(argv) for argv in runs]
 out["after_runs"] = loaded()
-out["eval_u"] = ReferenceSolution("cosine", alpha=0.0).eval_u(0.0, 0.5)
 print(json.dumps(out))
 """
 
@@ -66,9 +67,19 @@ def test_run_paths_load_no_scipy_submodule(fresh):
     assert fresh["after_runs"] == []
 
 
-def test_lazy_scipy_call_sites(fresh):
-    # the value test_reference expects, through scipy.optimize loaded on use
-    assert fresh["eval_u"] == pytest.approx(0.0, abs=1e-12)
+def test_the_package_imports_scipy_once_and_reads_none_of_it():
+    # the bare import is for the run records' version; nothing calls scipy
+    imports, reads = [], []
+    for path in sorted((SRC / "hsalpha").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(a.name, a.asname) for a in node.names if "scipy" in a.name]
+            elif isinstance(node, ast.ImportFrom) and "scipy" in (node.module or ""):
+                imports.append((f"from {node.module}", None))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "scipy":
+                reads.append((path.name, node.attr))
+    assert imports == [("scipy", None)]
+    assert reads == []
 
 
 #: Public names that no library module or bench script reads, each with the
@@ -77,6 +88,11 @@ ENTRY_POINTS = {
     "load_config",  # a --config JSON file as an ExperimentConfig, for scripts
     "eval_cumulative",  # F of a solution's measure, atoms included, at given points
 }
+
+
+def _library_and_bench():
+    modules = [p for p in (SRC / "hsalpha").glob("*.py") if p.name != "__init__.py"]
+    return modules + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _names_read(paths) -> set[str]:
@@ -91,9 +107,43 @@ def _names_read(paths) -> set[str]:
 
 
 def test_every_public_name_is_read_by_the_library_or_the_bench():
-    modules = [p for p in (SRC / "hsalpha").glob("*.py") if p.name != "__init__.py"]
-    read = _names_read(modules + sorted((ROOT / "bench").glob("*.py")))
+    read = _names_read(_library_and_bench())
     unread = sorted(set(hsalpha.__all__) - read - ENTRY_POINTS)
+    assert unread == []
+
+
+#: Public members of the package's public classes that no library module or
+#: bench script reads, each with the reason it is public all the same.
+MEMBER_ENTRY_POINTS = {
+    "InitialDatum.u_x",  # the datum's slope: ROADMAP item 7's slope variance reads it
+    "EocReport.wall_time",  # run metadata for scripts, never written to CSV
+}
+
+
+def _public_members(cls) -> set[str]:
+    # the methods, properties and dataclass fields that cls itself defines
+    kinds = (types.FunctionType, staticmethod, classmethod, property, functools.cached_property)
+    names = {n for n, v in vars(cls).items() if isinstance(v, kinds)}
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_every_public_member_is_read_by_the_library_or_the_bench():
+    # read as an attribute: a local or keyword of the same name does not count
+    read = {
+        node.attr
+        for path in _library_and_bench()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    classes = [v for v in map(vars(hsalpha).get, hsalpha.__all__) if isinstance(v, type)]
+    unread = sorted(
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name in _public_members(cls) - read
+        if f"{cls.__name__}.{name}" not in MEMBER_ENTRY_POINTS
+    )
     assert unread == []
 
 

@@ -16,7 +16,7 @@ from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import cosine_datum, cusp_datum, multipeakon_datum
 
 from conftest import one_cell_tau, random_multipeakon
-from oracles import whole_array_to_lagrangian
+from oracles import slopes, whole_array_to_lagrangian
 
 
 def test_ramp_state_closed_form(peakon_state):
@@ -173,8 +173,8 @@ def _atomic_datum():
     """A two-peak datum with three atoms, on pair edges of dyadic grids."""
     pts = [(0.0, 0.5), (0.5, 0.0), (1.0, 0.25)]
     u = PiecewiseLinear(np.array([x for x, _ in pts]), np.array([v for _, v in pts]))
-    u_x = PiecewiseConstant(u.nodes, u.slopes)
-    F = np.concatenate(([0.0], np.cumsum(u.slopes**2 * np.diff(u.nodes))))
+    u_x = PiecewiseConstant(u.nodes, slopes(u))
+    F = np.concatenate(([0.0], np.cumsum(slopes(u) ** 2 * np.diff(u.nodes))))
     atoms = ((0.25, 0.1), (0.5, 0.2), (0.75, 0.3))
     return InitialDatum(u, u_x, PiecewiseLinear(u.nodes, F), atoms=atoms, support_hint=(0.0, 1.0))
 

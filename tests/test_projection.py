@@ -16,7 +16,7 @@ from hsalpha.projection import (
     project,
 )
 from hsalpha.reference import cosine_datum, cusp_datum
-from oracles import greedy_sign_loop, projection_error
+from oracles import greedy_sign_loop, projection_error, slopes
 
 
 def total_energy_of(d):
@@ -103,7 +103,7 @@ def test_cumulative_slope_identity():
     d = cosine_datum()
     p = project(d, ProjectionConfig(dx=2.0 ** -4))
     inc = np.diff(p.mu.F_ac.values)
-    want = p.u.slopes ** 2 * np.diff(p.u.nodes)
+    want = slopes(p.u) ** 2 * np.diff(p.u.nodes)
     assert np.max(np.abs(inc - want)) <= 1e-12 * max(1.0, float(np.max(inc)))
 
 
