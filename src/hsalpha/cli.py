@@ -60,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
         p.add_argument("--out", help="output directory for CSV files")
         p.add_argument("--example", choices=("appendixA", "cosine", "cusp", "multipeakon"))
-        p.add_argument("--a", type=float, help="cusp interval left end")
-        p.add_argument("--b", type=float, help="cusp interval right end")
+        # argparse takes a value such as -1e-3 for a flag, so it needs --a=VALUE
+        p.add_argument("--a", type=float, help="cusp interval left end (--a=VALUE)")
+        p.add_argument("--b", type=float, help="cusp interval right end (--b=VALUE)")
         p.add_argument("--points", help='multipeakon nodes as JSON, e.g. "[[0, 0.5], [0.5, 0]]"')
     for name in ("solve", "eoc", "measure-rates"):
         parsers[name].add_argument("--alpha", type=float, help="dissipation fraction in [0, 1]")

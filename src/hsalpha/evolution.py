@@ -63,7 +63,8 @@ def tie_tol(t: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class EventSchedule:
-    """Clustered wave-breaking events of a state, in increasing time order.
+    """Clustered wave-breaking events of a state, in increasing time order:
+    the plain record that :func:`events` returns.
 
     times
         Strictly increasing event times.
@@ -74,14 +75,6 @@ class EventSchedule:
 
     times: tuple
     cells_at: dict
-
-    def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        if ts.size > 1 and np.any(np.diff(ts) <= 0):
-            raise ValueError("event times must be strictly increasing")
-        for t in self.times:
-            if t not in self.cells_at:
-                raise ValueError("every event time needs a cell list")
 
 
 def _clusters(s: LagrangianState, t: np.ndarray, side: str):

@@ -133,11 +133,9 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
         raise ConfigError("an atom lies off the even nodes of the grid")
     # nodal cumulative energy, taken straight from the F values so nearly
     # flat segments keep their sign (xi - y would cancel away the low bits
-    # of F wherever |x| dominates and can go an ulp negative)
+    # of F wherever |x| dominates and can go an ulp negative); with no
+    # atoms these are the datum's own arrays, which the state shares
     y, u, v = _atom_rows(p.mu, nodes, p.u.values, p.mu.F_ac.values)
-    if not at.size:  # the state owns its arrays
-        y, u, v = (np.empty(nodes.size) for _ in range(3))
-        y[:], u[:], v[:] = nodes, p.u.values, p.mu.F_ac.values
     xi = y + v
     n = xi.size
 

@@ -72,20 +72,11 @@ class SignRule(enum.Enum):
     PLUS_FIRST = "plus_first"
     MINIMIZE_KINK = "minimize_kink"
 
-    @classmethod
-    def coerce(cls, value) -> "SignRule":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ConfigError(f"unknown sign rule: {value!r}") from None
-
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Grid spacing and slope sign rule; the even-pair window is
-    :func:`default_window`."""
+    """Grid spacing and slope sign rule (a :class:`SignRule` member); the
+    even-pair window is :func:`default_window`."""
 
     dx: float
     sign_rule: SignRule = SignRule.MINIMIZE_KINK
@@ -93,7 +84,8 @@ class ProjectionConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.dx <= 1.0):
             raise ConfigError("dx must lie in (0, 1]")
-        object.__setattr__(self, "sign_rule", SignRule.coerce(self.sign_rule))
+        if not isinstance(self.sign_rule, SignRule):
+            raise ConfigError(f"sign_rule must be a SignRule member, not {self.sign_rule!r}")
 
 
 @dataclass(frozen=True)

@@ -492,7 +492,7 @@ class _Workspace:
         3  each map's values on the static columns
     """
 
-    def __init__(self, floats=0):
+    def __init__(self, floats):
         self._slots = [np.empty(0) for _ in range(4)]
         self._floor = floats
 
@@ -578,7 +578,6 @@ class ReferenceProfile:
     profiles), and knot_u the profile's u there.
     """
 
-    time: float
     u_at: object
     _measure_factory: object
     knots: object = None
@@ -748,12 +747,12 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
     yield from tables
 
 
-def _multipeakon_profile(alpha, t, side="right"):
+def _multipeakon_profile(alpha, t):
     def u_at(x):
-        return multipeakon_exact(alpha, t, x, side=side)[0]
+        return multipeakon_exact(alpha, t, x)[0]
 
-    v_inf = 0.5 if _before_break(t, side) else 0.5 * (1.0 - alpha)
-    x1, x2 = _two_peak_ends(alpha, t, side)
+    v_inf = 0.5 if t < 2.0 else 0.5 * (1.0 - alpha)
+    x1, x2 = _two_peak_ends(alpha, t, "right")
 
     def measure():
         if t == 2.0 or v_inf == 0.0:
@@ -769,7 +768,6 @@ def _multipeakon_profile(alpha, t, side="right"):
     knots = np.unique(np.asarray([x1 - 1.0, x1, x2, x2 + 1.0]))
 
     return ReferenceProfile(
-        time=t,
         u_at=u_at,
         _measure_factory=measure,
         knots=knots,
@@ -820,7 +818,7 @@ class ReferenceSolution:
             return 0.5 if t < 2.0 else 0.5 * (1.0 - self.alpha)
         return _char_total(self._fam, t)
 
-    def profile(self, t, x_lo=None, x_hi=None, n_base=4001, side="right") -> ReferenceProfile:
+    def profile(self, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
         """Dense whole-line evaluators at time t (table-backed for the
         quadrature families, closed form for the two-peak benchmark).
 
@@ -837,13 +835,11 @@ class ReferenceSolution:
         value for value.  The maps run over the table in tiles of
         numerics._CHUNK_FLOATS static points (_tables), so besides the knots
         (and u and F there) the call holds the static z and a few tiles.
-        Raises ConfigError for a negative or non-finite t, a non-finite x_lo
-        or x_hi, an n_base that is not an integer of at most
-        3 (projection.MAX_CELLS + 1), and a side other than "left" or
-        "right"; NumericError when the characteristics overflow by t.
-        side, the one-sided limit at an event time, matters only for the
-        two-peak family: the cosine and cusp energies stay absolutely
-        continuous, so their left and right limits coincide.
+        At an event time the profile is the right limit.  Raises
+        ConfigError for a negative or non-finite t, a non-finite x_lo or
+        x_hi, and an n_base that is not an integer of at most
+        3 (projection.MAX_CELLS + 1); NumericError when the characteristics
+        overflow by t.
         """
         _check_time(t)
         _check_finite(x_lo=x_lo, x_hi=x_hi)
@@ -853,10 +849,8 @@ class ReferenceSolution:
             ok = False
         if not ok:
             raise ConfigError(f"n_base must be an integer of at most {_MAX_N_BASE}")
-        if side not in ("left", "right"):
-            raise ConfigError("side must be 'left' or 'right'")
         if self.family == "multipeakon_appA":
-            return _multipeakon_profile(self.alpha, t, side=side)
+            return _multipeakon_profile(self.alpha, t)
         fam = self._fam
         if x_lo is None:
             x_lo = fam.window[0]
@@ -873,7 +867,6 @@ class ReferenceSolution:
             return EnergyMeasure(F_ac=PiecewiseLinear._checked(y_k, F_k))
 
         return ReferenceProfile(
-            time=t,
             u_at=u_at,
             _measure_factory=measure,
             knots=y_k,
@@ -887,16 +880,16 @@ class ReferenceSolution:
         u_at) of the profile at each time of the 1-d array t, covering
         [x_lo, x_hi] (1-d arrays too): the knots, u there, and u as a
         function where it is not the interpolant of the knots (the
-        closed-form family; else None).  The tables are built by _tables in
-        chunks of times (numerics._blocks of rows of width points), on one
-        static part and its columns built here for n_base: a chunk of one
-        row (every chunk, if a row is wider than half of _CHUNK_FLOATS, or a
-        rung's last) is taken in tiles, as profile() takes its table.  The
-        chunks of all the calls of rows reuse one _Workspace made here, so
-        the rows of one _rung call are drawn by one generator at a time.
-        width is the number of points in a row (0 for the closed-form
-        family).  Raises NumericError, as profile() does, at a time where
-        the characteristics overflow.
+        closed-form family; else None).  A call of rows builds its tables by
+        one call of _tables, on one static part and its columns built here
+        for n_base: several times as one batch, one time in tiles, as
+        profile() takes its table.  The calls of rows reuse one _Workspace
+        made here, so the rows of one _rung call are drawn by one generator
+        at a time.  width is the number of points in a row (0 for the
+        closed-form family); calls of at most _CHUNK_FLOATS // width times
+        (or of one) keep the workspace at four rows of
+        max(_CHUNK_FLOATS, width) floats.  Raises NumericError, as profile()
+        does, at a time where the characteristics overflow.
         """
         if self.family == "multipeakon_appA":
 
@@ -913,14 +906,12 @@ class ReferenceSolution:
         late = np.full((1, 1), np.inf)
         width = z.size + 2 * _TAIL + fam.moving_points(late, late).shape[1]
 
-        # a chunk's rows take at most max(_CHUNK_FLOATS, width) floats, so no
-        # slot is made again after the first chunk
+        # no slot is made again after the first such call
         ws = _Workspace(max(_CHUNK_FLOATS, width))
 
         def table_rows(t, x_lo, x_hi):
-            for b, e in _blocks(t.size, width):
-                for knots, knot_u in _tables(fam, z, t[b:e], x_lo[b:e], x_hi[b:e], cols, ws=ws):
-                    yield knots, knot_u, None
+            for knots, knot_u in _tables(fam, z, t, x_lo, x_hi, cols, ws=ws):
+                yield knots, knot_u, None
 
         return table_rows, width
 

@@ -600,7 +600,6 @@ def _family_profile(fam, t, x_lo, x_hi, n_base, widened_bulk):
         return EnergyMeasure(F_ac=PiecewiseLinear(nodes=y_k, values=F_k))
 
     return ReferenceProfile(
-        time=t,
         u_at=u_at,
         _measure_factory=measure,
         knots=y_k,

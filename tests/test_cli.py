@@ -41,6 +41,13 @@ def test_project_smoke(capsys):
     assert "projected example=cusp" in capsys.readouterr().out
 
 
+def test_cusp_ends_in_exponent_notation(tmp_path):
+    # argparse reads "-1e-3" after --a as a flag; --a=VALUE passes it
+    argv = ["project", "--example", "cusp", "--dx", "0.25", "--a=-1e-3", "--b", "1"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "projected_cusp_dx0.25.csv").read_text().startswith("x,u,F\n")
+
+
 def test_config_keys_a_command_does_not_read_are_ignored(tmp_path):
     # one file describes one experiment for all four commands
     cfg = tmp_path / "c.json"

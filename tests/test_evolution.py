@@ -9,20 +9,12 @@ from hypothesis import strategies as st
 from conftest import random_multipeakon
 from hsalpha.errors import ConfigError
 from hsalpha.eulerian import InitialDatum
-from hsalpha.evolution import EVENT_TIE_TOL, EventSchedule, events, evolve, total_energy
+from hsalpha.evolution import EVENT_TIE_TOL, events, evolve, total_energy
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
 from hsalpha.reference import ReferenceSolution, cusp_datum, multipeakon_exact
 from oracles import brute_force_batch, brute_force_oracle, sequential_evolve
-
-
-def test_event_schedule_validation():
-    EventSchedule(times=(1.0, 2.0), cells_at={1.0: [0], 2.0: [1]})
-    with pytest.raises(ValueError):
-        EventSchedule(times=(2.0, 1.0), cells_at={2.0: [0], 1.0: [1]})
-    with pytest.raises(ValueError):
-        EventSchedule(times=(1.0,), cells_at={})
 
 
 def test_ramp_has_one_clustered_event(peakon_state):

@@ -382,7 +382,6 @@ def test_sup_rel_err_equals_union_form():
         knot_u = rng.normal(size=knots.size)
         sol = types.SimpleNamespace(u=PiecewiseLinear(nodes, rng.normal(size=nodes.size)))
         prof = ReferenceProfile(
-            time=0.0,
             u_at=lambda x, k=knots, v=knot_u: np.interp(x, k, v),
             _measure_factory=None,
             knots=knots,

@@ -123,6 +123,20 @@ def test_round_trip_at_time_zero():
         assert np.allclose(sol.mu.F_ac.values, f_want, atol=1e-13)
 
 
+def test_lift_shares_the_datum_arrays_and_leaves_them_alone():
+    # with no atoms the state's y, U and V are the datum's nodes, values and
+    # cumulative; evolving (with and without events, both one-sided limits)
+    # and pushing forward write none of them
+    p = project(cosine_datum(), ProjectionConfig(dx=2.0**-6))
+    arrays = (p.u.nodes, p.u.values, p.mu.F_ac.values)
+    before = [a.tobytes() for a in arrays]
+    s = to_lagrangian(p, alpha=0.5)
+    assert s.y is arrays[0] and s.U is arrays[1] and s.V is arrays[2]
+    for t, side in ((0.0, "right"), (0.3, "right"), (2.0 / math.pi, "left"), (3.0, "right")):
+        to_eulerian(evolve(s, t, side=side))
+    assert [a.tobytes() for a in arrays] == before
+
+
 def test_state_validation():
     ok = dict(
         xi=np.array([0.0, 1.0]),

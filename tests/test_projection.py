@@ -29,10 +29,15 @@ def test_config_validation():
         ProjectionConfig(dx=0.0)
     with pytest.raises(ConfigError):
         ProjectionConfig(dx=2.0)
-    with pytest.raises(ConfigError):
-        ProjectionConfig(dx=0.25, sign_rule="bogus")
-    cfg = ProjectionConfig(dx=0.25, sign_rule="plus_first")
+    cfg = ProjectionConfig(dx=0.25, sign_rule=SignRule.PLUS_FIRST)
     assert cfg.sign_rule is SignRule.PLUS_FIRST
+
+
+@pytest.mark.parametrize("rule", ["bogus", "plus_first", "minimize_kink", None, 1])
+def test_sign_rule_must_be_a_member(rule):
+    # a string, the member's own value included, is refused, not looked up
+    with pytest.raises(ConfigError):
+        ProjectionConfig(dx=0.25, sign_rule=rule)
 
 
 def test_default_window_margin(peakon_datum):
@@ -73,7 +78,7 @@ def test_cosine_first_pair_slopes_match_oracle():
     # pair [0, 1/2] at dx = 1/4: difference quotients du = -2,
     # dF = pi^2/2, q = sqrt(pi^2/2 - 4); frozen from direct evaluation
     d = cosine_datum()
-    p = project(d, ProjectionConfig(dx=0.25, sign_rule="minus_first"))
+    p = project(d, ProjectionConfig(dx=0.25, sign_rule=SignRule.MINUS_FIRST))
     assert math.isclose(float(p.u(0.25)), 0.2582870761956604, rel_tol=0.0, abs_tol=1e-15)
     assert math.isclose(
         float(p.mu.F_ac(0.25)), 2.2005522453535282, rel_tol=0.0, abs_tol=1e-14
@@ -111,8 +116,8 @@ def test_sign_rule_orientation_on_tent():
     # tent with its peak at an odd gridpoint: du = 0, q = 1, so the two sign
     # rules give mirror images; plus-first reproduces the datum exactly
     d = make_multipeakon([(0.0, 0.0), (0.25, 0.25), (0.5, 0.0)])
-    plus = project(d, ProjectionConfig(dx=0.25, sign_rule="plus_first"))
-    minus = project(d, ProjectionConfig(dx=0.25, sign_rule="minus_first"))
+    plus = project(d, ProjectionConfig(dx=0.25, sign_rule=SignRule.PLUS_FIRST))
+    minus = project(d, ProjectionConfig(dx=0.25, sign_rule=SignRule.MINUS_FIRST))
     assert projection_error(d, plus)[0] <= 1e-15
     assert math.isclose(projection_error(d, minus)[0], 0.5, rel_tol=0.0, abs_tol=1e-15)
     assert float(minus.u(0.25)) == -0.25
@@ -126,7 +131,7 @@ def test_minimize_kink_follows_incoming_slope():
     d = make_multipeakon([(0.0, 0.0), (0.5, 0.5), (0.75, 0.75), (1.0, 0.5)])
     p = project(d, ProjectionConfig(dx=0.25))
     assert projection_error(d, p)[0] <= 1e-15
-    fixed = project(d, ProjectionConfig(dx=0.25, sign_rule="minus_first"))
+    fixed = project(d, ProjectionConfig(dx=0.25, sign_rule=SignRule.MINUS_FIRST))
     assert math.isclose(projection_error(d, fixed)[0], 0.5, rel_tol=0.0, abs_tol=1e-15)
 
 
@@ -172,12 +177,15 @@ def test_sign_rules_match_per_pair_loop(monkeypatch, datum):
         du, q = seen.pop()
         n = du.size
         sigmas = {
-            "minimize_kink": greedy_sign_loop(du, q),
-            "minus_first": np.ones(n),
-            "plus_first": -np.ones(n),
+            SignRule.MINIMIZE_KINK: greedy_sign_loop(du, q),
+            SignRule.MINUS_FIRST: np.ones(n),
+            SignRule.PLUS_FIRST: -np.ones(n),
         }
         for rule, sigma in sigmas.items():
-            p = kink if rule == "minimize_kink" else project(d, ProjectionConfig(dx=dx, sign_rule=rule))
+            if rule is SignRule.MINIMIZE_KINK:
+                p = kink
+            else:
+                p = project(d, ProjectionConfig(dx=dx, sign_rule=rule))
             s1 = du - sigma * q
             ue, fe = p.u.values[::2], p.mu.F_ac.values[::2]
             assert p.u.values[1::2].tobytes() == (ue[:-1] + s1 * dx).tobytes()

@@ -1,5 +1,6 @@
 """Randomized invariant checks across the whole pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import hsalpha.numerics as numerics
 from conftest import one_cell_tau, random_multipeakon
-from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear
+from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear, make_multipeakon
 from hsalpha.evolution import evolve, total_energy
 from hsalpha.lagrangian import _breaking_times, to_lagrangian
 from hsalpha.metrics import w1
@@ -263,3 +264,79 @@ def test_profile_metric_axioms(seed):
         assert dist(a, a) == 0.0
         assert dist(a, b) == pytest.approx(dist(b, a), rel=0, abs=1e-14)
         assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
+
+
+def _no_tiny(values):
+    """values with those below 2^-20 in size made 0: a stretch by 4^-10,
+    or a product with such a time, would take them to subnormals, which do
+    not scale exactly."""
+    return values.map(lambda v: v if abs(v) >= 2.0**-20 else 0.0)
+
+
+#: slopes of the stretch cases: a few repeated values, so that cells of
+#: different segments break at once, and any slope
+_SLOPE = st.sampled_from([-1.0, -0.25, 0.5]) | _no_tiny(st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _stretch_case(draw):
+    """(datum(c), dx, c): datum(c) is v(x) = c u(x / c) of a multipeakon
+    datum u with 3-8 breakpoints on the even nodes of dx = 2^-k, with up to
+    three atoms there (mass scaled by c too) or none, and c = 4^m a
+    stretch with c dx <= 1."""
+    k = draw(st.integers(0, 6))
+    c = 4.0 ** draw(st.integers(-10, min(10, k // 2)))
+    dx = 2.0**-k
+    n = draw(st.integers(3, 8))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    j = draw(st.integers(-6, 6)) + np.concatenate(([0], np.cumsum(gaps)))
+    xs = (2.0 * dx * j).tolist()
+    if draw(st.booleans()):  # one slope up to sign: many cells break at once
+        slope = draw(_SLOPE)
+        slopes = draw(st.lists(st.sampled_from([slope, -slope]), min_size=n - 1, max_size=n - 1))
+    else:
+        slopes = draw(st.lists(_SLOPE, min_size=n - 1, max_size=n - 1))
+    us = [draw(_no_tiny(st.floats(-2.0, 2.0)))]
+    for a, b, slope in zip(xs, xs[1:], slopes):
+        us.append(us[-1] + slope * (b - a))
+    at = draw(st.lists(st.integers(int(j[0]), int(j[-1])), max_size=3, unique=True))
+    masses = draw(st.lists(st.floats(2.0**-10, 2.0), min_size=len(at), max_size=len(at)))
+    atoms = sorted(zip((2.0 * dx * np.array(at)).tolist(), masses))
+
+    def datum(c):
+        d = make_multipeakon([(c * x, c * u) for x, u in zip(xs, us)])
+        return dataclasses.replace(d, atoms=[(c * x, c * w) for x, w in atoms])
+
+    return datum, dx, c
+
+
+def _assert_scaled(got, want, c):
+    assert got.tobytes() == (c * want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_stretch_case(),
+    alpha=st.floats(0.0, 1.0),
+    t=st.sampled_from([0.0, 2.0, 8.0]) | _no_tiny(st.floats(0.0, 1e3)),
+)
+def test_pipeline_commutes_with_the_dyadic_stretch(case, alpha, t):
+    # Hunter-Saxton maps u(t, x) to c u(t, x / c); for c a power of 4 the
+    # grid dx goes to c dx, a rung of the ladder, and every float scales
+    # exactly: the lifted and evolved states and the Eulerian solution of
+    # the stretched datum are those of the datum, stretched, bit for bit
+    datum, dx, c = case
+    u0 = to_lagrangian(project(datum(1.0), ProjectionConfig(dx=dx)), alpha=alpha)
+    v0 = to_lagrangian(project(datum(c), ProjectionConfig(dx=c * dx)), alpha=alpha)
+    for u, v in ((u0, v0), (evolve(u0, t), evolve(v0, t))):
+        for name in ("xi", "y", "U", "V"):
+            _assert_scaled(getattr(v, name), getattr(u, name), c)
+        assert v.V_inf == c * u.V_inf
+        for name in ("d_y", "d_U", "d_V", "tau", "broken"):
+            assert getattr(v, name).tobytes() == getattr(u, name).tobytes(), name
+    eu, ev = to_eulerian(evolve(u0, t)), to_eulerian(evolve(v0, t))
+    _assert_scaled(ev.u.nodes, eu.u.nodes, c)
+    _assert_scaled(ev.u.values, eu.u.values, c)
+    _assert_scaled(ev.mu.F_ac.nodes, eu.mu.F_ac.nodes, c)
+    _assert_scaled(ev.mu.F_ac.values, eu.mu.F_ac.values, c)
+    assert ev.mu.atoms == tuple((c * x, c * w) for x, w in eu.mu.atoms)

@@ -333,12 +333,10 @@ def test_eval_f_monotone_and_u_matches_profile():
     assert prof.measure().total_mass() == pytest.approx(ref.total_energy(t), rel=1e-6)
 
 
-def test_multipeakon_profile_sides():
+def test_multipeakon_profile_is_the_right_limit():
+    # at the break the point mass has lost the fraction alpha
     ref = ReferenceSolution(family="multipeakon_appA", alpha=0.5)
-    before = ref.profile(2.0, side="left").measure()
-    after = ref.profile(2.0, side="right").measure()
-    assert before.atoms == ((0.75, 0.5),)
-    assert after.atoms == ((0.75, 0.25),)
+    assert ref.profile(2.0).measure().atoms == ((0.75, 0.25),)
 
 
 def test_multipeakon_measure_after_full_dissipation():
@@ -398,7 +396,7 @@ def _assert_same_energy(ref, t):
     assert ref.total_energy(t) == oracles.oracle_total_energy(ref, t)
 
 
-def _assert_same_function(ref, got, want):
+def _assert_same_function(ref, t, got, want):
     # u and F at a dense sample reaching past both ends of want's knots and
     # at those knots, max |u| and the total energy; got's knots are some of
     # want's
@@ -407,18 +405,18 @@ def _assert_same_function(ref, got, want):
     assert np.array_equal(got.u_at(xs), want.u_at(xs))
     assert np.array_equal(got.measure().F_ac(xs), want.measure().F_ac(xs))
     assert _sup_u(got) == _sup_u(want)
-    _assert_same_energy(ref, got.time)
+    _assert_same_energy(ref, t)
     assert np.isin(got.knots, k).all()
 
 
-def _assert_same_profile(ref, got, want):
+def _assert_same_profile(ref, t, got, want):
     m_got, m_want = got.measure().F_ac, want.measure().F_ac
     assert np.array_equal(got.knots, want.knots)
     assert np.array_equal(got.u_at(got.knots), want.u_at(want.knots))
     assert np.array_equal(m_got(got.knots), m_want(want.knots))
     assert np.array_equal(got.knot_u, want.u_at(want.knots))
     assert _sup_u(got) == _sup_u(want)
-    _assert_same_energy(ref, got.time)
+    _assert_same_energy(ref, t)
     assert np.array_equal(m_got.nodes, m_want.nodes)
     assert np.array_equal(m_got.values, m_want.values)
 
@@ -440,9 +438,10 @@ def test_cusp_profile_equals_from_scratch_table(a, b, alpha):
     for t in (0.0, 0.048, 1.0, 2.999, 3.0, 5.0):
         for x_lo, x_hi, n in ((a, b, 4001), (a - 0.3, b + 0.1, 6159), (a + 0.1, b - 0.2, 6159)):
             got = ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=n)
-            _assert_same_profile(ref, got, oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n))
+            want = oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n)
+            _assert_same_profile(ref, t, got, want)
             widened = oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n, widened_bulk=True)
-            _assert_same_function(ref, got, widened)
+            _assert_same_function(ref, t, got, widened)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
@@ -453,11 +452,11 @@ def test_cosine_profile_equals_from_scratch_table(alpha):
         for x_lo, x_hi, n_base in ((None, None, 4001), (-0.7, 5.2, 6159), (-0.7, 5.2, 6159)):
             got = ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=n_base)
             want = oracle_profile(ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n_base)
-            _assert_same_profile(ref, got, want)
+            _assert_same_profile(ref, t, got, want)
             widened = oracle_profile(
                 ref, t, x_lo=x_lo, x_hi=x_hi, n_base=n_base, widened_bulk=True
             )
-            _assert_same_function(ref, got, widened)
+            _assert_same_function(ref, t, got, widened)
 
 
 @pytest.mark.parametrize("family", ["cusp", "cosine"])
@@ -482,7 +481,7 @@ def test_profile_reuse_across_calls_equals_from_scratch(family, monkeypatch):
         ref = refs[i % 2]
         got = ref.profile(float(t), x_lo=x_lo, x_hi=x_hi, n_base=n)
         want = oracle_profile(ref, float(t), x_lo=x_lo, x_hi=x_hi, n_base=n)
-        _assert_same_profile(ref, got, want)
+        _assert_same_profile(ref, float(t), got, want)
     assert builds == [n for *_, n in calls]
 
 
@@ -507,7 +506,7 @@ def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
     c = fam.columns(reference._static_points(fam, 4001))
     ts = _cusp_times(a, b)
     t = ts[:, None]
-    j1, j2 = fam._J12(t, c, reference._Workspace())
+    j1, j2 = fam._J12(t, c, reference._Workspace(numerics._CHUNK_FLOATS))
     U = reference._char_velocity(fam, t, c, j1, np.empty((ts.size, c["z"].size)))
     Y = reference._char_position(fam, t, c, j2, np.empty(U.shape), np.empty(U.shape))
     for row, tj in enumerate(ts.tolist()):
@@ -516,8 +515,11 @@ def test_cusp_table_maps_equal_pointwise_maps(a, b, alpha):
 
 
 def _rung_rows(ref, ts, x_lo, x_hi):
-    rows, _ = ref._rung(n_base=6159)
-    got = list(rows(ts, x_lo, x_hi))
+    # in chunks of the times that _CHUNK_FLOATS holds rows of, as run_eoc
+    # draws them, all from one _rung call
+    rows, width = ref._rung(n_base=6159)
+    chunks = numerics._blocks(ts.size, width)
+    got = [row for b, e in chunks for row in rows(ts[b:e], x_lo[b:e], x_hi[b:e])]
     assert len(got) == ts.size
     assert all(u_at is None for *_, u_at in got)
     return got
@@ -615,18 +617,18 @@ def test_tile_edge_moving_points(family, t, coincide, monkeypatch):
         else:
             assert np.isin(starts, before).any()
         monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
-        _assert_bitwise_profile(ref, ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=6159), want)
+        _assert_bitwise_profile(ref, t, ref.profile(t, x_lo=x_lo, x_hi=x_hi, n_base=6159), want)
         ts = np.array([t])
         (row,) = _rung_rows(ref, ts, np.array([x_lo]), np.array([x_hi]))
         assert row[0].tobytes() == want.knots.tobytes()
         assert row[1].tobytes() == want.knot_u.tobytes()
 
 
-def _assert_bitwise_profile(ref, got, want):
+def _assert_bitwise_profile(ref, t, got, want):
     for name in ("knots", "knot_u"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert _sup_u(got) == _sup_u(want)
-    _assert_same_energy(ref, got.time)
+    _assert_same_energy(ref, t)
     m_got, m_want = got.measure().F_ac, want.measure().F_ac
     assert m_got.nodes.tobytes() == m_want.nodes.tobytes()
     assert m_got.values.tobytes() == m_want.values.tobytes()
@@ -655,14 +657,14 @@ def test_profile_blocks_equal_whole_array_profile(family, alpha, t, monkeypatch)
     want = oracle_profile(ref, t, x_lo=-2.0, x_hi=6.0, n_base=6159)
     sizes = []
     monkeypatch.setattr(reference, "_Kept", lambda n, k: sizes.append(n) or numerics._Kept(n, k))
-    _assert_bitwise_profile(ref, ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
+    _assert_bitwise_profile(ref, t, ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
     (n,) = sizes
     assert n > want.knots.size / 2
     # every static point lies in the table's z-range
     s = reference._static_points(ref._fam, 6159).size
     for chunk in (s + 1, s, s - 1, s // 4, 64):
         monkeypatch.setattr(numerics, "_CHUNK_FLOATS", chunk)
-        _assert_bitwise_profile(ref, ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
+        _assert_bitwise_profile(ref, t, ref.profile(t, x_lo=-2.0, x_hi=6.0, n_base=6159), want)
 
 
 def _huge_rung(T):
@@ -720,7 +722,6 @@ _BAD_PROFILE_ARGS = {
     "x_lo-nan": dict(x_lo=math.nan),
     "x_lo-inf": dict(x_lo=math.inf),
     "x_hi-minus-inf": dict(x_hi=-math.inf),
-    "side": dict(side="middle"),
 }
 
 
