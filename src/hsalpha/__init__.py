@@ -51,8 +51,6 @@ from .projection import (
 )
 from .pushforward import to_eulerian
 from .reference import (
-    CosineFamily,
-    CuspFamily,
     ReferenceProfile,
     ReferenceSolution,
     cosine_datum,
@@ -91,8 +89,6 @@ __all__ = [
     "w1",
     "ReferenceSolution",
     "ReferenceProfile",
-    "CosineFamily",
-    "CuspFamily",
     "multipeakon_exact",
     "multipeakon_datum",
     "cosine_datum",

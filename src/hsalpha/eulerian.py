@@ -17,7 +17,7 @@ is left continuous; both one-sided limits are exposed via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,21 +123,21 @@ class EnergyMeasure:
     """Positive finite measure: absolutely continuous cumulative plus atoms.
 
     ``F_ac`` is the nondecreasing cumulative of the a.c. part, normalized to
-    start at zero.  ``atoms`` is a sequence of ``(position, mass)`` with
-    strictly increasing positions and strictly positive masses; it is stored
-    as the parallel arrays ``atom_positions`` / ``atom_masses``.
+    start at zero.  ``atoms``, a constructor argument only, is a sequence of
+    ``(position, mass)`` with strictly increasing positions and strictly
+    positive masses; it is stored as the parallel arrays ``atom_positions``
+    / ``atom_masses``.
     """
 
     F_ac: PiecewiseLinear
-    atoms: Sequence[tuple[float, float]] = ()
+    atoms: InitVar[Sequence[tuple[float, float]]] = ()
     atom_positions: np.ndarray = field(init=False)
     atom_masses: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        pairs = [(float(p), float(m)) for p, m in self.atoms]
+    def __post_init__(self, atoms) -> None:
+        pairs = [(float(p), float(m)) for p, m in atoms]
         pos = np.array([p for p, _ in pairs], dtype=np.float64)
         mas = np.array([m for _, m in pairs], dtype=np.float64)
-        object.__setattr__(self, "atoms", tuple(pairs))
         object.__setattr__(self, "atom_positions", pos)
         object.__setattr__(self, "atom_masses", mas)
 
@@ -160,15 +160,20 @@ class EnergyMeasure:
         return self.F_ac.right_value + math.fsum(self.atom_masses.tolist())
 
 
+# the class keeps no default of the InitVar, which an instance would read as ()
+del EnergyMeasure.atoms
+
+
 @dataclass(frozen=True)
 class InitialDatum:
     """Initial condition given through evaluators.
 
     ``u``, ``u_x`` and ``F_ac`` are vectorized callables; for data built by
     :func:`make_multipeakon` they are :class:`PiecewiseLinear` /
-    :class:`PiecewiseConstant` instances, which the test oracles (the
-    projection error, the Besov seminorm) exploit for exact error
-    computation.
+    :class:`PiecewiseConstant` instances.  :func:`projection.project` reads
+    the pieces of a :class:`PiecewiseConstant` ``u_x`` for each pair's slope
+    variance, and the test oracles (the projection error, the Besov
+    seminorm) exploit them for exact error computation.
     """
 
     u: Callable
@@ -196,11 +201,8 @@ class EulerianSolution:
     u: PiecewiseLinear
     mu: EnergyMeasure
     time: float
-    alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
         if not np.isfinite(self.time):
             raise ValueError("time must be finite")
 

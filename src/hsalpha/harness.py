@@ -40,7 +40,8 @@ from .metrics import w1
 from .numerics import _blocks
 from .projection import ProjectionConfig, project
 from .pushforward import _u_rows, to_eulerian
-from .reference import ReferenceSolution, cosine_datum, cusp_datum, multipeakon_datum
+from .reference import ReferenceSolution, _check_interval, cosine_datum, cusp_datum
+from .reference import multipeakon_datum
 
 __all__ = [
     "ExperimentConfig",
@@ -62,6 +63,9 @@ _EXAMPLES = ("appendixA", "cosine", "cusp", "multipeakon")
 #: Below this error the ladder is dominated by round-off, not resolution;
 #: order estimates between two such rungs are meaningless and left blank.
 EOC_NOISE_FLOOR = 1e-11
+
+#: EocReport.fitted_order leaves out the rungs with an error at or below this.
+FIT_FLOOR = 1e-13
 
 DEFAULT_TIME_SAMPLES = 64
 
@@ -150,8 +154,7 @@ class ExperimentConfig:
                 f"points set the multipeakon datum; example {self.example} reads none"
             )
         object.__setattr__(self, "points", pts)
-        if not self.a < self.b:
-            raise ConfigError("cusp interval needs a < b")
+        _check_interval(self.a, self.b)
         if self.example != "cusp" and (self.a, self.b) != (-1.0, 1.0):
             raise ConfigError(f"a and b set the cusp interval; example {self.example} reads none")
 
@@ -234,9 +237,10 @@ class EocReport:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def fitted_order(self, floor: float = 1e-13) -> float:
-        """Least-squares slope of ln(err) against ln(dx) over usable rungs."""
-        pts = [(dx, err) for _, dx, err, _ in self.rows if err > floor]
+    def fitted_order(self) -> float:
+        """Least-squares slope of ln(err) against ln(dx) over the rungs with
+        err above FIT_FLOOR."""
+        pts = [(dx, err) for _, dx, err, _ in self.rows if err > FIT_FLOOR]
         if len(pts) < 2:
             raise ConfigError("need at least two rungs above the floor to fit an order")
         lx = np.log([p[0] for p in pts])

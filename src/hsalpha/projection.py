@@ -10,7 +10,11 @@ On the grid :math:`x_j = j\,\Delta x` the projection works on cell pairs
     q_{2j} = \sqrt{DF_{2j} - Du_{2j}^2},
 
 the projected profile takes the two half-cell slopes
-:math:`Du_{2j} \mp q_{2j}` and :math:`Du_{2j} \pm q_{2j}`.  Either order
+:math:`Du_{2j} \mp q_{2j}` and :math:`Du_{2j} \pm q_{2j}`.  Where the
+datum's slope :math:`u_x` is a step function (a piecewise-linear datum),
+:math:`q_{2j}^2` is taken in the equal form of the slope variance
+:math:`\frac{1}{2\Delta x}\int (u_x - Du_{2j})^2` over the pair, which has
+no rounding residue on a pair where the datum is linear.  Either order
 interpolates :math:`\bar u` and :math:`\bar F_{ac}` at the even gridpoints and
 reproduces the pair's energy exactly, with the a.c. energy cumulative rising
 with slope (local slope)² on each half cell.  Atoms of the input measure are
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear
+from .eulerian import EnergyMeasure, InitialDatum, PiecewiseConstant, PiecewiseLinear
 
 __all__ = [
     "MAX_CELLS",
@@ -90,10 +94,10 @@ class ProjectionConfig:
 
 @dataclass(frozen=True)
 class ProjectedDatum:
+    """The projected pair (u, mu) on the :func:`default_window` grid."""
+
     u: PiecewiseLinear
     mu: EnergyMeasure
-    dx: float
-    window: tuple[int, int]
 
 
 def _required_span(d: InitialDatum) -> tuple[float, float]:
@@ -143,6 +147,18 @@ def _greedy_first_slopes(du: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(plus_first, fp, fm)
 
 
+def _slope_variance(u_x: PiecewiseConstant, xe, du, dx):
+    """Each pair's radicand as the variance of the step slope u_x about the
+    pair's mean slope du, (1/2dx) * integral of (u_x - du)^2 over the pair,
+    summed over the pieces of u_x inside it.  It is never negative, and on
+    a pair where the datum is linear it is the square of du's rounding
+    error, where DF - du^2 leaves a rounding residue of DF's size."""
+    x = np.union1d(xe, np.clip(u_x.breaks, xe[0], xe[-1]))
+    pair = np.searchsorted(xe, x[:-1], side="right") - 1
+    dev = u_x(x[:-1]) - du[pair]
+    return np.bincount(pair, dev * dev * np.diff(x), du.size) / (2.0 * dx)
+
+
 def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     """Project an initial datum onto the dyadic grid.
 
@@ -152,7 +168,9 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     :class:`ConsistencyError`: the datum violates ``F_ac' >= u_x^2`` in the
     pair average.  Negative values inside the tolerance are clamped to zero.
     A :func:`default_window` of more than :data:`MAX_CELLS` cells raises
-    :class:`ConfigError`.
+    :class:`ConfigError`.  Where ``d.u_x`` is a :class:`PiecewiseConstant`,
+    the radicand, once checked, is the pair's slope variance
+    (:func:`_slope_variance`) wherever the two agree within the allowance.
     The order of each pair's two half-cell slopes follows ``cfg.sign_rule``;
     the default greedy rule runs as a two-state scan over the pairs (see
     :class:`SignRule`), in array operations rather than a loop over pairs.
@@ -181,6 +199,12 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
     if np.any(rad < -tol):
         worst = float(rad.min())
         raise ConsistencyError(f"energy radicand {worst:.3e} below -{tol:.3g}")
+    if isinstance(d.u_x, PiecewiseConstant):
+        # where the two differ beyond DF's round-off, F_ac holds energy
+        # above u_x^2, which the slopes must carry as DF - Du^2 has them do
+        var = _slope_variance(d.u_x, xe, du, dx)
+        np.copyto(rad, var, where=np.abs(rad - var) <= tol)
+        del var
     q = np.sqrt(np.maximum(rad, 0.0))
     del df, rad  # free before the sign rule's temporaries
 
@@ -213,4 +237,4 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
             atoms.append((2.0 * dx * (j_min + j), float(merged[j])))
 
     u = PiecewiseLinear(x_all, u_all)
-    return ProjectedDatum(u, EnergyMeasure(u._with_values(f_all), tuple(atoms)), dx, (j_min, j_max))
+    return ProjectedDatum(u, EnergyMeasure(u._with_values(f_all), tuple(atoms)))

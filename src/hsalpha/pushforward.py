@@ -146,4 +146,4 @@ def to_eulerian(s: LagrangianState) -> EulerianSolution:
 
     u = PiecewiseLinear._checked(x_nodes, u_nodes)
     mu = EnergyMeasure(F_ac=u._with_values(F_vals), atoms=atoms)
-    return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)
+    return EulerianSolution(u=u, mu=mu, time=s.time)

@@ -27,7 +27,8 @@ numerical: a dense monotone table.
 Everything in these expressions except t and the dissipation integrals'
 dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
 cusp rho(z) = |z|^(1/3) on the broken branch.  A family (CosineFamily,
-CuspFamily) evaluates those once per table point as ``columns(z)`` ("z",
+CuspFamily: internals of ReferenceSolution, which checks the arguments
+they take) evaluates those once per table point as ``columns(z)`` ("z",
 "u" for ubar, "F" for Fbar, and what its integrals read), and reads them at
 the times t: ``_B(t, c)`` and ``_J12(t, c, ws=None)`` give B, and J1 and
 J2, point by point, each an array of the maps' shape or None where it is
@@ -72,8 +73,6 @@ from .projection import MAX_CELLS
 __all__ = [
     "ReferenceSolution",
     "ReferenceProfile",
-    "CosineFamily",
-    "CuspFamily",
     "multipeakon_exact",
     "multipeakon_datum",
     "cosine_datum",
@@ -106,6 +105,12 @@ def _finite(v, t):
     if not math.isfinite(v):
         raise _overflow(t)
     return v
+
+
+def _check_interval(a, b):
+    """ConfigError unless the cusp interval [a, b] is finite with a < b."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ConfigError("cusp interval needs finite a < b")
 
 
 def _check_time(t):
@@ -249,8 +254,6 @@ class CosineFamily:
     fixed_anchors = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0)
 
     def __init__(self, alpha):
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
         self.alpha = alpha
         self.F_inf = float(_lam(4.0))
 
@@ -388,10 +391,6 @@ class CuspFamily:
     """
 
     def __init__(self, a, b, alpha):
-        if not (np.isfinite(a) and np.isfinite(b) and a <= b):
-            raise ConfigError("cusp interval needs finite a <= b")
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
         self.a = float(a)
         self.b = float(b)
         self.alpha = alpha
@@ -785,8 +784,9 @@ class ReferenceSolution:
 
     family is one of "multipeakon_appA" (closed form), "cosine", "cusp"
     (closed-form characteristics, numerically inverted); a and b, the cusp
-    interval, stay at -1 and 1 for the other two.  Times and positions must
-    be finite.
+    interval (finite, a < b, as cusp_datum takes it), stay at -1 and 1 for
+    the other two.  Every argument is checked here, once: the families
+    take them as given.  Times and positions must be finite.
     """
 
     family: str
@@ -799,9 +799,9 @@ class ReferenceSolution:
             raise ConfigError(f"unknown reference family {self.family!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if self.family == "cusp" and not self.a <= self.b:
-            raise ConfigError("cusp interval needs a <= b")
-        if self.family != "cusp" and (self.a, self.b) != (-1.0, 1.0):
+        if self.family == "cusp":
+            _check_interval(self.a, self.b)
+        elif (self.a, self.b) != (-1.0, 1.0):
             raise ConfigError(f"a and b set the cusp interval; family {self.family} reads none")
 
     @functools.cached_property
@@ -944,8 +944,7 @@ def cosine_datum() -> InitialDatum:
 
 def cusp_datum(a=-1.0, b=1.0) -> InitialDatum:
     """Initial datum |x|^(2/3) on [a, b] with constant extension."""
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ConfigError("cusp interval needs finite a < b")
+    _check_interval(a, b)
 
     def u(x):
         return np.abs(np.clip(x, a, b)) ** (2.0 / 3.0)

@@ -38,6 +38,9 @@ and ``pushforward.to_eulerian`` as they were before those worked in blocks of
 ``whole_array_exact_cumsum``).  The library must agree with them bit for
 bit.
 
+``atoms_of`` gives a measure's atoms as ``(position, mass)`` pairs, the
+form ``EnergyMeasure`` takes them in.
+
 The estimators that only the tests use: ``breaking_time``, one cell's
 breaking time in scalar code, which ``lagrangian._breaking_times`` must
 match element by element; ``slopes`` of a piecewise-linear function;
@@ -83,6 +86,11 @@ from hsalpha.reference import (
 )
 
 _PI = math.pi
+
+
+def atoms_of(m) -> tuple:
+    """The atoms of the measure m as ((position, mass), ...)."""
+    return tuple(zip(m.atom_positions.tolist(), m.atom_masses.tolist()))
 
 
 def _clustered_events(tau, eligible, lo_mask, tol):
@@ -1030,7 +1038,7 @@ def whole_array_to_eulerian(s: LagrangianState) -> EulerianSolution:
 
     u = PiecewiseLinear(nodes=x_nodes, values=u_nodes)
     mu = EnergyMeasure(F_ac=PiecewiseLinear(nodes=x_nodes, values=F_vals), atoms=atoms)
-    return EulerianSolution(u=u, mu=mu, time=s.time, alpha=s.alpha)
+    return EulerianSolution(u=u, mu=mu, time=s.time)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1228,7 @@ def projection_error(d: InitialDatum, p: ProjectedDatum) -> tuple[float, float, 
     contrib = seg_df - 2.0 * s * seg_du + s * s * w
     l2_ux = np.sqrt(max(0.0, float(np.sum(contrib))))
 
-    atom_pos = [a for a, _ in d.atoms] + [a for a, _ in p.mu.atoms]
+    atom_pos = [a for a, _ in d.atoms] + p.mu.atom_positions.tolist()
     edges = np.unique(np.concatenate((nodes, np.asarray(atom_pos, dtype=np.float64))))
     f_exact = d.F_ac
     d_pos = np.array([a for a, _ in d.atoms])

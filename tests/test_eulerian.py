@@ -159,16 +159,10 @@ def test_initial_datum_rejects_bad_support():
 def test_solution_consistency_defect():
     u = PiecewiseLinear(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))
     good_f = PiecewiseLinear(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]))
-    sol = EulerianSolution(u, EnergyMeasure(good_f), time=0.0, alpha=0.0)
+    sol = EulerianSolution(u, EnergyMeasure(good_f), time=0.0)
     assert check_solution_consistency(sol) < 1e-15
 
     bad_f = PiecewiseLinear(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.5, 1.5]))
-    bad = EulerianSolution(u, EnergyMeasure(bad_f), time=0.0, alpha=0.0)
+    bad = EulerianSolution(u, EnergyMeasure(bad_f), time=0.0)
     assert check_solution_consistency(bad) > 0.3
 
-
-def test_solution_alpha_range():
-    u = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    m = EnergyMeasure(u)
-    with pytest.raises(ValueError):
-        EulerianSolution(u, m, time=0.0, alpha=1.5)

@@ -95,7 +95,7 @@ def test_w1_symmetry_and_triangle_random():
 
 def _pair_integral(psi: PiecewiseLinear, m: EnergyMeasure) -> float:
     """Exact integral of a piecewise-linear test function against a measure."""
-    total = sum(mass * float(psi(p)) for p, mass in m.atoms)
+    total = sum(mass * float(psi(p)) for p, mass in oracles.atoms_of(m))
     f = m.F_ac
     dens = PiecewiseConstant(f.nodes, np.diff(f.values) / np.diff(f.nodes))
     edges = np.union1d(psi.nodes, f.nodes)

@@ -15,9 +15,9 @@ from hsalpha.evolution import evolve, total_energy
 from hsalpha.lagrangian import _breaking_times, to_lagrangian
 from hsalpha.metrics import w1
 from hsalpha.numerics import _sorted_unique, exact_cumsum
-from hsalpha.projection import ProjectionConfig, project
+from hsalpha.projection import ProjectionConfig, SignRule, project
 from hsalpha.pushforward import to_eulerian
-from oracles import breaking_time, l2_diff, linf_diff, whole_array_exact_cumsum
+from oracles import atoms_of, breaking_time, l2_diff, linf_diff, whole_array_exact_cumsum
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -204,7 +204,7 @@ def test_projection_interpolates_and_conserves(seed, k):
     np.testing.assert_array_equal(p.u.values[::2], np.asarray(d.u(xe)))
 
     # total energy is conserved by the projection
-    want = float(d.F_ac(p.window[1]))
+    want = float(d.F_ac(p.u.nodes[-1]))
     assert abs(p.mu.total_mass() - want) <= 1e-12 * max(1.0, want)
 
     # the projected cumulative rises exactly like the squared wave slope
@@ -228,7 +228,7 @@ def _random_measure(rng):
 
 def _shift_measure(m, h):
     moved = PiecewiseLinear(m.F_ac.nodes + h, m.F_ac.values)
-    return EnergyMeasure(moved, atoms=[(p + h, w) for p, w in m.atoms])
+    return EnergyMeasure(moved, atoms=[(p + h, w) for p, w in atoms_of(m)])
 
 
 @settings(max_examples=250, deadline=None)
@@ -279,14 +279,9 @@ _SLOPE = st.sampled_from([-1.0, -0.25, 0.5]) | _no_tiny(st.floats(-3.0, 3.0))
 
 
 @st.composite
-def _stretch_case(draw):
-    """(datum(c), dx, c): datum(c) is v(x) = c u(x / c) of a multipeakon
-    datum u with 3-8 breakpoints on the even nodes of dx = 2^-k, with up to
-    three atoms there (mass scaled by c too) or none, and c = 4^m a
-    stretch with c dx <= 1."""
-    k = draw(st.integers(0, 6))
-    c = 4.0 ** draw(st.integers(-10, min(10, k // 2)))
-    dx = 2.0**-k
+def _kinks(draw, dx):
+    """(points, atoms) of a multipeakon datum with 3-8 breakpoints on the
+    even nodes of dx, and up to three atoms there or none."""
     n = draw(st.integers(3, 8))
     gaps = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
     j = draw(st.integers(-6, 6)) + np.concatenate(([0], np.cumsum(gaps)))
@@ -301,10 +296,21 @@ def _stretch_case(draw):
         us.append(us[-1] + slope * (b - a))
     at = draw(st.lists(st.integers(int(j[0]), int(j[-1])), max_size=3, unique=True))
     masses = draw(st.lists(st.floats(2.0**-10, 2.0), min_size=len(at), max_size=len(at)))
-    atoms = sorted(zip((2.0 * dx * np.array(at)).tolist(), masses))
+    return list(zip(xs, us)), sorted(zip((2.0 * dx * np.array(at)).tolist(), masses))
+
+
+@st.composite
+def _stretch_case(draw):
+    """(datum(c), dx, c): datum(c) is v(x) = c u(x / c) of a multipeakon
+    datum u of _kinks(dx) with dx = 2^-k, atoms (mass scaled by c too)
+    included, and c = 4^m a stretch with c dx <= 1."""
+    k = draw(st.integers(0, 6))
+    c = 4.0 ** draw(st.integers(-10, min(10, k // 2)))
+    dx = 2.0**-k
+    points, atoms = draw(_kinks(dx))
 
     def datum(c):
-        d = make_multipeakon([(c * x, c * u) for x, u in zip(xs, us)])
+        d = make_multipeakon([(c * x, c * u) for x, u in points])
         return dataclasses.replace(d, atoms=[(c * x, c * w) for x, w in atoms])
 
     return datum, dx, c
@@ -339,4 +345,41 @@ def test_pipeline_commutes_with_the_dyadic_stretch(case, alpha, t):
     _assert_scaled(ev.u.values, eu.u.values, c)
     _assert_scaled(ev.mu.F_ac.nodes, eu.mu.F_ac.nodes, c)
     _assert_scaled(ev.mu.F_ac.values, eu.mu.F_ac.values, c)
-    assert ev.mu.atoms == tuple((c * x, c * w) for x, w in eu.mu.atoms)
+    assert atoms_of(ev.mu) == tuple((c * x, c * w) for x, w in atoms_of(eu.mu))
+
+
+def _solution(points, atoms, dx, rule, alpha, t):
+    d = dataclasses.replace(make_multipeakon(points), atoms=atoms)
+    s = to_lagrangian(project(d, ProjectionConfig(dx=dx, sign_rule=rule)), alpha=alpha)
+    return to_eulerian(evolve(s, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.integers(0, 6).flatmap(lambda k: st.tuples(st.just(2.0**-k), _kinks(2.0**-k))),
+    alpha=st.floats(0.0, 1.0),
+    t=st.sampled_from([0.0, 2.0, 8.0]) | st.floats(0.0, 1e3),
+)
+def test_pipeline_commutes_with_the_reflection(case, alpha, t):
+    # Hunter-Saxton maps u(t, x) to -u(t, -x), and mu to its mirror image.
+    # Projected with PLUS_FIRST, the mirrored datum takes in each pair the
+    # slopes that the datum takes with MINUS_FIRST, read from the right, so
+    # the two solutions mirror each other up to round-off: node for node, F
+    # as the total less F read from the right, and atom for atom
+    dx, (points, atoms) = case
+    u = _solution(points, atoms, dx, SignRule.MINUS_FIRST, alpha, t)
+    mirrored = ([(-x, -y) for x, y in points[::-1]], [(-x, w) for x, w in atoms[::-1]])
+    v = _solution(*mirrored, dx, SignRule.PLUS_FIRST, alpha, t)
+    x_tol = 1e-12 * max(1.0, float(np.abs(u.u.nodes).max()))
+    u_tol = 1e-12 * max(1.0, float(np.abs(u.u.values).max()))
+    F_tol = 1e-12 * max(1.0, u.mu.total_mass())
+    F = u.mu.F_ac.values
+    pairs = [
+        (v.u.nodes, -u.u.nodes[::-1], x_tol),
+        (v.u.values, -u.u.values[::-1], u_tol),
+        (v.mu.F_ac.values, F[-1] - F[::-1], F_tol),
+        (v.mu.atom_positions, -u.mu.atom_positions[::-1], x_tol),
+        (v.mu.atom_masses, u.mu.atom_masses[::-1], F_tol),
+    ]
+    for got, want, tol in pairs:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
