@@ -10,97 +10,30 @@ convergence-study harness measure the scheme's errors.  The evaluators and
 estimators that only the verification suite uses (the scalar reference
 evaluators by root finding, L² and sampled sup distances, the Besov seminorm
 of the datum's slope, the projection error) live in its ``tests/oracles.py``.
+
+The package exports each layer module's ``__all__``, and only that; each
+star import also binds the module itself as an attribute of the package.
 """
 
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    CorruptStateError,
-    MassMismatchError,
-    NumericError,
-)
-from .eulerian import (
-    EnergyMeasure,
-    EulerianSolution,
-    InitialDatum,
-    PiecewiseConstant,
-    PiecewiseLinear,
-    eval_cumulative,
-    make_multipeakon,
-)
-from .evolution import EventSchedule, events, evolve, total_energy
-from .harness import (
-    EocReport,
-    ExperimentConfig,
-    config_from_dict,
-    dx_of_level,
-    load_config,
-    run_eoc,
-    run_measure_rates,
-    run_solve,
-    write_solution_csv,
-)
-from .lagrangian import LagrangianState, to_lagrangian
-from .metrics import w1
-from .projection import (
-    ProjectedDatum,
-    ProjectionConfig,
-    SignRule,
-    default_window,
-    project,
-)
-from .pushforward import to_eulerian
-from .reference import (
-    ReferenceProfile,
-    ReferenceSolution,
-    cosine_datum,
-    cusp_datum,
-    multipeakon_datum,
-    multipeakon_exact,
-)
+from .errors import *
+from .eulerian import *
+from .evolution import *
+from .harness import *
+from .lagrangian import *
+from .metrics import *
+from .projection import *
+from .pushforward import *
+from .reference import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "NumericError",
-    "ConsistencyError",
-    "MassMismatchError",
-    "CorruptStateError",
-    "PiecewiseLinear",
-    "PiecewiseConstant",
-    "EnergyMeasure",
-    "InitialDatum",
-    "EulerianSolution",
-    "make_multipeakon",
-    "eval_cumulative",
-    "SignRule",
-    "ProjectionConfig",
-    "ProjectedDatum",
-    "default_window",
-    "project",
-    "LagrangianState",
-    "to_lagrangian",
-    "EventSchedule",
-    "events",
-    "evolve",
-    "total_energy",
-    "to_eulerian",
-    "w1",
-    "ReferenceSolution",
-    "ReferenceProfile",
-    "multipeakon_exact",
-    "multipeakon_datum",
-    "cosine_datum",
-    "cusp_datum",
-    "ExperimentConfig",
-    "EocReport",
-    "load_config",
-    "config_from_dict",
-    "run_solve",
-    "run_eoc",
-    "run_measure_rates",
-    "write_solution_csv",
-    "dx_of_level",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += eulerian.__all__
+__all__ += evolution.__all__
+__all__ += harness.__all__
+__all__ += lagrangian.__all__
+__all__ += metrics.__all__
+__all__ += projection.__all__
+__all__ += pushforward.__all__
+__all__ += reference.__all__

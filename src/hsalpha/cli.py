@@ -22,16 +22,17 @@ import sys
 
 from .errors import ConfigError, NumericError
 from .harness import (
+    _EXAMPLES,
     ExperimentConfig,
     _read_config,
     config_from_dict,
-    initial_state,
+    datum_for,
     run_eoc,
     run_measure_rates,
     run_solve,
     write_solution_csv,
 )
-from .pushforward import to_eulerian
+from .projection import ProjectionConfig, project
 
 __all__ = ["main", "build_parser"]
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in parsers.values():
         p.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
         p.add_argument("--out", help="output directory for CSV files")
-        p.add_argument("--example", choices=("appendixA", "cosine", "cusp", "multipeakon"))
+        p.add_argument("--example", choices=_EXAMPLES)
         # argparse takes a value such as -1e-3 for a flag, so it needs --a=VALUE
         p.add_argument("--a", type=float, help="cusp interval left end (--a=VALUE)")
         p.add_argument("--b", type=float, help="cusp interval right end (--b=VALUE)")
@@ -140,7 +141,7 @@ def _cmd_solve(args) -> int:
 def _cmd_project(args) -> int:
     # the t=0 projection reads neither alpha nor T
     cfg = _build_config(args, alpha=0.0, T=1.0)
-    sol = to_eulerian(initial_state(cfg, args.dx))
+    sol = project(datum_for(cfg), ProjectionConfig(dx=args.dx))
     mass = sol.mu.total_mass()
     print(
         f"projected example={cfg.example} dx={args.dx:g}: "

@@ -5,6 +5,14 @@ files, invalid argument combinations) and numeric failures (consistency
 violations detected at runtime).  The CLI maps them to exit codes 2 and 3.
 """
 
+__all__ = [
+    "ConfigError",
+    "NumericError",
+    "ConsistencyError",
+    "MassMismatchError",
+    "CorruptStateError",
+]
+
 
 class ConfigError(ValueError):
     """Invalid configuration or CLI input."""

@@ -77,14 +77,6 @@ class PiecewiseLinear:
             raise ValueError("nodes and values must be finite")
         return PiecewiseLinear._checked(self.nodes, values)
 
-    @property
-    def left_value(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def right_value(self) -> float:
-        return float(self.values[-1])
-
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)
 
@@ -141,8 +133,8 @@ class EnergyMeasure:
         object.__setattr__(self, "atom_positions", pos)
         object.__setattr__(self, "atom_masses", mas)
 
-        scale = max(1.0, abs(self.F_ac.right_value))
-        if abs(self.F_ac.left_value) > _REL_SLACK * scale:
+        scale = max(1.0, abs(float(self.F_ac.values[-1])))
+        if abs(float(self.F_ac.values[0])) > _REL_SLACK * scale:
             raise ValueError("F_ac must start at zero")
         F = self.F_ac.values
         drops = (F[b + 1 : e + 1] - F[b:e] < -_REL_SLACK * scale for b, e in _blocks(F.size - 1))
@@ -157,7 +149,7 @@ class EnergyMeasure:
                 raise ValueError("atoms must be finite")
 
     def total_mass(self) -> float:
-        return self.F_ac.right_value + math.fsum(self.atom_masses.tolist())
+        return float(self.F_ac.values[-1]) + math.fsum(self.atom_masses.tolist())
 
 
 # the class keeps no default of the InitVar, which an instance would read as ()

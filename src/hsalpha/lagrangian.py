@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .eulerian import _atom_rows
+from .eulerian import EulerianSolution, _atom_rows
 from .numerics import _blocks, _increasing
-from .projection import ProjectedDatum
 
 __all__ = ["LagrangianState", "to_lagrangian"]
 
@@ -108,8 +107,9 @@ def _breaking_times(d_y: np.ndarray, d_U: np.ndarray, out: np.ndarray) -> np.nda
     return np.abs(out, out=out)
 
 
-def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
-    """Map a projected datum to its Lagrangian state at time 0.
+def to_lagrangian(p: EulerianSolution, alpha: float = 0.0) -> LagrangianState:
+    """Map a projected datum (the time-0 solution :func:`projection.project`
+    returns) to its Lagrangian state at time 0.
 
     Each node x of the datum gives a node with y = x, U = u(x) and
     V = mu((-inf, x)), and each atom one more right after it, with
@@ -117,12 +117,15 @@ def to_lagrangian(p: ProjectedDatum, alpha: float = 0.0) -> LagrangianState:
     ``d_V = 1`` exactly.  ``alpha`` is the dissipation parameter the state
     will evolve under.  Raises NumericError when the coordinates xi do not
     increase (an energy so large that x + F(x) loses the mesh, or
-    overflows), and ConfigError for an atom off the even nodes (the pair
-    edges) or on or right of the last node, or for an F_ac on other nodes
-    than u's, as a hand-built datum can have.  The cell derivatives are
-    made in blocks of _CHUNK_FLOATS cells, so their scratch is a few blocks
-    whatever the mesh.
+    overflows), and ConfigError for a solution at a time other than 0 (the
+    state's breaking times are measured from its time 0), for an atom off
+    the even nodes (the pair edges) or on or right of the last node, or for
+    an F_ac on other nodes than u's, as a hand-built datum can have.  The
+    cell derivatives are made in blocks of _CHUNK_FLOATS cells, so their
+    scratch is a few blocks whatever the mesh.
     """
+    if p.time != 0.0:
+        raise ConfigError(f"the lift starts at time 0, not at t = {p.time:g}")
     nodes = p.u.nodes
     if p.mu.F_ac.nodes is not nodes and not np.array_equal(p.mu.F_ac.nodes, nodes):
         raise ConfigError("the energy cumulative F_ac must have the nodes of u")

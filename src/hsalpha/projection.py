@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .eulerian import EnergyMeasure, InitialDatum, PiecewiseConstant, PiecewiseLinear
+from .eulerian import EnergyMeasure, EulerianSolution, InitialDatum, PiecewiseConstant
+from .eulerian import PiecewiseLinear
 
 __all__ = [
     "MAX_CELLS",
     "SignRule",
     "ProjectionConfig",
-    "ProjectedDatum",
     "default_window",
     "project",
 ]
@@ -90,14 +90,6 @@ class ProjectionConfig:
             raise ConfigError("dx must lie in (0, 1]")
         if not isinstance(self.sign_rule, SignRule):
             raise ConfigError(f"sign_rule must be a SignRule member, not {self.sign_rule!r}")
-
-
-@dataclass(frozen=True)
-class ProjectedDatum:
-    """The projected pair (u, mu) on the :func:`default_window` grid."""
-
-    u: PiecewiseLinear
-    mu: EnergyMeasure
 
 
 def _required_span(d: InitialDatum) -> tuple[float, float]:
@@ -159,8 +151,9 @@ def _slope_variance(u_x: PiecewiseConstant, xe, du, dx):
     return np.bincount(pair, dev * dev * np.diff(x), du.size) / (2.0 * dx)
 
 
-def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
-    """Project an initial datum onto the dyadic grid.
+def project(d: InitialDatum, cfg: ProjectionConfig) -> EulerianSolution:
+    """Project an initial datum onto the dyadic grid: the pair (u, mu) at
+    time 0 on the :func:`default_window` grid.
 
     Even gridpoints interpolate ``u`` and ``F_ac`` exactly; each pair keeps its
     total energy.  A radicand below ``-1e-12`` (widened by the data-dependent
@@ -237,4 +230,4 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> ProjectedDatum:
             atoms.append((2.0 * dx * (j_min + j), float(merged[j])))
 
     u = PiecewiseLinear(x_all, u_all)
-    return ProjectedDatum(u, EnergyMeasure(u._with_values(f_all), tuple(atoms)))
+    return EulerianSolution(u, EnergyMeasure(u._with_values(f_all), tuple(atoms)), time=0.0)

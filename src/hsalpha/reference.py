@@ -578,12 +578,9 @@ class ReferenceProfile:
     """
 
     u_at: object
-    _measure_factory: object
+    measure: object
     knots: object = None
     knot_u: object = None
-
-    def measure(self) -> EnergyMeasure:
-        return self._measure_factory()
 
 
 _LADDER = 2.0 ** (-np.arange(8.0, 95.0) / 2.0)
@@ -768,7 +765,7 @@ def _multipeakon_profile(alpha, t):
 
     return ReferenceProfile(
         u_at=u_at,
-        _measure_factory=measure,
+        measure=measure,
         knots=knots,
         knot_u=u_at(knots),
     )
@@ -868,7 +865,7 @@ class ReferenceSolution:
 
         return ReferenceProfile(
             u_at=u_at,
-            _measure_factory=measure,
+            measure=measure,
             knots=y_k,
             knot_u=u_k,
         )

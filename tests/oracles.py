@@ -73,7 +73,6 @@ from hsalpha.eulerian import (
 )
 from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
-from hsalpha.projection import ProjectedDatum
 from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
 from hsalpha.pushforward import ATOM_MASS_TOL, ATOM_WIDTH_TOL
 from hsalpha import reference
@@ -609,7 +608,7 @@ def _family_profile(fam, t, x_lo, x_hi, n_base, widened_bulk):
 
     return ReferenceProfile(
         u_at=u_at,
-        _measure_factory=measure,
+        measure=measure,
         knots=y_k,
         knot_u=u_k,
     )
@@ -823,7 +822,7 @@ def check_solution_consistency(sol: EulerianSolution) -> float:
     widths = np.diff(u.nodes)
     lhs = slopes(u) ** 2 * widths
     rhs = np.diff(f.values)
-    floor = 1e-15 * max(1.0, f.right_value)
+    floor = 1e-15 * max(1.0, f.values[-1])
     scale = np.maximum(np.maximum(np.abs(rhs), lhs), floor)
     return float(np.max(np.abs(lhs - rhs) / scale))
 
@@ -1197,7 +1196,7 @@ def _segment_quad(fn, edges: np.ndarray) -> tuple[float, float]:
     return float(np.sum(w * np.abs(vals))), float(np.sum(w * vals * vals))
 
 
-def projection_error(d: InitialDatum, p: ProjectedDatum) -> tuple[float, float, float, float, float]:
+def projection_error(d: InitialDatum, p: EulerianSolution) -> tuple[float, float, float, float, float]:
     """Projection error of ``p`` against its datum.
 
     Returns ``(linf_u, l2_u, l2_ux, l1_F, l2_F)`` over the projection window.

@@ -3,12 +3,16 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsalpha.cli as cli
 from hsalpha.errors import NumericError
+from hsalpha.harness import write_solution_csv
+from hsalpha.projection import ProjectionConfig, project
+from hsalpha.reference import cusp_datum
 
 
 def test_solve_writes_snapshot(tmp_path, capsys):
@@ -39,6 +43,18 @@ def test_project_smoke(capsys):
     rc = cli.main(["project", "--example", "cusp", "--dx", "0.125"])
     assert rc == 0
     assert "projected example=cusp" in capsys.readouterr().out
+
+
+def test_project_writes_the_projection(tmp_path):
+    # the CSV is the solution project() returns, not a lift and pushforward
+    # of it: F at the even nodes is the datum's F_ac there, to the bit
+    assert cli.main(["project", "--example", "cusp", "--dx", "0.125", "--out", str(tmp_path)]) == 0
+    p = project(cusp_datum(), ProjectionConfig(dx=0.125))
+    write_solution_csv(p, str(tmp_path / "want.csv"))
+    got = (tmp_path / "projected_cusp_dx0.125.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    x, _, F = np.loadtxt(tmp_path / "want.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(F[::2], cusp_datum().F_ac(x[::2]))
 
 
 def test_cusp_ends_in_exponent_notation(tmp_path):

@@ -383,7 +383,7 @@ def test_sup_rel_err_equals_union_form():
         sol = types.SimpleNamespace(u=PiecewiseLinear(nodes, rng.normal(size=nodes.size)))
         prof = ReferenceProfile(
             u_at=lambda x, k=knots, v=knot_u: np.interp(x, k, v),
-            _measure_factory=None,
+            measure=None,
             knots=knots,
             knot_u=knot_u,
         )

@@ -166,6 +166,31 @@ def test_the_package_imports_scipy_once_and_reads_none_of_it():
     assert reads == []
 
 
+LAYERS = (
+    "errors",
+    "eulerian",
+    "evolution",
+    "harness",
+    "lagrangian",
+    "metrics",
+    "projection",
+    "pushforward",
+    "reference",
+)
+
+
+def test_the_package_exports_exactly_its_modules_public_names():
+    # each public name is declared once, in its module's __all__; the
+    # package re-exports those lists in order and binds each name to the
+    # module's own object
+    modules = [getattr(hsalpha, name) for name in LAYERS]
+    want = ["__version__"] + [n for m in modules for n in m.__all__]
+    assert hsalpha.__all__ == want
+    assert len(set(want)) == len(want)
+    stray = [(m.__name__, n) for m in modules for n in m.__all__ if getattr(hsalpha, n) is not getattr(m, n)]
+    assert stray == []
+
+
 #: Public names that no library module or bench script reads, each with the
 #: reason it is public all the same.
 ENTRY_POINTS = {

@@ -257,3 +257,13 @@ def test_to_lagrangian_refuses_F_on_other_nodes(nodes):
     p = dataclasses.replace(p, mu=EnergyMeasure(F, atoms_of(p.mu)))
     with pytest.raises(ConfigError, match="nodes of u"):
         to_lagrangian(p)
+
+
+@pytest.mark.parametrize("time", [-1.0, 1e-300, 2.0])
+def test_to_lagrangian_refuses_a_solution_at_another_time(time):
+    # the lift starts the flow at t = 0 and measures its breaking times from
+    # there: a later snapshot lifted as it stands would be read as time 0
+    p = project(multipeakon_datum(), ProjectionConfig(dx=0.25))
+    assert p.time == 0.0
+    with pytest.raises(ConfigError, match="time 0"):
+        to_lagrangian(dataclasses.replace(p, time=time))
