@@ -7,9 +7,10 @@ alpha of concentrating energy at each event (evolution), and push the result
 back to a wave profile with its energy measure (pushforward).  Reference
 solutions, the Wasserstein-1 energy distance (metrics) and the
 convergence-study harness measure the scheme's errors.  The evaluators and
-estimators that only the verification suite uses (the scalar reference
-evaluators by root finding, L² and sampled sup distances, the Besov seminorm
-of the datum's slope, the projection error) live in its ``tests/oracles.py``.
+estimators that only the verification suite uses (the two-peak datum's
+closed form, the scalar reference evaluators by root finding, L² and sampled
+sup distances, the Besov seminorm of the datum's slope, the projection error)
+live in its ``tests/oracles.py``.
 
 The package exports each layer module's ``__all__``, and only that; each
 star import also binds the module itself as an attribute of the package.

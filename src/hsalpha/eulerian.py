@@ -160,17 +160,19 @@ del EnergyMeasure.atoms
 class InitialDatum:
     """Initial condition given through evaluators.
 
-    ``u``, ``u_x`` and ``F_ac`` are vectorized callables; for data built by
-    :func:`make_multipeakon` they are :class:`PiecewiseLinear` /
-    :class:`PiecewiseConstant` instances.  :func:`projection.project` reads
+    ``u`` and ``F_ac`` are vectorized callables.  ``u_x``, the slope, is
+    optional: for data built by :func:`make_multipeakon` it is a
+    :class:`PiecewiseConstant`, and ``u`` and ``F_ac`` are
+    :class:`PiecewiseLinear` instances.  :func:`projection.project` reads
     the pieces of a :class:`PiecewiseConstant` ``u_x`` for each pair's slope
-    variance, and the test oracles (the projection error, the Besov
+    variance, the two-peak reference (:mod:`reference`) its pieces and
+    slopes, and the test oracles (the projection error, the Besov
     seminorm) exploit them for exact error computation.
     """
 
     u: Callable
-    u_x: Callable
     F_ac: Callable
+    u_x: Callable = None
     atoms: Sequence[tuple[float, float]] = ()
     support_hint: tuple[float, float] = (0.0, 1.0)
 

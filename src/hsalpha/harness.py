@@ -292,18 +292,16 @@ def run_solve(cfg: ExperimentConfig, dx: float, t_list) -> list:
     return sols + [to_eulerian(s)]
 
 
-def _rel_err(nodes, values, knots, knot_u, ref_at_nodes=None) -> float:
+def _rel_err(nodes, values, knots, at_knots) -> float:
     """max |u_num - u_ref| / max |u_ref| over the nodes of the numerical
-    profile (nodes, values) and the reference's knots (knot_u = u_ref
-    there); each side's values at its own points are read, not
-    interpolated.  ref_at_nodes is u_ref at the nodes, by default the
-    interpolant of the knots."""
-    if ref_at_nodes is None:
-        ref_at_nodes = np.interp(nodes, knots, knot_u)
+    profile (nodes, values) and the reference's knots (at_knots = u_ref
+    there); each side's values at its own points are read, and the other
+    side's interpolated there."""
+    ref_at_nodes = np.interp(nodes, knots, at_knots)
     diff = float(np.abs(values - ref_at_nodes).max())
     den = float(np.abs(ref_at_nodes).max())
-    diff = max(diff, float(np.abs(np.interp(knots, nodes, values) - knot_u).max()))
-    den = max(den, float(np.abs(knot_u).max()))
+    diff = max(diff, float(np.abs(np.interp(knots, nodes, values) - at_knots).max()))
+    den = max(den, float(np.abs(at_knots).max()))
     return diff / max(den, 1e-300)
 
 
@@ -314,9 +312,8 @@ def _worst_rel_err(s: LagrangianState, t: np.ndarray, profiles) -> float:
     x_lo = np.array([nodes[0] for nodes, _ in sols])
     x_hi = np.array([nodes[-1] for nodes, _ in sols])
     worst = 0.0
-    for (nodes, values), (knots, knot_u, u_at) in zip(sols, profiles(t, x_lo, x_hi)):
-        at_nodes = None if u_at is None else u_at(nodes)
-        worst = max(worst, _rel_err(nodes, values, knots, knot_u, at_nodes))
+    for (nodes, values), (knots, at_knots) in zip(sols, profiles(t, x_lo, x_hi)):
+        worst = max(worst, _rel_err(nodes, values, knots, at_knots))
     return worst
 
 

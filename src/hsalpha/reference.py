@@ -18,25 +18,25 @@ the closed expressions
     y(t,z) = z + t ubar(z) + t^2 Fbar(z)/4 - t^2 Fbar_inf/8
              - alpha J2(t,z)/2 + alpha J2(t,inf)/4.
 
-For the two-peak piecewise-linear benchmark everything collapses to explicit
-branch formulas (multipeakon_exact).  For the cosine and cusp data the sets
-{tau <= t} are intervals with elementary endpoints, so B, J1, J2 have
-antiderivatives in closed form; only the final inversion x = y(t, z) is
-numerical: a dense monotone table.
+For all three families B, J1 and J2 have closed forms: for the cosine and
+cusp data the sets {tau <= t} are intervals with elementary endpoints and
+the integrals elementary antiderivatives, and for the two-peak
+piecewise-linear benchmark they are sums over its broken pieces.  Only the
+final inversion x = y(t, z) is numerical: a dense monotone table.
 
 Everything in these expressions except t and the dissipation integrals'
 dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
 cusp rho(z) = |z|^(1/3) on the broken branch.  A family (CosineFamily,
-CuspFamily: internals of ReferenceSolution, which checks the arguments
-they take) evaluates those once per table point as ``columns(z)`` ("z",
-"u" for ubar, "F" for Fbar, and what its integrals read), and reads them at
-the times t: ``_B(t, c)`` and ``_J12(t, c, ws=None)`` give B, and J1 and
-J2, point by point, each an array of the maps' shape or None where it is
-zero.  ``B_inf``, ``J1_inf`` and ``J2_inf`` are the integrals over the
-whole line; a table refines at ``fixed_anchors`` and at
-``moving_points(t, pad)`` (one row per time of the column t);
-``window``, ``u_max``, ``F_inf`` and ``alpha`` are the datum window,
-max |ubar|, Fbar at +inf and the dissipated fraction.
+CuspFamily, _PiecewiseLinearFamily: internals of ReferenceSolution, which
+checks the arguments they take) evaluates those once per table point as
+``columns(z)`` ("z", "u" for ubar, "F" for Fbar, and what its integrals
+read), and reads them at the times t: ``_B(t, c)`` and
+``_J12(t, c, ws=None)`` give B, and J1 and J2, point by point, each an
+array of the maps' shape or None where it is zero.  ``B_inf``, ``J1_inf``
+and ``J2_inf`` are the integrals over the whole line; a table refines at
+``fixed_anchors`` and at ``moving_points(t, pad)`` (one row per time of the
+column t); ``window``, ``u_max``, ``F_inf`` and ``alpha`` are the datum
+window, max |ubar|, Fbar at +inf and the dissipated fraction.
 Whatever reads t takes a time or a column of times.  The dense table of
 ``ReferenceSolution.profile`` has a static part (a uniform bulk inside the
 datum window and geometric ladders at fixed anchors) and a moving part
@@ -73,7 +73,6 @@ from .projection import MAX_CELLS
 __all__ = [
     "ReferenceSolution",
     "ReferenceProfile",
-    "multipeakon_exact",
     "multipeakon_datum",
     "cosine_datum",
     "cusp_datum",
@@ -100,13 +99,6 @@ def _overflow(t):
     return NumericError(f"the reference characteristics overflow by t = {t:g}")
 
 
-def _finite(v, t):
-    """The value v of a map at time t, or NumericError if it overflowed."""
-    if not math.isfinite(v):
-        raise _overflow(t)
-    return v
-
-
 def _check_interval(a, b):
     """ConfigError unless the cusp interval [a, b] is finite with a < b."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -121,89 +113,7 @@ def _check_time(t):
 
 
 # ---------------------------------------------------------------------------
-# Two-peak piecewise-linear benchmark: fully closed form.
-# ---------------------------------------------------------------------------
-
-def _before_break(t, side):
-    """Whether t (approached from ``side`` at t = 2) precedes the two-peak break."""
-    return t < 2.0 or (t == 2.0 and side == "left")
-
-
-def _two_peak_ends(alpha, t, side):
-    """Ends (x_lo, x_hi) of the two-peak profile's sloped piece at time t;
-    NumericError where they overflow."""
-    if _before_break(t, side):
-        ends = (8.0 - t) * t / 16.0, (t * t + 8.0) / 16.0
-    else:
-        beta = 1.0 - alpha
-        ends = (
-            -beta * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0,
-            beta * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0,
-        )
-    return _finite(ends[0], t), _finite(ends[1], t)
-
-
-def multipeakon_exact(alpha, t, x, side="right"):
-    """Exact (u, F) of the canonical two-peak datum at time t and position x.
-
-    The datum is u = 1/2 for x < 0, 1/2 - x on [0, 1/2], 0 beyond, with all
-    its energy breaking at t = 2.  For t < 2 the profile steepens; at t = 2
-    the energy concentrates in a point mass at x = 3/4, of which the fraction
-    alpha is removed; for t > 2 the retained energy spreads again.
-
-    ``side`` matters only at t = 2: "right" (default) returns the state with
-    dissipation applied, "left" the limit from earlier times (full point
-    mass still present).  x may be a scalar or an array.  Raises
-    ConfigError for a negative or non-finite time and a non-finite x, and
-    NumericError at a time so large that the profile's ends overflow.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("alpha must lie in [0, 1]")
-    _check_time(t)
-    if side not in ("left", "right"):
-        raise ConfigError("side must be 'left' or 'right'")
-    xs = np.asarray(x, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ConfigError("position must be finite")
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-
-    x_lo, x_hi = _two_peak_ends(alpha, t, side)
-    # the sloped piece has no width at t = 2; rounding in its ends may hide that
-    sloped = x_hi > x_lo and t != 2.0
-    if _before_break(t, side):
-        u_left = 0.5 - t / 8.0
-        u_right = t / 8.0
-        F_right = 0.5
-        if sloped:
-            u_mid = (8.0 * xs - (t + 4.0)) / (4.0 * (t - 2.0))
-            F_mid = (16.0 * xs + t * t - 8.0 * t) / (4.0 * (t - 2.0) ** 2)
-    else:
-        beta = 1.0 - alpha
-        u_left = -beta * t / 8.0 + (2.0 - alpha) / 4.0
-        u_right = beta * t / 8.0 + alpha / 4.0
-        F_right = beta / 2.0
-        if sloped:
-            u_mid = (2.0 / (t - 2.0)) * (xs - (t + 4.0) / 8.0)
-            F_mid = (4.0 / (t - 2.0) ** 2) * (xs - x_lo)
-    if not sloped:  # at the collapse, or after it with alpha = 1
-        u_mid = np.full_like(xs, u_right)
-        F_mid = np.full_like(xs, F_right)
-    u = np.where(xs <= x_lo, u_left, np.where(xs >= x_hi, u_right, u_mid))
-    F = np.where(xs <= x_lo, 0.0, np.where(xs >= x_hi, F_right, F_mid))
-
-    if scalar:
-        return float(u[0]), float(F[0])
-    return u, F
-
-
-def multipeakon_datum() -> InitialDatum:
-    """The canonical two-peak initial datum (plateau 1/2, down-slope, plateau 0)."""
-    return make_multipeakon([(0.0, 0.5), (0.5, 0.0)])
-
-
-# ---------------------------------------------------------------------------
-# Helpers of the two table-backed families.
+# Helpers of the families.
 # ---------------------------------------------------------------------------
 
 def _each(f, t):
@@ -472,6 +382,95 @@ class CuspFamily:
         return (2.0 / 9.0) * (C * C + C * B + B * B) * (r - v)
 
 
+# ---------------------------------------------------------------------------
+# Piecewise-linear family: the two-peak datum, ubar piecewise linear.
+# ---------------------------------------------------------------------------
+
+class _PiecewiseLinearFamily:
+    """Characteristic-form solution pieces for a datum d of make_multipeakon
+    (u and F_ac piecewise linear, u_x the step function of its slopes).
+
+    A piece [lo, hi] of slope s < 0 breaks whole at tau = -2/s, and one of
+    slope s >= 0 never breaks.  On a broken piece the integrands of B, J1
+    and J2 are the constants e = s^2, (t - tau) s^2 and (t - tau)^2 s^2 / 2,
+    so each integral is the sum over the pieces broken by t (t >= tau: at
+    tau, the right limit) of e (clip(z, lo, hi) - lo), and its total the
+    same sum of e (hi - lo).  The maps are affine in z on each piece and the
+    datum's nodes are the fixed anchors, so the table is exact to
+    round-off; no point moves.  The powers of t - tau are products, as a
+    row must not depend on how many times it is built for (see _each).
+    """
+
+    def __init__(self, d, alpha):
+        self.alpha = alpha
+        self._u, self._F = d.u, d.F_ac
+        x, s = d.u_x.breaks, d.u_x.values
+        self.window = d.support_hint
+        self.fixed_anchors = tuple(x.tolist())
+        self.u_max = float(np.abs(d.u.values).max())
+        self.F_inf = float(d.F_ac.values[-1])
+        falls = s < 0.0
+        lo, hi = x[:-1][falls], x[1:][falls]
+        self._pieces = list(zip(lo.tolist(), hi.tolist(), (s * s)[falls].tolist(), (-2.0 / s[falls]).tolist()))
+
+    def columns(self, z):
+        return {"z": z, "u": self._u(z), "F": self._F(z)}
+
+    @staticmethod
+    def moving_points(t, pad):
+        return np.empty((t.shape[0], 0))
+
+    # e of a piece with slope s, broken for the time d = t - tau
+    @staticmethod
+    def _e_b(d, s2):
+        return s2
+
+    @staticmethod
+    def _e_j1(d, s2):
+        return d * s2
+
+    @staticmethod
+    def _e_j2(d, s2):
+        return d * d / 2.0 * s2
+
+    def _sum(self, e, t, length):
+        """The sum over the pieces broken by the times t of
+        e(t - tau, s^2) length(lo, hi) (0 in a row where a piece has not
+        broken), or None where none has."""
+        total = None
+        for lo, hi, s2, tau in self._pieces:
+            broken = t >= tau
+            if np.any(broken):
+                term = np.where(broken, e(t - tau, s2), 0.0) * length(lo, hi)
+                total = term if total is None else total + term
+        return total
+
+    @staticmethod
+    def _below(c):
+        """The length of a piece [lo, hi] below each z of the columns c."""
+        return lambda lo, hi: np.clip(c["z"], lo, hi) - lo
+
+    def _B(self, t, c):
+        return self._sum(self._e_b, t, self._below(c))
+
+    def _J12(self, t, c, ws=None):
+        """J1 and J2 at the times t and the columns c (_sum)."""
+        return self._sum(self._e_j1, t, self._below(c)), self._sum(self._e_j2, t, self._below(c))
+
+    def _total(self, e, t):
+        total = self._sum(e, t, lambda lo, hi: hi - lo)
+        return 0.0 * t if total is None else total
+
+    def B_inf(self, t):
+        return self._total(self._e_b, t)
+
+    def J1_inf(self, t):
+        return self._total(self._e_j1, t)
+
+    def J2_inf(self, t):
+        return self._total(self._e_j2, t)
+
+
 class _Workspace:
     """Scratch rows that the chunks of times of one ladder rung reuse
     (ReferenceSolution._rung makes one per call).
@@ -571,16 +570,15 @@ def _char_total(fam, t):
 class ReferenceProfile:
     """Snapshot of a reference solution at one time.
 
-    u_at evaluates the wave profile on arrays; measure() the energy measure
-    object; knots are the x positions where the profile's representation
-    kinks (useful as evaluation sites when comparing against other
-    profiles), and knot_u the profile's u there.
+    u_at evaluates the wave profile on arrays, the interpolant of its
+    values at the knots; measure() the energy measure object; knots are the
+    x positions where the profile's table kinks (useful as evaluation sites
+    when comparing against other profiles).
     """
 
     u_at: object
     measure: object
-    knots: object = None
-    knot_u: object = None
+    knots: object
 
 
 _LADDER = 2.0 ** (-np.arange(8.0, 95.0) / 2.0)
@@ -743,34 +741,6 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
     yield from tables
 
 
-def _multipeakon_profile(alpha, t):
-    def u_at(x):
-        return multipeakon_exact(alpha, t, x)[0]
-
-    v_inf = 0.5 if t < 2.0 else 0.5 * (1.0 - alpha)
-    x1, x2 = _two_peak_ends(alpha, t, "right")
-
-    def measure():
-        if t == 2.0 or v_inf == 0.0:
-            # all the energy sits in the point mass at 3/4, or none is left
-            wide = 8.0 + t * t
-            F_ac = PiecewiseLinear(nodes=np.asarray([-wide, wide]), values=np.asarray([0.0, 0.0]))
-            atoms = ((0.75, v_inf),) if v_inf > 0.0 else ()
-            return EnergyMeasure(F_ac=F_ac, atoms=atoms)
-        nodes = np.asarray([x1 - 1.0, x1, x2, x2 + 1.0])
-        vals = np.asarray([0.0, 0.0, v_inf, v_inf])
-        return EnergyMeasure(F_ac=PiecewiseLinear(nodes=nodes, values=vals))
-
-    knots = np.unique(np.asarray([x1 - 1.0, x1, x2, x2 + 1.0]))
-
-    return ReferenceProfile(
-        u_at=u_at,
-        measure=measure,
-        knots=knots,
-        knot_u=u_at(knots),
-    )
-
-
 # ---------------------------------------------------------------------------
 # User-facing reference solution object.
 # ---------------------------------------------------------------------------
@@ -779,10 +749,11 @@ def _multipeakon_profile(alpha, t):
 class ReferenceSolution:
     """Evaluatable ground-truth solution for one benchmark family.
 
-    family is one of "multipeakon_appA" (closed form), "cosine", "cusp"
-    (closed-form characteristics, numerically inverted); a and b, the cusp
-    interval (finite, a < b, as cusp_datum takes it), stay at -1 and 1 for
-    the other two.  Every argument is checked here, once: the families
+    family is one of REFERENCE_FAMILIES: the two-peak datum of
+    multipeakon_datum (the first), "cosine" and "cusp".  Each is a family
+    of characteristics in closed form, inverted by a table.  a and b, the
+    cusp interval (finite, a < b, as cusp_datum takes it), stay at -1 and 1
+    for the other two.  Every argument is checked here, once: the families
     take them as given.  Times and positions must be finite.
     """
 
@@ -807,17 +778,14 @@ class ReferenceSolution:
             return CosineFamily(self.alpha)
         if self.family == "cusp":
             return CuspFamily(self.a, self.b, self.alpha)
-        return None
+        return _PiecewiseLinearFamily(multipeakon_datum(), self.alpha)
 
     def total_energy(self, t) -> float:
         _check_time(t)
-        if self.family == "multipeakon_appA":
-            return 0.5 if t < 2.0 else 0.5 * (1.0 - self.alpha)
         return _char_total(self._fam, t)
 
     def profile(self, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
-        """Dense whole-line evaluators at time t (table-backed for the
-        quadrature families, closed form for the two-peak benchmark).
+        """Dense whole-line evaluators at time t, read off the family's table.
 
         The table's characteristic starting points z are a static part, fixed
         by n_base (those of max(n_base, 101) points spread over the datum
@@ -846,8 +814,6 @@ class ReferenceSolution:
             ok = False
         if not ok:
             raise ConfigError(f"n_base must be an integer of at most {_MAX_N_BASE}")
-        if self.family == "multipeakon_appA":
-            return _multipeakon_profile(self.alpha, t)
         fam = self._fam
         if x_lo is None:
             x_lo = fam.window[0]
@@ -863,38 +829,24 @@ class ReferenceSolution:
             # checked finite, and _Kept made y_k strictly increasing
             return EnergyMeasure(F_ac=PiecewiseLinear._checked(y_k, F_k))
 
-        return ReferenceProfile(
-            u_at=u_at,
-            measure=measure,
-            knots=y_k,
-            knot_u=u_k,
-        )
+        return ReferenceProfile(u_at=u_at, measure=measure, knots=y_k)
 
     def _rung(self, n_base):
         """profile() at many times, for one ladder rung.
 
-        Returns (rows, width).  rows(t, x_lo, x_hi) yields (knots, knot_u,
-        u_at) of the profile at each time of the 1-d array t, covering
-        [x_lo, x_hi] (1-d arrays too): the knots, u there, and u as a
-        function where it is not the interpolant of the knots (the
-        closed-form family; else None).  A call of rows builds its tables by
-        one call of _tables, on one static part and its columns built here
-        for n_base: several times as one batch, one time in tiles, as
-        profile() takes its table.  The calls of rows reuse one _Workspace
-        made here, so the rows of one _rung call are drawn by one generator
-        at a time.  width is the number of points in a row (0 for the
-        closed-form family); calls of at most _CHUNK_FLOATS // width times
-        (or of one) keep the workspace at four rows of
-        max(_CHUNK_FLOATS, width) floats.  Raises NumericError, as profile()
-        does, at a time where the characteristics overflow.
+        Returns (rows, width).  rows(t, x_lo, x_hi) yields the knots of
+        the profile at each time of the 1-d array t, covering [x_lo, x_hi]
+        (1-d arrays too), and u there, as a pair.  A call of rows builds
+        its tables by one call of _tables, on one static part and its
+        columns built here for n_base: several times as one batch, one time
+        in tiles, as profile() takes its table.  The calls of rows
+        reuse one _Workspace made here, so the rows of one _rung call are
+        drawn by one generator at a time.  width is the number of points in
+        a row; calls of at most _CHUNK_FLOATS // width times (or of one)
+        keep the workspace at four rows of max(_CHUNK_FLOATS, width)
+        floats.  Raises NumericError, as profile() does, at a time where
+        the characteristics overflow.
         """
-        if self.family == "multipeakon_appA":
-
-            def closed_form_rows(t, x_lo, x_hi):
-                for prof in map(self.profile, t.tolist()):
-                    yield prof.knots, prof.knot_u, prof.u_at
-
-            return closed_form_rows, 0
         fam = self._fam
         z = _static_points(fam, max(int(n_base), 101))
         cols = fam.columns(z)
@@ -906,16 +858,20 @@ class ReferenceSolution:
         # no slot is made again after the first such call
         ws = _Workspace(max(_CHUNK_FLOATS, width))
 
-        def table_rows(t, x_lo, x_hi):
-            for knots, knot_u in _tables(fam, z, t, x_lo, x_hi, cols, ws=ws):
-                yield knots, knot_u, None
+        def rows(t, x_lo, x_hi):
+            return _tables(fam, z, t, x_lo, x_hi, cols, ws=ws)
 
-        return table_rows, width
+        return rows, width
 
 
 # ---------------------------------------------------------------------------
 # Initial data constructors.
 # ---------------------------------------------------------------------------
+
+def multipeakon_datum() -> InitialDatum:
+    """The canonical two-peak initial datum (plateau 1/2, down-slope, plateau 0)."""
+    return make_multipeakon([(0.0, 0.5), (0.5, 0.0)])
+
 
 def cosine_datum() -> InitialDatum:
     """Initial datum 1 for x < 0, cos(pi x) on [0, 4], 1 for x > 4."""
@@ -923,20 +879,10 @@ def cosine_datum() -> InitialDatum:
     def u(x):
         return np.cos(_PI * np.clip(x, 0.0, 4.0))
 
-    def u_x(x):
-        xa = np.asarray(x, dtype=float)
-        inside = (xa > 0.0) & (xa < 4.0)
-        return np.where(inside, -_PI * np.sin(_PI * np.where(inside, xa, 0.0)), 0.0)
-
     def F_ac(x):
         return _lam(np.clip(x, 0.0, 4.0))
 
-    return InitialDatum(
-        u=u,
-        u_x=u_x,
-        F_ac=F_ac,
-        support_hint=(0.0, 4.0),
-    )
+    return InitialDatum(u=u, F_ac=F_ac, support_hint=(0.0, 4.0))
 
 
 def cusp_datum(a=-1.0, b=1.0) -> InitialDatum:
@@ -946,18 +892,7 @@ def cusp_datum(a=-1.0, b=1.0) -> InitialDatum:
     def u(x):
         return np.abs(np.clip(x, a, b)) ** (2.0 / 3.0)
 
-    def u_x(x):
-        xa = np.asarray(x, dtype=float)
-        inside = (xa > a) & (xa < b) & (xa != 0.0)
-        safe = np.where(inside, xa, 1.0)
-        return np.where(inside, (2.0 / 3.0) * np.sign(safe) * np.abs(safe) ** (-1.0 / 3.0), 0.0)
-
     def F_ac(x):
         return (4.0 / 3.0) * (_cbrt_signed(np.clip(x, a, b)) - _cbrt_signed(a))
 
-    return InitialDatum(
-        u=u,
-        u_x=u_x,
-        F_ac=F_ac,
-        support_hint=(float(a), float(b)),
-    )
+    return InitialDatum(u=u, F_ac=F_ac, support_hint=(float(a), float(b)))

@@ -19,7 +19,10 @@ bit for bit, and ``oracle_total_energy`` with ``total_energy``.
 ``eval_u`` and ``eval_F`` evaluate a ``ReferenceSolution`` at one point by
 bracketed root finding on the library's characteristic position map (the
 library inverts it only through its tables), and ``initial_datum`` gives
-its datum.
+its datum.  ``multipeakon_exact`` is the two-peak datum's solution in
+closed form, branch by branch (the library tabulates it from its broken
+pieces), and ``cosine_u_x`` and ``cusp_u_x`` are the slopes of the cosine
+and cusp data, which the library's data do not carry.
 
 ``validate`` checks an initial datum's structure by adaptive quadrature,
 and ``check_solution_consistency`` the invariant that ties a pushforward's
@@ -76,13 +79,7 @@ from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
 from hsalpha.pushforward import ATOM_MASS_TOL, ATOM_WIDTH_TOL
 from hsalpha import reference
-from hsalpha.reference import (
-    ReferenceProfile,
-    cosine_datum,
-    cusp_datum,
-    multipeakon_datum,
-    multipeakon_exact,
-)
+from hsalpha.reference import ReferenceProfile, cosine_datum, cusp_datum, multipeakon_datum
 
 _PI = math.pi
 
@@ -606,12 +603,7 @@ def _family_profile(fam, t, x_lo, x_hi, n_base, widened_bulk):
     def measure():
         return EnergyMeasure(F_ac=PiecewiseLinear(nodes=y_k, values=F_k))
 
-    return ReferenceProfile(
-        u_at=u_at,
-        measure=measure,
-        knots=y_k,
-        knot_u=u_k,
-    )
+    return ReferenceProfile(u_at=u_at, measure=measure, knots=y_k)
 
 
 def _oracle_family(ref):
@@ -647,12 +639,94 @@ def oracle_profile(
 
 def union_sup_rel_err(sol, prof) -> float:
     """max |u_num - u_ref| / max |u_ref| over the union of nodes and knots."""
-    xs = sol.u.nodes
-    if prof.knots is not None:
-        xs = np.union1d(xs, prof.knots)
+    xs = np.union1d(sol.u.nodes, prof.knots)
     diff = np.abs(sol.u(xs) - prof.u_at(xs))
     den = float(np.max(np.abs(prof.u_at(xs))))
     return float(np.max(diff)) / max(den, 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Two-peak piecewise-linear benchmark: fully closed form.
+# ---------------------------------------------------------------------------
+
+def _finite(v, t):
+    """The value v of a map at time t, or NumericError if it overflowed."""
+    if not math.isfinite(v):
+        raise reference._overflow(t)
+    return v
+
+
+def _before_break(t, side):
+    """Whether t (approached from ``side`` at t = 2) precedes the two-peak break."""
+    return t < 2.0 or (t == 2.0 and side == "left")
+
+
+def _two_peak_ends(alpha, t, side):
+    """Ends (x_lo, x_hi) of the two-peak profile's sloped piece at time t;
+    NumericError where they overflow."""
+    if _before_break(t, side):
+        ends = (8.0 - t) * t / 16.0, (t * t + 8.0) / 16.0
+    else:
+        beta = 1.0 - alpha
+        ends = (
+            -beta * t * t / 16.0 + (2.0 - alpha) * t / 4.0 + alpha / 4.0,
+            beta * t * t / 16.0 + alpha * t / 4.0 + (2.0 - alpha) / 4.0,
+        )
+    return _finite(ends[0], t), _finite(ends[1], t)
+
+
+def multipeakon_exact(alpha, t, x, side="right"):
+    """Exact (u, F) of the canonical two-peak datum at time t and position x.
+
+    The datum is u = 1/2 for x < 0, 1/2 - x on [0, 1/2], 0 beyond, with all
+    its energy breaking at t = 2.  For t < 2 the profile steepens; at t = 2
+    the energy concentrates in a point mass at x = 3/4, of which the fraction
+    alpha is removed; for t > 2 the retained energy spreads again.
+
+    ``side`` matters only at t = 2: "right" (default) returns the state with
+    dissipation applied, "left" the limit from earlier times (full point
+    mass still present).  x may be a scalar or an array.  Raises
+    ConfigError for a negative or non-finite time and a non-finite x, and
+    NumericError at a time so large that the profile's ends overflow.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError("alpha must lie in [0, 1]")
+    reference._check_time(t)
+    if side not in ("left", "right"):
+        raise ConfigError("side must be 'left' or 'right'")
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ConfigError("position must be finite")
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+
+    x_lo, x_hi = _two_peak_ends(alpha, t, side)
+    # the sloped piece has no width at t = 2; rounding in its ends may hide that
+    sloped = x_hi > x_lo and t != 2.0
+    if _before_break(t, side):
+        u_left = 0.5 - t / 8.0
+        u_right = t / 8.0
+        F_right = 0.5
+        if sloped:
+            u_mid = (8.0 * xs - (t + 4.0)) / (4.0 * (t - 2.0))
+            F_mid = (16.0 * xs + t * t - 8.0 * t) / (4.0 * (t - 2.0) ** 2)
+    else:
+        beta = 1.0 - alpha
+        u_left = -beta * t / 8.0 + (2.0 - alpha) / 4.0
+        u_right = beta * t / 8.0 + alpha / 4.0
+        F_right = beta / 2.0
+        if sloped:
+            u_mid = (2.0 / (t - 2.0)) * (xs - (t + 4.0) / 8.0)
+            F_mid = (4.0 / (t - 2.0) ** 2) * (xs - x_lo)
+    if not sloped:  # at the collapse, or after it with alpha = 1
+        u_mid = np.full_like(xs, u_right)
+        F_mid = np.full_like(xs, F_right)
+    u = np.where(xs <= x_lo, u_left, np.where(xs >= x_hi, u_right, u_mid))
+    F = np.where(xs <= x_lo, 0.0, np.where(xs >= x_hi, F_right, F_mid))
+
+    if scalar:
+        return float(u[0]), float(F[0])
+    return u, F
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +746,26 @@ def initial_datum(ref) -> InitialDatum:
     return cusp_datum(ref.a, ref.b)
 
 
+def cosine_u_x(x):
+    """The slope of cosine_datum(): -pi sin(pi x) on (0, 4), 0 outside."""
+    xa = np.asarray(x, dtype=float)
+    inside = (xa > 0.0) & (xa < 4.0)
+    return np.where(inside, -_PI * np.sin(_PI * np.where(inside, xa, 0.0)), 0.0)
+
+
+def cusp_u_x(a=-1.0, b=1.0):
+    """The slope of cusp_datum(a, b), (2/3) sgn(x) |x|^(-1/3) on (a, b)
+    less 0, and 0 elsewhere, as a function of x."""
+
+    def u_x(x):
+        xa = np.asarray(x, dtype=float)
+        inside = (xa > a) & (xa < b) & (xa != 0.0)
+        safe = np.where(inside, xa, 1.0)
+        return np.where(inside, (2.0 / 3.0) * np.sign(safe) * np.abs(safe) ** (-1.0 / 3.0), 0.0)
+
+    return u_x
+
+
 def _invert(ref, t, x):
     fam = ref._fam
     margin = 1.0 + t * fam.u_max + t * t * fam.F_inf
@@ -680,7 +774,7 @@ def _invert(ref, t, x):
     def g(z):
         c = fam.columns(np.asarray(z, dtype=float))
         y = reference._char_position(fam, t, c, fam._J12(t, c)[1])
-        return reference._finite(float(y) - x, t)
+        return _finite(float(y) - x, t)
 
     g_lo, g_hi = g(lo), g(hi)
     grow = margin
@@ -721,7 +815,7 @@ def eval_u(ref, t, x) -> float:
         return multipeakon_exact(ref.alpha, t, float(x))[0]
     fam = ref._fam
     c = fam.columns(np.asarray(_invert(ref, t, float(x)), dtype=float))
-    return reference._finite(float(reference._char_velocity(fam, t, c, fam._J12(t, c)[0])), t)
+    return _finite(float(reference._char_velocity(fam, t, c, fam._J12(t, c)[0])), t)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -737,7 +831,7 @@ def eval_F(ref, t, x) -> float:
     if ref.family == "multipeakon_appA":
         return multipeakon_exact(ref.alpha, t, float(x))[1]
     c = ref._fam.columns(np.asarray(_invert(ref, t, float(x)), dtype=float))
-    return reference._finite(float(reference._char_cumulative(ref._fam, t, c)), t)
+    return _finite(float(reference._char_cumulative(ref._fam, t, c)), t)
 
 
 @dataclasses.dataclass(frozen=True)

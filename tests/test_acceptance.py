@@ -25,13 +25,8 @@ from hsalpha.lagrangian import to_lagrangian
 from hsalpha.metrics import w1
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
-from hsalpha.reference import (
-    cosine_datum,
-    cusp_datum,
-    multipeakon_datum,
-    multipeakon_exact,
-)
-from oracles import besov_seminorm, brute_force_batch, brute_force_oracle
+from hsalpha.reference import cosine_datum, multipeakon_datum
+from oracles import besov_seminorm, brute_force_batch, brute_force_oracle, cusp_u_x, multipeakon_exact
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -280,9 +275,8 @@ def test_criterion_8_invariant_sweep():
 
 
 def test_criterion_9_besov_estimates():
-    cusp = cusp_datum()
     est_c = besov_seminorm(
-        cusp.u_x, 1.0 / 6.0, support=(-1.0, 1.0), singularities=(-1.0, 0.0, 1.0)
+        cusp_u_x(-1.0, 1.0), 1.0 / 6.0, support=(-1.0, 1.0), singularities=(-1.0, 0.0, 1.0)
     )
     peak = multipeakon_datum()
     base = besov_seminorm(peak.u_x, 0.5)

@@ -13,8 +13,8 @@ from hsalpha.evolution import EVENT_TIE_TOL, events, evolve, total_energy
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
-from hsalpha.reference import ReferenceSolution, cusp_datum, multipeakon_exact
-from oracles import brute_force_batch, brute_force_oracle, sequential_evolve
+from hsalpha.reference import ReferenceSolution, cusp_datum
+from oracles import brute_force_batch, brute_force_oracle, multipeakon_exact, sequential_evolve
 
 
 def test_ramp_has_one_clustered_event(peakon_state):

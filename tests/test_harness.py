@@ -32,8 +32,8 @@ from hsalpha.evolution import events, evolve
 from hsalpha.lagrangian import to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.pushforward import to_eulerian
-from hsalpha.reference import ReferenceProfile, ReferenceSolution, multipeakon_exact
-from oracles import atoms_of, oracle_profile, per_row_solution_csv, union_sup_rel_err
+from hsalpha.reference import ReferenceProfile, ReferenceSolution
+from oracles import atoms_of, multipeakon_exact, oracle_profile, per_row_solution_csv, union_sup_rel_err
 
 
 def test_dx_ladder():
@@ -368,7 +368,7 @@ def test_cusp_ladder_at_large_T_is_not_corrupt(kw):
 def _sup_rel_err(sol, prof):
     """run_eoc's error of a snapshot against a reference profile."""
     u = sol.u
-    return _rel_err(u.nodes, u.values, prof.knots, prof.knot_u, prof.u_at(u.nodes))
+    return _rel_err(u.nodes, u.values, prof.knots, prof.u_at(prof.knots))
 
 
 def test_sup_rel_err_equals_union_form():
@@ -381,16 +381,11 @@ def test_sup_rel_err_equals_union_form():
         knots = np.unique(np.concatenate((extra, shared)))
         knot_u = rng.normal(size=knots.size)
         sol = types.SimpleNamespace(u=PiecewiseLinear(nodes, rng.normal(size=nodes.size)))
-        prof = ReferenceProfile(
-            u_at=lambda x, k=knots, v=knot_u: np.interp(x, k, v),
-            measure=None,
-            knots=knots,
-            knot_u=knot_u,
-        )
+        prof = ReferenceProfile(u_at=lambda x, k=knots, v=knot_u: np.interp(x, k, v), measure=None, knots=knots)
         assert _sup_rel_err(sol, prof) == union_sup_rel_err(sol, prof)
 
 
-def test_sup_rel_err_equals_union_form_on_closed_form_profile():
+def test_sup_rel_err_equals_union_form_on_the_two_peak_profile():
     cfg = ExperimentConfig(example="appendixA", alpha=0.5, T=3.0)
     ref = reference_for(cfg)
     for sol in run_solve(cfg, 2.0 ** -6, [0.5, 2.0, 3.0]):
@@ -399,10 +394,10 @@ def test_sup_rel_err_equals_union_form_on_closed_form_profile():
 
 
 def _from_scratch_eoc_errors(cfg, chained=True, widened_bulk=False):
-    """run_eoc's Err column with a from-scratch table (the closed form for
-    appendixA, which has no table; the table with its bulk over the widened
-    window if widened_bulk), snapshots chained sample to sample (or each
-    evolved from t=0), and the union-form error at every sample."""
+    """run_eoc's Err column with a from-scratch table (for appendixA, which
+    has none, profile()'s; the table with its bulk over the widened window if
+    widened_bulk), snapshots chained sample to sample (or each evolved from
+    t=0), and the union-form error at every sample."""
     ref = reference_for(cfg)
     samples = np.linspace(0.0, cfg.T, cfg.time_samples)
     errs = []
@@ -413,17 +408,11 @@ def _from_scratch_eoc_errors(cfg, chained=True, widened_bulk=False):
             s = evolve(s if chained else s0, float(t))
             sol = to_eulerian(s)
             nodes = sol.u.nodes
+            args = float(t), float(nodes[0]), float(nodes[-1]), max(4001, 3 * nodes.size)
             if cfg.example == "appendixA":
-                prof = ref.profile(float(t))
+                prof = ref.profile(*args)
             else:
-                prof = oracle_profile(
-                    ref,
-                    float(t),
-                    float(nodes[0]),
-                    float(nodes[-1]),
-                    max(4001, 3 * nodes.size),
-                    widened_bulk,
-                )
+                prof = oracle_profile(ref, *args, widened_bulk)
             worst = max(worst, union_sup_rel_err(sol, prof))
         errs.append(worst)
     return errs
@@ -473,15 +462,16 @@ def test_run_eoc_cusp_below_zero_converges():
     [
         (ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(2, 3)), (512, 2**40)),
         (ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(2,)), (512, 2**40)),
-        (ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(2,)), (1, 2**40)),
-        # at 1 float a table of one time is a tile per static point (2,500
-        # to 3,900 per row), so the table families take it on a coarse rung
+        (ExperimentConfig(example="appendixA", alpha=0.5, T=2.5, k_range=(2,)), (512, 2**40)),
+        # at 1 float a table of one time is a tile per static point (1,100
+        # to 3,900 per row), so the three families take it on a coarse rung
         # and few times (the cosine's 0.6 and 1.2 lie before and after its
-        # break)
+        # break, and the two-peak datum's 2 is its break)
         (ExperimentConfig(example="cusp", alpha=0.5, T=3.0, k_range=(1,), time_samples=3), (1,)),
         (ExperimentConfig(example="cosine", alpha=0.75, T=1.2, k_range=(1,), time_samples=3), (1,)),
+        (ExperimentConfig(example="appendixA", alpha=0.5, T=4.0, k_range=(1,), time_samples=3), (1,)),
     ],
-    ids=["cusp", "cosine", "appendixA", "cusp-1-float", "cosine-1-float"],
+    ids=["cusp", "cosine", "appendixA", "cusp-1-float", "cosine-1-float", "appendixA-1-float"],
 )
 def test_run_eoc_rows_do_not_depend_on_the_chunk_size(cfg, sizes, monkeypatch):
     # one time per chunk (at 1 float, also a block edge at every entry of
@@ -503,10 +493,10 @@ def test_run_eoc_leaves_earlier_results_alone():
     xs = np.linspace(-3.0, 4.0, 1001)
     fields = ("y", "U", "V", "d_y", "d_U", "d_V", "broken")
     before = [getattr(state, f).copy() for f in fields]
-    before += [prof.knots.copy(), prof.knot_u.copy(), prof.u_at(xs), prof.measure().F_ac(xs)]
+    before += [prof.knots.copy(), prof.u_at(prof.knots), prof.u_at(xs), prof.measure().F_ac(xs)]
     run_eoc(cfg)
     after = [getattr(state, f) for f in fields]
-    after += [prof.knots, prof.knot_u, prof.u_at(xs), prof.measure().F_ac(xs)]
+    after += [prof.knots, prof.u_at(prof.knots), prof.u_at(xs), prof.measure().F_ac(xs)]
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
@@ -531,9 +521,9 @@ def test_interleaved_rung_rows_equal_rows_alone():
         for got, gen in zip(interleaved, gens):
             got.append(next(gen))
     for got, (ref, *args) in zip(interleaved, jobs):
-        for (knots, knot_u, _), tj, lo, hi in zip(got, *args):
+        for (knots, knot_u), tj, lo, hi in zip(got, *args):
             prof = ref.profile(tj, x_lo=lo, x_hi=hi, n_base=4001)
-            assert np.array_equal(knots, prof.knots) and np.array_equal(knot_u, prof.knot_u)
+            assert np.array_equal(knots, prof.knots) and np.array_equal(knot_u, prof.u_at(prof.knots))
 
 
 def test_measure_rate_rung_memory_stays_within_its_arrays():

@@ -190,7 +190,7 @@ def _atomic_datum():
     u_x = PiecewiseConstant(u.nodes, slopes(u))
     F = np.concatenate(([0.0], np.cumsum(slopes(u) ** 2 * np.diff(u.nodes))))
     atoms = ((0.25, 0.1), (0.5, 0.2), (0.75, 0.3))
-    return InitialDatum(u, u_x, PiecewiseLinear(u.nodes, F), atoms=atoms, support_hint=(0.0, 1.0))
+    return InitialDatum(u=u, F_ac=PiecewiseLinear(u.nodes, F), u_x=u_x, atoms=atoms, support_hint=(0.0, 1.0))
 
 
 def _assert_same_state(got, want):

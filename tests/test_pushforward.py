@@ -14,8 +14,7 @@ from hsalpha.evolution import events, evolve, total_energy
 from hsalpha.harness import ExperimentConfig, initial_state
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.pushforward import ATOM_WIDTH_TOL, _u_rows, to_eulerian
-from hsalpha.reference import multipeakon_exact
-from oracles import _node_picks, atoms_of, whole_array_to_eulerian
+from oracles import _node_picks, atoms_of, multipeakon_exact, whole_array_to_eulerian
 
 
 def test_atom_appears_at_collapse(peakon_state):

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import warnings
@@ -20,10 +21,9 @@ from hsalpha.reference import (
     ReferenceSolution,
     cosine_datum,
     cusp_datum,
-    multipeakon_exact,
 )
 import oracles
-from oracles import oracle_profile
+from oracles import multipeakon_exact, oracle_profile
 
 PI = math.pi
 
@@ -348,9 +348,40 @@ def test_eval_f_monotone_and_u_matches_profile():
 
 
 def test_multipeakon_profile_is_the_right_limit():
-    # at the break the point mass has lost the fraction alpha
-    ref = ReferenceSolution(family="multipeakon_appA", alpha=0.5)
-    assert oracles.atoms_of(ref.profile(2.0).measure()) == ((0.75, 0.25),)
+    # at the break the energy that is left, the fraction 1 - alpha, sits at
+    # 3/4: the table's characteristics of the sloped piece all reach 3/4 up
+    # to round-off, so the measure has no atom and F rises by all of that
+    # energy within 1e-13 below 3/4 (the ramp is 7.1e-15 wide)
+    for alpha in (0.0, 0.3, 0.5, 1.0):
+        m = ReferenceSolution(family="multipeakon_appA", alpha=alpha).profile(2.0).measure()
+        assert oracles.atoms_of(m) == ()
+        assert m.F_ac(0.75 - 1e-13) == 0.0
+        assert m.F_ac(0.75) == pytest.approx(0.5 * (1.0 - alpha), rel=0.0, abs=1e-15)
+
+
+_TWO_PEAK_TIMES = (0.0, 0.5, 1.9, 2.0, 2.1, 2.5, 4.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+def test_two_peak_table_matches_the_closed_form(alpha):
+    # the table is affine in z on each piece, so it is the closed form to
+    # round-off: u on its knots and a dense grid, F on the grid away from
+    # the collapse at t = 2 (at the knots next to the sloped piece, F's
+    # slope 4 / (t - 2)^2 = 400 at t = 1.9 and 2.1 scales the knots'
+    # round-off to up to 1.5e-13), and the total energy to an ulp
+    ref = ReferenceSolution(family="multipeakon_appA", alpha=alpha)
+    for t in _TWO_PEAK_TIMES:
+        prof = ref.profile(t)
+        k = prof.knots
+        dense = np.linspace(k[0] - 1.0, k[-1] + 1.0, 2001)
+        xs = np.union1d(k, dense)
+        u_want, _ = multipeakon_exact(alpha, t, xs)
+        assert np.abs(prof.u_at(xs) - u_want).max() <= 1e-14 * max(1.0, np.abs(u_want).max())
+        if t != 2.0:
+            _, F_want = multipeakon_exact(alpha, t, dense)
+            assert np.abs(prof.measure().F_ac(dense) - F_want).max() <= 1e-13
+        energy = 0.5 if t < 2.0 else 0.5 * (1.0 - alpha)
+        assert abs(ref.total_energy(t) - energy) <= np.spacing(energy)
 
 
 def test_multipeakon_measure_after_full_dissipation():
@@ -402,8 +433,25 @@ def test_initial_datum_constructors_match_families():
         cusp_datum(1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "datum, u_x, splits",
+    [
+        (cosine_datum(), oracles.cosine_u_x, (0.0, 4.0)),
+        (cusp_datum(-1.0, 1.0), oracles.cusp_u_x(-1.0, 1.0), (-1.0, 0.0, 1.0)),
+        (cusp_datum(-2.0, -0.5), oracles.cusp_u_x(-2.0, -0.5), (-2.0, -0.5)),
+        (cusp_datum(0.2, 1.0), oracles.cusp_u_x(0.2, 1.0), (0.2, 1.0)),
+    ],
+)
+def test_oracle_slopes_match_the_cosine_and_cusp_data(datum, u_x, splits):
+    # the data carry no slope; the oracles' slopes integrate to u, and
+    # their squares to F_ac
+    assert datum.u_x is None
+    rep = oracles.validate(dataclasses.replace(datum, u_x=u_x), singularities=splits)
+    assert rep.ok, rep.messages
+
+
 def _sup_u(prof):
-    return np.abs(prof.knot_u).max()
+    return np.abs(prof.u_at(prof.knots)).max()
 
 
 def _assert_same_energy(ref, t):
@@ -428,7 +476,6 @@ def _assert_same_profile(ref, t, got, want):
     assert np.array_equal(got.knots, want.knots)
     assert np.array_equal(got.u_at(got.knots), want.u_at(want.knots))
     assert np.array_equal(m_got(got.knots), m_want(want.knots))
-    assert np.array_equal(got.knot_u, want.u_at(want.knots))
     assert _sup_u(got) == _sup_u(want)
     _assert_same_energy(ref, t)
     assert np.array_equal(m_got.nodes, m_want.nodes)
@@ -535,19 +582,18 @@ def _rung_rows(ref, ts, x_lo, x_hi):
     chunks = numerics._blocks(ts.size, width)
     got = [row for b, e in chunks for row in rows(ts[b:e], x_lo[b:e], x_hi[b:e])]
     assert len(got) == ts.size
-    assert all(u_at is None for *_, u_at in got)
     return got
 
 
 def _assert_rows_equal_tables(ref, got, ts, x_lo, x_hi):
     # each row is the table of profile() and the from-scratch one, bit for bit
-    for (knots, knot_u, _), tj, lo, hi in zip(got, ts.tolist(), x_lo, x_hi):
+    for (knots, knot_u), tj, lo, hi in zip(got, ts.tolist(), x_lo, x_hi):
         for prof in (
             ref.profile(tj, x_lo=lo, x_hi=hi, n_base=6159),
             oracle_profile(ref, tj, x_lo=lo, x_hi=hi, n_base=6159),
         ):
             assert knots.tobytes() == prof.knots.tobytes()
-            assert knot_u.tobytes() == prof.knot_u.tobytes()
+            assert knot_u.tobytes() == prof.u_at(prof.knots).tobytes()
 
 
 def _table_args(ref, ts):
@@ -635,12 +681,12 @@ def test_tile_edge_moving_points(family, t, coincide, monkeypatch):
         ts = np.array([t])
         (row,) = _rung_rows(ref, ts, np.array([x_lo]), np.array([x_hi]))
         assert row[0].tobytes() == want.knots.tobytes()
-        assert row[1].tobytes() == want.knot_u.tobytes()
+        assert row[1].tobytes() == want.u_at(want.knots).tobytes()
 
 
 def _assert_bitwise_profile(ref, t, got, want):
-    for name in ("knots", "knot_u"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.knots.tobytes() == want.knots.tobytes()
+    assert got.u_at(got.knots).tobytes() == want.u_at(want.knots).tobytes()
     assert _sup_u(got) == _sup_u(want)
     _assert_same_energy(ref, t)
     m_got, m_want = got.measure().F_ac, want.measure().F_ac
