@@ -127,7 +127,7 @@ def _write_snapshot(cfg, sol, name) -> None:
 
 def _cmd_solve(args) -> int:
     cfg = _build_config(args)
-    (final,) = run_solve(cfg, args.dx, [cfg.T])
+    final = run_solve(cfg, args.dx)
     mass = final.mu.total_mass()
     print(
         f"solved example={cfg.example} alpha={cfg.alpha:g} dx={args.dx:g} "

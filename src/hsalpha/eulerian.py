@@ -27,7 +27,6 @@ from .numerics import _all_finite, _blocks, _increasing
 
 __all__ = [
     "PiecewiseLinear",
-    "PiecewiseConstant",
     "EnergyMeasure",
     "InitialDatum",
     "EulerianSolution",
@@ -82,35 +81,6 @@ class PiecewiseLinear:
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant:
-    """Step function: ``values[i]`` on ``[breaks[i], breaks[i+1])``, 0 outside."""
-
-    breaks: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        breaks = np.ascontiguousarray(self.breaks, dtype=np.float64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", values)
-        if breaks.ndim != 1 or values.ndim != 1:
-            raise ValueError("breaks and values must be 1-d")
-        if breaks.size != values.size + 1:
-            raise ValueError("need len(breaks) == len(values) + 1")
-        if np.any(np.diff(breaks) <= 0.0):
-            raise ValueError("breaks must be strictly increasing")
-        if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(values))):
-            raise ValueError("breaks and values must be finite")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        inside = (idx >= 0) & (x < self.breaks[-1])
-        out = np.where(inside, self.values[np.clip(idx, 0, self.values.size - 1)], 0.0)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class EnergyMeasure:
     """Positive finite measure: absolutely continuous cumulative plus atoms.
 
@@ -160,19 +130,15 @@ del EnergyMeasure.atoms
 class InitialDatum:
     """Initial condition given through evaluators.
 
-    ``u`` and ``F_ac`` are vectorized callables.  ``u_x``, the slope, is
-    optional: for data built by :func:`make_multipeakon` it is a
-    :class:`PiecewiseConstant`, and ``u`` and ``F_ac`` are
-    :class:`PiecewiseLinear` instances.  :func:`projection.project` reads
-    the pieces of a :class:`PiecewiseConstant` ``u_x`` for each pair's slope
-    variance, the two-peak reference (:mod:`reference`) its pieces and
-    slopes, and the test oracles (the projection error, the Besov
-    seminorm) exploit them for exact error computation.
+    ``u`` and ``F_ac`` are vectorized callables; for data built by
+    :func:`make_multipeakon` both are :class:`PiecewiseLinear` instances.
+    Where ``u`` is one, its slope is the step function of its pieces'
+    slopes: :func:`projection.project` reads it for each pair's slope
+    variance and the two-peak reference (:mod:`reference`) for its pieces.
     """
 
     u: Callable
     F_ac: Callable
-    u_x: Callable = None
     atoms: Sequence[tuple[float, float]] = ()
     support_hint: tuple[float, float] = (0.0, 1.0)
 
@@ -253,19 +219,9 @@ def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
     if np.any(np.diff(xs) <= 0.0):
         raise ConfigError("breakpoint abscissae must be strictly increasing")
 
-    u = PiecewiseLinear(xs, vs)
-    if xs.size == 1:
-        if not xs[0] + 1.0 > xs[0]:
-            raise ConfigError("a single breakpoint needs |x| small enough that x + 1 > x")
-        u_x = PiecewiseConstant(np.array([xs[0], xs[0] + 1.0]), np.array([0.0]))
-        f_ac = PiecewiseLinear(xs, np.zeros(1))
-        return InitialDatum(
-            u=u,
-            u_x=u_x,
-            F_ac=f_ac,
-            atoms=(),
-            support_hint=(float(xs[0]), float(xs[0]) + 1.0),
-        )
+    hi = float(xs[-1]) if xs.size > 1 else float(xs[0]) + 1.0
+    if not hi > xs[0]:
+        raise ConfigError("a single breakpoint needs |x| small enough that x + 1 > x")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         slopes = np.diff(vs) / np.diff(xs)
         # cumulative of u_x^2; increments are exact per segment
@@ -273,12 +229,5 @@ def make_multipeakon(points: Sequence[tuple[float, float]]) -> InitialDatum:
         f_vals = np.concatenate(([0.0], np.cumsum(inc)))
     if not np.isfinite(f_vals[-1]):
         raise ConfigError("slopes and their energy must be finite")
-    u_x = PiecewiseConstant(xs, slopes)
     f_ac = PiecewiseLinear(xs, f_vals)
-    return InitialDatum(
-        u=u,
-        u_x=u_x,
-        F_ac=f_ac,
-        atoms=(),
-        support_hint=(float(xs[0]), float(xs[-1])),
-    )
+    return InitialDatum(u=PiecewiseLinear(xs, vs), F_ac=f_ac, support_hint=(float(xs[0]), hi))

@@ -11,7 +11,7 @@ On the grid :math:`x_j = j\,\Delta x` the projection works on cell pairs
 
 the projected profile takes the two half-cell slopes
 :math:`Du_{2j} \mp q_{2j}` and :math:`Du_{2j} \pm q_{2j}`.  Where the
-datum's slope :math:`u_x` is a step function (a piecewise-linear datum),
+datum is piecewise linear, so that its slope :math:`u_x` is a step function,
 :math:`q_{2j}^2` is taken in the equal form of the slope variance
 :math:`\frac{1}{2\Delta x}\int (u_x - Du_{2j})^2` over the pair, which has
 no rounding residue on a pair where the datum is linear.  Either order
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .eulerian import EnergyMeasure, EulerianSolution, InitialDatum, PiecewiseConstant
-from .eulerian import PiecewiseLinear
+from .eulerian import EnergyMeasure, EulerianSolution, InitialDatum, PiecewiseLinear
 
 __all__ = [
     "MAX_CELLS",
@@ -139,15 +138,17 @@ def _greedy_first_slopes(du: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(plus_first, fp, fm)
 
 
-def _slope_variance(u_x: PiecewiseConstant, xe, du, dx):
-    """Each pair's radicand as the variance of the step slope u_x about the
-    pair's mean slope du, (1/2dx) * integral of (u_x - du)^2 over the pair,
-    summed over the pieces of u_x inside it.  It is never negative, and on
-    a pair where the datum is linear it is the square of du's rounding
-    error, where DF - du^2 leaves a rounding residue of DF's size."""
-    x = np.union1d(xe, np.clip(u_x.breaks, xe[0], xe[-1]))
+def _slope_variance(u: PiecewiseLinear, xe, du, dx):
+    """Each pair's radicand as the variance of u's step slope (the slope of
+    each of its pieces, 0 outside its nodes) about the pair's mean slope
+    du, (1/2dx) * integral of (u_x - du)^2 over the pair, summed over the
+    pieces of u inside it.  It is never negative, and on a pair where the
+    datum is linear it is the square of du's rounding error, where
+    DF - du^2 leaves a rounding residue of DF's size."""
+    x = np.union1d(xe, np.clip(u.nodes, xe[0], xe[-1]))
     pair = np.searchsorted(xe, x[:-1], side="right") - 1
-    dev = u_x(x[:-1]) - du[pair]
+    step = np.concatenate(([0.0], np.diff(u.values) / np.diff(u.nodes), [0.0]))
+    dev = step[np.searchsorted(u.nodes, x[:-1], side="right")] - du[pair]
     return np.bincount(pair, dev * dev * np.diff(x), du.size) / (2.0 * dx)
 
 
@@ -161,8 +162,8 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> EulerianSolution:
     :class:`ConsistencyError`: the datum violates ``F_ac' >= u_x^2`` in the
     pair average.  Negative values inside the tolerance are clamped to zero.
     A :func:`default_window` of more than :data:`MAX_CELLS` cells raises
-    :class:`ConfigError`.  Where ``d.u_x`` is a :class:`PiecewiseConstant`,
-    the radicand, once checked, is the pair's slope variance
+    :class:`ConfigError`.  Where ``d.u`` is a :class:`PiecewiseLinear`, the
+    radicand, once checked, is the pair's slope variance
     (:func:`_slope_variance`) wherever the two agree within the allowance.
     The order of each pair's two half-cell slopes follows ``cfg.sign_rule``;
     the default greedy rule runs as a two-state scan over the pairs (see
@@ -192,10 +193,10 @@ def project(d: InitialDatum, cfg: ProjectionConfig) -> EulerianSolution:
     if np.any(rad < -tol):
         worst = float(rad.min())
         raise ConsistencyError(f"energy radicand {worst:.3e} below -{tol:.3g}")
-    if isinstance(d.u_x, PiecewiseConstant):
+    if isinstance(d.u, PiecewiseLinear):
         # where the two differ beyond DF's round-off, F_ac holds energy
         # above u_x^2, which the slopes must carry as DF - Du^2 has them do
-        var = _slope_variance(d.u_x, xe, du, dx)
+        var = _slope_variance(d.u, xe, du, dx)
         np.copyto(rad, var, where=np.abs(rad - var) <= tol)
         del var
     q = np.sqrt(np.maximum(rad, 0.0))

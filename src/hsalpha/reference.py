@@ -388,7 +388,7 @@ class CuspFamily:
 
 class _PiecewiseLinearFamily:
     """Characteristic-form solution pieces for a datum d of make_multipeakon
-    (u and F_ac piecewise linear, u_x the step function of its slopes).
+    (u and F_ac piecewise linear; the pieces and their slopes are u's).
 
     A piece [lo, hi] of slope s < 0 breaks whole at tau = -2/s, and one of
     slope s >= 0 never breaks.  On a broken piece the integrands of B, J1
@@ -404,7 +404,8 @@ class _PiecewiseLinearFamily:
     def __init__(self, d, alpha):
         self.alpha = alpha
         self._u, self._F = d.u, d.F_ac
-        x, s = d.u_x.breaks, d.u_x.values
+        x = d.u.nodes
+        s = np.diff(d.u.values) / np.diff(x)
         self.window = d.support_hint
         self.fixed_anchors = tuple(x.tolist())
         self.u_max = float(np.abs(d.u.values).max())
@@ -672,7 +673,7 @@ def _maps(fam, t, static, moving, before, cumulative, ws=None):
 def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
     """Yields, for each time of the 1-d array t, the table that covers
     [x_lo, x_hi] (1-d arrays too, or scalars for one time): its knots, u
-    there, and F there if cumulative.
+    there, and F there if cumulative, which is for one time only.
 
     The table's points are the stretch inside the time's z-range of the
     sorted static points z (cols their columns: given for several times,
@@ -708,8 +709,7 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
             rows = _maps(fam, t, cols, moving, before, cumulative, ws)
             if not _all_finite(*(row.ravel() for row in rows)):
                 raise _overflow(t.max())
-            for row in rows[::2]:
-                _running_max(row)
+            _running_max(rows[0])
             Y, lo, hi = rows[0], s_lo + m_lo, s_hi + m_hi
             keep = np.empty(Y.shape, bool)
             np.greater(Y[:, 1:], Y[:, :-1], out=keep[:, :-1])

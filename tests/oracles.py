@@ -24,9 +24,9 @@ closed form, branch by branch (the library tabulates it from its broken
 pieces), and ``cosine_u_x`` and ``cusp_u_x`` are the slopes of the cosine
 and cusp data, which the library's data do not carry.
 
-``validate`` checks an initial datum's structure by adaptive quadrature,
-and ``check_solution_consistency`` the invariant that ties a pushforward's
-``u`` to its ``F_ac``.
+``validate`` checks an initial datum's structure against a slope by
+adaptive quadrature, and ``check_solution_consistency`` the invariant that
+ties a pushforward's ``u`` to its ``F_ac``.
 
 ``per_row_solution_csv`` writes a snapshot one row at a time, and
 ``greedy_sign_loop`` walks the cell pairs one by one choosing the
@@ -46,7 +46,9 @@ form ``EnergyMeasure`` takes them in.
 
 The estimators that only the tests use: ``breaking_time``, one cell's
 breaking time in scalar code, which ``lagrangian._breaking_times`` must
-match element by element; ``slopes`` of a piecewise-linear function;
+match element by element; ``PiecewiseConstant``, a step function, and
+``slopes`` of a piecewise-linear function, whose slope as a step function
+is ``PiecewiseConstant(u.nodes, slopes(u))``;
 ``linf_diff`` (exact sup of a piecewise-linear difference) and
 ``linf_diff_sampled``; ``l2_diff`` (exact L² of a piecewise-linear or
 piecewise-constant difference); ``besov_seminorm``
@@ -66,14 +68,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from hsalpha.errors import ConfigError, CorruptStateError, MassMismatchError, NumericError
-from hsalpha.eulerian import (
-    EnergyMeasure,
-    EulerianSolution,
-    InitialDatum,
-    PiecewiseConstant,
-    PiecewiseLinear,
-    eval_cumulative,
-)
+from hsalpha.eulerian import EnergyMeasure, EulerianSolution, InitialDatum, PiecewiseLinear
+from hsalpha.eulerian import eval_cumulative
 from hsalpha.evolution import EVENT_TIE_TOL, tie_tol
 from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
@@ -849,8 +845,8 @@ def _panel_quad(f, a: float, b: float, interior: list[float]) -> float:
     return val
 
 
-def validate(d: InitialDatum, tol: float = 1e-8, *, singularities=()) -> ValidationReport:
-    """Check the structural consistency of an initial datum.
+def validate(d: InitialDatum, u_x, tol: float = 1e-8, *, singularities=()) -> ValidationReport:
+    """Check the structural consistency of an initial datum with slope u_x.
 
     Verifies, on a panel decomposition of ``support_hint`` (split also at
     ``singularities``, the points where ``u_x`` blows up), that ``u`` is the
@@ -875,7 +871,7 @@ def validate(d: InitialDatum, tol: float = 1e-8, *, singularities=()) -> Validat
     grid = np.unique(np.concatenate((grid, extra)))
     interior = list(singularities)
 
-    dens = lambda x: float(d.u_x(x)) ** 2
+    dens = lambda x: float(u_x(x)) ** 2
     for a, b in zip(grid[:-1], grid[1:]):
         width = b - a
         want_f = float(d.F_ac(b)) - float(d.F_ac(a))
@@ -888,7 +884,7 @@ def validate(d: InitialDatum, tol: float = 1e-8, *, singularities=()) -> Validat
         worst = max(worst, df)
 
         want_u = float(d.u(b)) - float(d.u(a))
-        got_u = _panel_quad(lambda x: float(d.u_x(x)), a, b, interior)
+        got_u = _panel_quad(lambda x: float(u_x(x)), a, b, interior)
         du = abs(want_u - got_u) / width
         if du > tol:
             messages.append(
@@ -1148,6 +1144,35 @@ def breaking_time(d_y: float, d_U: float) -> float:
     return np.inf
 
 
+@dataclasses.dataclass(frozen=True)
+class PiecewiseConstant:
+    """Step function: ``values[i]`` on ``[breaks[i], breaks[i+1])``, 0 outside."""
+
+    breaks: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        breaks = np.ascontiguousarray(self.breaks, dtype=np.float64)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "values", values)
+        if breaks.ndim != 1 or values.ndim != 1:
+            raise ValueError("breaks and values must be 1-d")
+        if breaks.size != values.size + 1:
+            raise ValueError("need len(breaks) == len(values) + 1")
+        if np.any(np.diff(breaks) <= 0.0):
+            raise ValueError("breaks must be strictly increasing")
+        if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(values))):
+            raise ValueError("breaks and values must be finite")
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        idx = np.searchsorted(self.breaks, x, side="right") - 1
+        inside = (idx >= 0) & (x < self.breaks[-1])
+        out = np.where(inside, self.values[np.clip(idx, 0, self.values.size - 1)], 0.0)
+        return out if out.ndim else float(out)
+
+
 def slopes(f: PiecewiseLinear) -> np.ndarray:
     """The slope of f on each interval between its nodes."""
     return np.diff(f.values) / np.diff(f.nodes)
@@ -1302,7 +1327,7 @@ def projection_error(d: InitialDatum, p: EulerianSolution) -> tuple[float, float
     (a lower bound on the true sup) unless the datum is piecewise linear.
     """
     nodes = p.u.nodes
-    exact_pl = isinstance(d.u, PiecewiseLinear) and isinstance(d.u_x, PiecewiseConstant)
+    exact_pl = isinstance(d.u, PiecewiseLinear)
 
     if exact_pl:
         linf_u = linf_diff(d.u, p.u)

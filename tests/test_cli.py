@@ -184,6 +184,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"example": "cosine", "alpha": 0.0, "T": 1.0, "points": [[0, 1]]}))
     assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 2
     assert "reads none" in capsys.readouterr().err
+    # an interval the cusp would refuse, given for another example
+    assert cli.main(solve + ["--example", "cosine", "--a=2", "--b=1"]) == 2
+    assert "a and b set the cusp interval; example cosine reads none" in capsys.readouterr().err
     # inverted ladder bounds
     assert (
         cli.main(

@@ -8,12 +8,11 @@ from hsalpha.eulerian import (
     EnergyMeasure,
     EulerianSolution,
     InitialDatum,
-    PiecewiseConstant,
     PiecewiseLinear,
     eval_cumulative,
     make_multipeakon,
 )
-from oracles import check_solution_consistency, slopes, validate
+from oracles import PiecewiseConstant, check_solution_consistency, slopes, validate
 
 
 def test_piecewise_linear_basics():
@@ -91,8 +90,7 @@ def test_make_multipeakon_ramp_datum():
     assert d.u(-1.0) == 0.5
     assert d.u(0.25) == 0.25
     assert d.u(2.0) == 0.0
-    assert d.u_x(0.1) == -1.0
-    assert d.u_x(-0.1) == 0.0
+    assert slopes(d.u).tolist() == [-1.0]
     # energy cumulative: slope (-1)^2 over [0, 1/2]
     assert d.F_ac(0.5) == 0.5
     assert eval_cumulative(EnergyMeasure(d.F_ac), 0.51, side="right") == 0.5
@@ -120,7 +118,7 @@ def test_make_multipeakon_rejects_nonmonotone():
 
 
 def test_validate_accepts_ramp_datum(peakon_datum):
-    rep = validate(peakon_datum)
+    rep = validate(peakon_datum, PiecewiseConstant(peakon_datum.u.nodes, slopes(peakon_datum.u)))
     assert rep.ok
     assert rep.max_violation < 1e-10
 
@@ -129,11 +127,10 @@ def test_validate_catches_energy_mismatch():
     # F_ac rises with slope 2 but u_x is identically 1: off by 1 per unit length
     d = InitialDatum(
         u=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-        u_x=PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0])),
         F_ac=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 2.0])),
         support_hint=(0.0, 1.0),
     )
-    rep = validate(d)
+    rep = validate(d, PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0])))
     assert not rep.ok
     assert math.isclose(rep.max_violation, 1.0, rel_tol=1e-6)
 
@@ -143,7 +140,6 @@ def test_validate_catches_negative_atom():
     with pytest.raises(ValueError):
         InitialDatum(
             u=d.u,
-            u_x=d.u_x,
             F_ac=d.F_ac,
             atoms=((0.2, -0.5),),
             support_hint=d.support_hint,
@@ -153,7 +149,7 @@ def test_validate_catches_negative_atom():
 def test_initial_datum_rejects_bad_support():
     f = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
-        InitialDatum(u=f, u_x=f, F_ac=f, support_hint=(1.0, 1.0))
+        InitialDatum(u=f, F_ac=f, support_hint=(1.0, 1.0))
 
 
 def test_solution_consistency_defect():

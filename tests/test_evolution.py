@@ -190,9 +190,7 @@ def _datum_with_atoms(rng):
     lo, hi = d.support_hint
     spots = np.sort(rng.uniform(lo, hi, int(rng.integers(0, 4))))
     atoms = [(float(x), float(m)) for x, m in zip(spots, rng.uniform(0.05, 0.5, spots.size))]
-    return InitialDatum(
-        u=d.u, u_x=d.u_x, F_ac=d.F_ac, atoms=atoms, support_hint=d.support_hint
-    )
+    return InitialDatum(u=d.u, F_ac=d.F_ac, atoms=atoms, support_hint=d.support_hint)
 
 
 def _hops(rng, s0):

@@ -58,6 +58,9 @@ def test_config_validation():
         ExperimentConfig(**{**base, "time_samples": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig(example="multipeakon", alpha=0.0, T=1.0, points=())
+    # a and b are refused for another example before the interval is read
+    with pytest.raises(ConfigError, match="example cosine reads none"):
+        ExperimentConfig(**{**base, "a": 2.0, "b": 1.0})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "example": "cusp", "a": 1.0, "b": -1.0})
     # settings the example does not read
@@ -96,8 +99,7 @@ def test_load_config(tmp_path):
 
 def test_run_solve_matches_closed_form_at_collapse():
     cfg = ExperimentConfig(example="appendixA", alpha=0.5, T=2.0)
-    sols = run_solve(cfg, 0.25, [2.0])
-    final = sols[-1]
+    final = run_solve(cfg, 0.25)
     assert final.time == 2.0
     xs = np.union1d(final.u.nodes, np.linspace(-1.0, 2.0, 101))
     u_ref, _ = multipeakon_exact(0.5, 2.0, xs)
@@ -109,21 +111,21 @@ def test_run_solve_matches_closed_form_at_collapse():
     "cfg, dx, times",
     [
         # cusp k=3: 64 breaking times in (0.39, 2.994]
-        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0), 2.0**-6, lambda ev: [0.0, ev[1], 1.5, ev[-1], 3.0]),
-        # appendixA: every cell breaks at t = 2, here asked for twice
-        (ExperimentConfig(example="appendixA", alpha=0.5, T=3.0), 0.25, lambda ev: [0.0, 1.0, ev[0], ev[0], 3.0]),
+        (ExperimentConfig(example="cusp", alpha=0.5, T=3.0), 2.0**-6, lambda ev: [ev[1], 1.5, ev[-1], 3.0]),
+        # appendixA: every cell breaks at t = 2
+        (ExperimentConfig(example="appendixA", alpha=0.5, T=3.0), 0.25, lambda ev: [1.0, ev[0], 3.0]),
     ],
     ids=["cusp", "appendixA"],
 )
 def test_run_solve_maps_each_time_from_t0(cfg, dx, times):
-    # one snapshot per requested time, each the one-map snapshot of the
-    # t=0 state bit for bit, at times before, at and after breaking events
+    # the snapshot at each final time T is the one-map snapshot of the t=0
+    # state bit for bit, at times before, at and after breaking events
     s0 = initial_state(cfg, dx)
     t_list = times(events(s0, cfg.T).times)
-    assert t_list[0] < t_list[1] < t_list[2] <= t_list[3] < t_list[4] == cfg.T
-    sols = run_solve(cfg, dx, t_list)
-    assert [sol.time for sol in sols] == t_list
-    for t, sol in zip(t_list, sols):
+    assert t_list == sorted(set(t_list)) and t_list[-1] == cfg.T
+    for t in t_list:
+        sol = run_solve(dataclasses.replace(cfg, T=t), dx)
+        assert sol.time == t
         want = to_eulerian(evolve(s0, t))
         assert sol.u.nodes.tobytes() == want.u.nodes.tobytes()
         assert sol.u.values.tobytes() == want.u.values.tobytes()
@@ -141,13 +143,13 @@ def _traced_peak(f):
 
 
 def test_run_solve_one_time_costs_the_one_expression():
-    # the t=0 state is dropped before the pushforward, so one time peaks as
-    # the expression hsalpha solve used to run (1.19x it when s0 was held)
+    # the t=0 state is dropped before the pushforward, so a solve peaks as
+    # the one expression does (1.19x it when the state was held)
     cfg = ExperimentConfig(example="cosine", alpha=0.5, T=0.7)
     dx = 2.0**-12
-    run_solve(cfg, dx, [cfg.T])  # first calls made, as in each measured one
+    run_solve(cfg, dx)  # first calls made, as in each measured one
     want, want_peak = _traced_peak(lambda: to_eulerian(evolve(initial_state(cfg, dx), cfg.T)))
-    (got,), peak = _traced_peak(lambda: run_solve(cfg, dx, [cfg.T]))
+    got, peak = _traced_peak(lambda: run_solve(cfg, dx))
     assert peak <= 1.01 * want_peak
     for f in ("u.nodes", "u.values", "mu.F_ac.values", "mu.atom_positions", "mu.atom_masses"):
         a, b = (operator.attrgetter(f)(sol) for sol in (got, want))
@@ -155,19 +157,9 @@ def test_run_solve_one_time_costs_the_one_expression():
     assert got.time == want.time
 
 
-def test_run_solve_validates_time_list():
-    cfg = ExperimentConfig(example="appendixA", alpha=0.0, T=1.0)
-    with pytest.raises(ConfigError):
-        run_solve(cfg, 0.25, [])
-    with pytest.raises(ConfigError):
-        run_solve(cfg, 0.25, [1.0, 0.5])
-    with pytest.raises(ConfigError):
-        run_solve(cfg, 0.25, [-1.0, 0.5])
-
-
 def test_run_solve_energy_monotone():
     cfg = ExperimentConfig(example="appendixA", alpha=0.7, T=3.0)
-    sols = run_solve(cfg, 0.25, [0.5, 1.5, 2.0, 2.5, 3.0])
+    sols = [run_solve(dataclasses.replace(cfg, T=t), 0.25) for t in (0.5, 1.5, 2.0, 2.5, 3.0)]
     masses = [s.mu.total_mass() for s in sols]
     assert all(b <= a + 1e-14 for a, b in zip(masses, masses[1:]))
     # the event at t = 2.0 removes alpha of the energy 1/2
@@ -177,8 +169,8 @@ def test_run_solve_energy_monotone():
 def test_alpha_irrelevant_before_first_event():
     lo = ExperimentConfig(example="cosine", alpha=0.0, T=0.5)
     hi = ExperimentConfig(example="cosine", alpha=0.9, T=0.5)
-    a = run_solve(lo, 2.0 ** -4, [0.5])[-1]
-    b = run_solve(hi, 2.0 ** -4, [0.5])[-1]
+    a = run_solve(lo, 2.0 ** -4)
+    b = run_solve(hi, 2.0 ** -4)
     assert np.array_equal(a.u.nodes, b.u.nodes)
     assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-15
 
@@ -188,7 +180,7 @@ def test_fine_mesh_snapshot_tracks_reference_through_breaking():
     # within plotting resolution of the reference profile
     t = 4.0 / math.pi
     cfg = ExperimentConfig(example="cosine", alpha=0.75, T=t)
-    sol = run_solve(cfg, 1e-3, [t])[-1]
+    sol = run_solve(cfg, 1e-3)
     ref = ReferenceSolution(family="cosine", alpha=0.75)
     prof = ref.profile(t, x_lo=float(sol.u.nodes[0]), x_hi=float(sol.u.nodes[-1]))
     xs = sol.u.nodes[::7]
@@ -258,7 +250,7 @@ def test_csv_outputs_deterministic(tmp_path):
 
 def test_solution_csv_atom_rows(tmp_path):
     cfg = ExperimentConfig(example="appendixA", alpha=0.5, T=2.0)
-    sol = run_solve(cfg, 0.25, [2.0])[-1]
+    sol = run_solve(cfg, 0.25)
     path = tmp_path / "snap.csv"
     write_solution_csv(sol, str(path))
     lines = path.read_text().splitlines()
@@ -294,8 +286,8 @@ def _long_with_atoms():
 @pytest.mark.parametrize(
     "snapshot",
     [
-        lambda: run_solve(ExperimentConfig(example="cosine", alpha=0.5, T=1.0), 2.0**-6, [1.0])[-1],
-        lambda: run_solve(ExperimentConfig(example="appendixA", alpha=0.5, T=2.0), 0.25, [2.0])[-1],
+        lambda: run_solve(ExperimentConfig(example="cosine", alpha=0.5, T=1.0), 2.0**-6),
+        lambda: run_solve(ExperimentConfig(example="appendixA", alpha=0.5, T=2.0), 0.25),
         lambda: _two_peak_with_atoms(0.0),
         lambda: _two_peak_with_atoms(4.0),
         lambda: _hand_built([0.3], [-0.0], [0.0], ()),
@@ -388,7 +380,8 @@ def test_sup_rel_err_equals_union_form():
 def test_sup_rel_err_equals_union_form_on_the_two_peak_profile():
     cfg = ExperimentConfig(example="appendixA", alpha=0.5, T=3.0)
     ref = reference_for(cfg)
-    for sol in run_solve(cfg, 2.0 ** -6, [0.5, 2.0, 3.0]):
+    s0 = initial_state(cfg, 2.0 ** -6)
+    for sol in [to_eulerian(evolve(s0, t)) for t in (0.5, 2.0, 3.0)]:
         prof = ref.profile(sol.time)
         assert _sup_rel_err(sol, prof) == union_sup_rel_err(sol, prof)
 

@@ -8,7 +8,7 @@ import pytest
 import hsalpha.lagrangian as lagrangian
 import hsalpha.numerics as numerics
 from hsalpha.errors import ConfigError
-from hsalpha.eulerian import EnergyMeasure, InitialDatum, PiecewiseConstant, PiecewiseLinear
+from hsalpha.eulerian import EnergyMeasure, InitialDatum, PiecewiseLinear
 from hsalpha.evolution import evolve
 from hsalpha.lagrangian import LagrangianState, to_lagrangian
 from hsalpha.projection import ProjectionConfig, project
@@ -54,7 +54,6 @@ def test_cell_identities_random_datum():
 def test_zero_energy_datum_is_rigid():
     d = InitialDatum(
         u=PiecewiseLinear(np.array([0.0, 1.0]), np.array([2.0, 2.0])),
-        u_x=PiecewiseConstant(np.array([0.0, 1.0]), np.array([0.0])),
         F_ac=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0])),
         support_hint=(0.0, 1.0),
     )
@@ -71,7 +70,6 @@ def test_pure_atom_cell():
     flatu = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
     d = InitialDatum(
         u=flatu,
-        u_x=PiecewiseConstant(np.array([-1.0, 1.0]), np.array([0.0])),
         F_ac=PiecewiseLinear(np.array([-1.0, 1.0]), np.array([0.0, 0.0])),
         atoms=((0.0, 1.0),),
         support_hint=(-1.0, 1.0),
@@ -187,10 +185,9 @@ def _atomic_datum():
     """A two-peak datum with three atoms, on pair edges of dyadic grids."""
     pts = [(0.0, 0.5), (0.5, 0.0), (1.0, 0.25)]
     u = PiecewiseLinear(np.array([x for x, _ in pts]), np.array([v for _, v in pts]))
-    u_x = PiecewiseConstant(u.nodes, slopes(u))
     F = np.concatenate(([0.0], np.cumsum(slopes(u) ** 2 * np.diff(u.nodes))))
     atoms = ((0.25, 0.1), (0.5, 0.2), (0.75, 0.3))
-    return InitialDatum(u=u, F_ac=PiecewiseLinear(u.nodes, F), u_x=u_x, atoms=atoms, support_hint=(0.0, 1.0))
+    return InitialDatum(u=u, F_ac=PiecewiseLinear(u.nodes, F), atoms=atoms, support_hint=(0.0, 1.0))
 
 
 def _assert_same_state(got, want):

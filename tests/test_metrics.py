@@ -5,12 +5,13 @@ import pytest
 
 import hsalpha.numerics as numerics
 from hsalpha.errors import MassMismatchError
-from hsalpha.eulerian import EnergyMeasure, PiecewiseConstant, PiecewiseLinear
+from hsalpha.eulerian import EnergyMeasure, PiecewiseLinear
 from hsalpha.metrics import w1
 from hsalpha.projection import ProjectionConfig, project
 from hsalpha.reference import cusp_datum
 import oracles
 from oracles import (
+    PiecewiseConstant,
     _translate_l2_pc,
     besov_seminorm,
     default_h_grid,
@@ -18,6 +19,7 @@ from oracles import (
     linf_diff,
     linf_diff_sampled,
     projection_error,
+    slopes,
     whole_array_w1,
 )
 
@@ -167,7 +169,7 @@ def test_besov_zero_profile():
 def test_besov_peakon_slope(peakon_datum):
     # ramp slope is a box of height -1 on [0, 1/2]: exact estimate sqrt(2),
     # comfortably below the crude 2 sup TV cap, and stable in the h grid
-    ux = peakon_datum.u_x
+    ux = PiecewiseConstant(peakon_datum.u.nodes, slopes(peakon_datum.u))
     est = besov_seminorm(ux, 0.5)
     assert est.seminorm == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert est.seminorm <= 2.0 * 1.0 * 2.0

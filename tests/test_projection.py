@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsalpha.errors import ConfigError, ConsistencyError
-from hsalpha.eulerian import InitialDatum, PiecewiseConstant, PiecewiseLinear, make_multipeakon
+from hsalpha.eulerian import InitialDatum, PiecewiseLinear, make_multipeakon
 import hsalpha.projection as projection
 from hsalpha.projection import (
     MAX_CELLS,
@@ -67,18 +68,56 @@ def _kinked_datum(rng, dx):
 
 @pytest.mark.parametrize("rule", list(SignRule))
 def test_pairs_on_which_the_datum_is_linear_keep_one_slope(rule):
-    # the radicand of a step slope u_x is its variance about the pair's mean
-    # slope, zero on a linear pair up to the rounding of the even values, so
-    # the odd node lies on the chord: the two half-cell slopes differ by at
-    # most 2 ulps of max |u| over dx in 3000 such data under each rule, and
-    # the bound is 4 (DF - Du^2 left a rounding residue under the root, up
-    # to 3e8 of these ulps)
+    # the radicand of a piecewise-linear u is the variance of its step slope
+    # about the pair's mean slope, zero on a linear pair up to the rounding
+    # of the even values, so the odd node lies on the chord: the two
+    # half-cell slopes differ by at most 2 ulps of max |u| over dx in 3000
+    # such data under each rule, and the bound is 4 (DF - Du^2 left a
+    # rounding residue under the root, up to 3e8 of these ulps).  The same
+    # holds for the datum built by hand from its u and F_ac.
     dx = 2.0**-8
     rng = np.random.default_rng(27)
     for _ in range(100):
-        v = project(_kinked_datum(rng, dx), ProjectionConfig(dx=dx, sign_rule=rule)).u.values
-        s = np.diff(v) / dx
-        assert np.abs(s[0::2] - s[1::2]).max() <= 4.0 * np.spacing(np.abs(v).max()) / dx
+        d = _kinked_datum(rng, dx)
+        by_hand = InitialDatum(
+            u=PiecewiseLinear(d.u.nodes, d.u.values),
+            F_ac=PiecewiseLinear(d.F_ac.nodes, d.F_ac.values),
+            support_hint=d.support_hint,
+        )
+        for datum in (d, by_hand):
+            v = project(datum, ProjectionConfig(dx=dx, sign_rule=rule)).u.values
+            s = np.diff(v) / dx
+            assert np.abs(s[0::2] - s[1::2]).max() <= 4.0 * np.spacing(np.abs(v).max()) / dx
+
+
+@pytest.mark.parametrize("rule", list(SignRule))
+def test_a_hand_built_piecewise_linear_datum_projects_as_make_multipeakon(rule):
+    # the slope variance reads u's own pieces, so a datum made of the same
+    # PiecewiseLinear u and F_ac projects bit for bit as make_multipeakon's,
+    # kinks on or off the grid, with or without atoms
+    rng = np.random.default_rng(30)
+    for i in range(40):
+        n = int(rng.integers(1, 9))
+        if i % 2:
+            xs = np.sort(rng.choice(np.arange(-64, 65), n, replace=False)) / 32.0
+        else:
+            xs = np.sort(rng.uniform(-2.0, 2.0, n))
+        atoms = ((-1.25, 0.3), (float(rng.uniform(0.0, 2.5)), 0.7)) if i % 3 == 0 else ()
+        d = make_multipeakon(list(zip(xs.tolist(), rng.uniform(-1.0, 1.0, n).tolist())))
+        twins = [
+            dataclasses.replace(d, atoms=atoms),
+            InitialDatum(
+                u=PiecewiseLinear(d.u.nodes.copy(), d.u.values.copy()),
+                F_ac=PiecewiseLinear(d.F_ac.nodes.copy(), d.F_ac.values.copy()),
+                atoms=atoms,
+                support_hint=d.support_hint,
+            ),
+        ]
+        for dx in (2.0**-6, 0.01):
+            want, got = (project(t, ProjectionConfig(dx=dx, sign_rule=rule)) for t in twins)
+            assert got.u.values.tobytes() == want.u.values.tobytes()
+            assert got.mu.F_ac.values.tobytes() == want.mu.F_ac.values.tobytes()
+            assert atoms_of(got.mu) == atoms_of(want.mu)
 
 
 def test_energy_above_the_slope_squared_goes_into_the_slopes():
@@ -87,7 +126,6 @@ def test_energy_above_the_slope_squared_goes_into_the_slopes():
     # F still rises by its slope squared (the lift's y_xi V_xi = U_xi^2)
     d = InitialDatum(
         u=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-        u_x=PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0])),
         F_ac=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 2.0])),
         support_hint=(0.0, 1.0),
     )
@@ -238,7 +276,6 @@ def test_radicand_violation_rejected():
     # every pair average and the projection must refuse
     d = InitialDatum(
         u=PiecewiseLinear(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])),
-        u_x=PiecewiseConstant(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0])),
         F_ac=PiecewiseLinear(np.array([0.0, 2.0]), np.array([0.0, 0.0])),
         support_hint=(0.0, 2.0),
     )
@@ -249,7 +286,6 @@ def test_radicand_violation_rejected():
 def test_atoms_merged_to_pair_edges(peakon_datum):
     d = InitialDatum(
         u=peakon_datum.u,
-        u_x=peakon_datum.u_x,
         F_ac=peakon_datum.F_ac,
         atoms=((0.1, 0.3), (0.15, 0.2), (0.6, 0.1)),
         support_hint=peakon_datum.support_hint,
@@ -292,7 +328,7 @@ def _unevaluable_datum(lo, hi):
     def fail(x):
         raise AssertionError("the datum was evaluated")
 
-    return InitialDatum(u=fail, u_x=fail, F_ac=fail, support_hint=(lo, hi))
+    return InitialDatum(u=fail, F_ac=fail, support_hint=(lo, hi))
 
 
 def test_cell_count_guard_refuses_before_evaluating():
