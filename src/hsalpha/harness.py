@@ -86,6 +86,14 @@ def dx_of_level(k: int) -> float:
     return 2.0 ** (-2 * k)
 
 
+def _float(value) -> float:
+    """value as a float if it is a real number and not a bool (True == 1 in
+    Python); TypeError otherwise, OverflowError if it does not fit."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(value)
+    return float(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one experiment.
@@ -112,11 +120,10 @@ class ExperimentConfig:
         if self.example not in _EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}; expected one of {_EXAMPLES}")
         for name in ("alpha", "T", "a", "b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number")
             try:
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, _float(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be a number") from None
             except OverflowError:
                 raise ConfigError(f"{name} must fit in a float") from None
         if not 0.0 <= self.alpha <= 1.0:
@@ -125,7 +132,9 @@ class ExperimentConfig:
             raise ConfigError("T must be positive and finite")
         try:
             ks = tuple(self.k_range)
-            bad = len(ks) == 0 or any(int(k) != k or not 0 <= k <= MAX_LEVEL for k in ks)
+            bad = len(ks) == 0 or any(
+                isinstance(k, bool) or int(k) != k or not 0 <= k <= MAX_LEVEL for k in ks
+            )
         except (TypeError, ValueError, OverflowError):
             bad = True
         if bad:
@@ -144,9 +153,9 @@ class ExperimentConfig:
         if not isinstance(self.out_dir, str):
             raise ConfigError("out_dir must be a string")
         try:
-            pts = tuple((float(x), float(u)) for x, u in self.points)
+            pts = tuple((_float(x), _float(u)) for x, u in self.points)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError("points must be a list of [x, u] pairs") from None
+            raise ConfigError("points must be a list of [x, u] pairs of numbers") from None
         if self.example == "multipeakon" and len(pts) == 0:
             raise ConfigError("multipeakon example needs a nonempty points list")
         if self.example != "multipeakon" and pts:

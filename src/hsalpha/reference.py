@@ -28,15 +28,18 @@ Everything in these expressions except t and the dissipation integrals'
 dependence on t is a function of z alone: z, ubar(z), Fbar(z), and for the
 cusp rho(z) = |z|^(1/3) on the broken branch.  A family (CosineFamily,
 CuspFamily, _PiecewiseLinearFamily: internals of ReferenceSolution, which
-checks the arguments they take) evaluates those once per table point as
-``columns(z)`` ("z", "u" for ubar, "F" for Fbar, and what its integrals
-read), and reads them at the times t: ``_B(t, c)`` and
-``_J12(t, c, ws=None)`` give B, and J1 and J2, point by point, each an
-array of the maps' shape or None where it is zero.  ``B_inf``, ``J1_inf``
-and ``J2_inf`` are the integrals over the whole line; a table refines at
-``fixed_anchors`` and at ``moving_points(t, pad)`` (one row per time of the
-column t); ``window``, ``u_max``, ``F_inf`` and ``alpha`` are the datum
-window, max |ubar|, Fbar at +inf and the dissipated fraction.
+checks the arguments and builds each from the InitialDatum d of
+cosine_datum(), cusp_datum(a, b) or multipeakon_datum()) reads those off d
+once per table point as ``columns(z)`` ("z", "u" = d.u(z), "F" =
+d.F_ac(z), and the cusp's "rho"), and reads them at the times t:
+``_B(t, c)`` and ``_J12(t, c, ws=None)`` give B, and J1 and J2, point by
+point, each an array of the maps' shape or None where it is zero.
+``B_inf``, ``J1_inf`` and ``J2_inf`` are the integrals over the whole
+line; a table refines at ``fixed_anchors`` and at ``moving_points(t,
+pad)`` (one row per time of the column t); ``window`` is d.support_hint,
+``F_inf`` Fbar at its right end and ``u_max`` max |ubar|.  alpha is not a
+family member: ReferenceSolution passes it to the builders and the maps,
+so a family depends on d alone.
 Whatever reads t takes a time or a column of times.  The dense table of
 ``ReferenceSolution.profile`` has a static part (a uniform bulk inside the
 datum window and geometric ladders at fixed anchors) and a moving part
@@ -139,16 +142,24 @@ def _cube(x):
     return _each(cube, x)
 
 
+class _Family:
+    """What a family reads off its datum d: the window (d.support_hint),
+    F_inf (Fbar at the window's right end) and the columns z, u and F."""
+
+    def __init__(self, d):
+        self.datum = d
+        self.window = d.support_hint
+        self.F_inf = float(d.F_ac(self.window[1]))
+
+    def columns(self, z):
+        return {"z": z, "u": self.datum.u(z), "F": self.datum.F_ac(z)}
+
+
 # ---------------------------------------------------------------------------
 # Cosine family: ubar = cos(pi x) on [0, 4], constants outside.
 # ---------------------------------------------------------------------------
 
-def _lam(w):
-    """Cumulative energy of the cosine datum on [0, 4]: integral of pi^2 sin^2(pi s)."""
-    return 0.5 * _PI * _PI * w - 0.25 * _PI * np.sin(2.0 * _PI * w)
-
-
-class CosineFamily:
+class CosineFamily(_Family):
     """Characteristic-form solution pieces for the cosine datum.
 
     The slope -pi sin(pi z) is negative on (0, 1) and (2, 3); by time
@@ -158,21 +169,9 @@ class CosineFamily:
     integrals have elementary antiderivatives, used exactly below.
     """
 
-    window = (0.0, 4.0)
     u_max = 1.0
     #: datum edges and slope extrema
     fixed_anchors = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0)
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-        self.F_inf = float(_lam(4.0))
-
-    @staticmethod
-    def columns(z):
-        # inside [0, 4] "u" is cos(pi z) and "F" is lam(z), the two
-        # transcendental terms of the antiderivatives below
-        w = np.clip(z, 0.0, 4.0)
-        return {"z": z, "u": np.cos(_PI * w), "F": _lam(w)}
 
     @staticmethod
     def _zeta(t):
@@ -183,15 +182,10 @@ class CosineFamily:
 
     @staticmethod
     def _arcs(t):
-        """The two arcs (lo, hi) at a time or a column of times, empty (at
-        1/2 and 5/2) before the first break."""
+        """The two arcs (lo, hi) broken by a time or a column of times,
+        empty (at 1/2 and 5/2) before the first break."""
         zeta = _each(CosineFamily._zeta, t)
         return [(zeta, 1.0 - zeta), (2.0 + zeta, 3.0 - zeta)]
-
-    @staticmethod
-    def breaking_arcs(t):
-        """Sub-intervals broken by time t (possibly empty)."""
-        return [] if t * _PI <= 2.0 else CosineFamily._arcs(t)
 
     def moving_points(self, t, pad):
         """One row per time of the column t: ladders at the moving ends of
@@ -211,25 +205,22 @@ class CosineFamily:
         ).reshape(t.shape[0], -1)
         return np.where(broken, np.concatenate((ladders, covers), axis=1), pad)
 
-    # Antiderivatives of the broken-set integrands (valid inside the arcs,
-    # where tau(w) = 2/(pi sin(pi w))), in w, lam = lam(w) and cos = cos(pi w):
-    #   d/dw [t lam(w) + 2 cos(pi w)]              = (t - tau) ubar_x^2
-    #   d/dw [t^2 lam(w) + 4 t cos(pi w) + 4 w]/2  = (t - tau)^2 ubar_x^2
+    # Antiderivatives in w of the broken-set integrands, valid inside the
+    # arcs (where tau(w) = 2/(pi sin(pi w))), read off the columns c at w
+    # (F = Fbar(w), u = ubar(w) = cos(pi w)):
+    #   d/dw [t F + 2 u]                = (t - tau) ubar_x^2
+    #   d/dw [t^2 F + 4 t u + 4 w]/2    = (t - tau)^2 ubar_x^2
     @staticmethod
-    def _g_b(t, w, lam, cos):
-        return lam
+    def _g_b(t, c):
+        return c["F"]
 
     @staticmethod
-    def _g_j1(t, w, lam, cos):
-        return t * lam + 2.0 * cos
+    def _g_j1(t, c):
+        return t * c["F"] + 2.0 * c["u"]
 
     @staticmethod
-    def _g_j2(t, w, lam, cos):
-        return 0.5 * (t * t * lam + 4.0 * t * cos + 4.0 * w)
-
-    @staticmethod
-    def _g_at(g, t, w):
-        return g(t, w, _lam(w), np.cos(_PI * w))
+    def _g_j2(t, c):
+        return 0.5 * (t * t * c["F"] + 4.0 * t * c["u"] + 4.0 * c["z"])
 
     def _arc_sum(self, g, t, c):
         # sum over the arcs of g(clip(z, lo, hi)) - g(lo): inside an arc g
@@ -240,16 +231,15 @@ class CosineFamily:
         z = c["z"]
         total = np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)))
         for lo, hi in self._arcs(t):
-            g_lo, g_hi = self._g_at(g, t, lo), self._g_at(g, t, hi)
-            inside = g(t, z, c["F"], c["u"])
-            clipped = np.where(z < lo, g_lo, np.where(z > hi, g_hi, inside))
+            g_lo, g_hi = g(t, self.columns(lo)), g(t, self.columns(hi))
+            clipped = np.where(z < lo, g_lo, np.where(z > hi, g_hi, g(t, c)))
             total = total + clipped - g_lo
         return total
 
     def _arc_total(self, g, t):
         return _each(
             lambda v: float(
-                sum(self._g_at(g, v, hi) - self._g_at(g, v, lo) for lo, hi in self.breaking_arcs(v))
+                sum(g(v, self.columns(hi)) - g(v, self.columns(lo)) for lo, hi in self._arcs(v))
             ),
             t,
         )
@@ -275,12 +265,8 @@ class CosineFamily:
 # Cusp family: ubar = |x|^(2/3) on [a, b], constants outside.
 # ---------------------------------------------------------------------------
 
-def _cbrt_signed(w):
-    return np.sign(w) * np.abs(w) ** (1.0 / 3.0)
-
-
-class CuspFamily:
-    """Characteristic-form solution pieces for the cusped datum.
+class CuspFamily(_Family):
+    """Characteristic-form solution pieces for the cusped datum on [a, b].
 
     ubar_x = (2/3) sgn(z) |z|^(-1/3) on (a, b), so breaking happens only on
     the negative branch [min(a, 0), min(b, 0)] with tau(z) = 3 |z|^(1/3):
@@ -300,29 +286,22 @@ class CuspFamily:
     not broken (rho = r).
     """
 
-    def __init__(self, a, b, alpha):
-        self.a = float(a)
-        self.b = float(b)
-        self.alpha = alpha
-        self.window = (self.a, self.b)
-        self.fixed_anchors = (self.a, 0.0, self.b)
-        self._neg = min(self.a, 0.0)
-        self._top = min(self.b, 0.0)
+    def __init__(self, d):
+        super().__init__(d)
+        a, b = self.window
+        self.fixed_anchors = (a, 0.0, b)
+        self._neg = min(a, 0.0)
+        self._top = min(b, 0.0)
         # rho at z >= b, by the pow of the rho column
         self._v_top = float(((-np.array([self._top])) ** (1.0 / 3.0))[0])
-        self._cbrt_a = _cbrt_signed(self.a)
-        self.F_inf = float((4.0 / 3.0) * (_cbrt_signed(b) - _cbrt_signed(a)))
+        # libm's pow, not numpy's array pow: the tables' margins read it
         self.u_max = float(max(abs(a), abs(b)) ** (2.0 / 3.0))
 
     def columns(self, z):
         # rho = |z|^(1/3) on the negative branch, clipped to [min(a, 0), min(b, 0)]
-        w = np.clip(z, self.a, self.b)
-        return {
-            "z": z,
-            "u": np.abs(w) ** (2.0 / 3.0),
-            "F": (4.0 / 3.0) * (_cbrt_signed(w) - self._cbrt_a),
-            "rho": (-np.clip(z, self._neg, self._top)) ** (1.0 / 3.0),
-        }
+        c = super().columns(z)
+        c["rho"] = (-np.clip(z, self._neg, self._top)) ** (1.0 / 3.0)
+        return c
 
     def moving_points(self, t, pad):
         """One row per time of the column t: the ladder at the moving edge
@@ -386,7 +365,7 @@ class CuspFamily:
 # Piecewise-linear family: the two-peak datum, ubar piecewise linear.
 # ---------------------------------------------------------------------------
 
-class _PiecewiseLinearFamily:
+class _PiecewiseLinearFamily(_Family):
     """Characteristic-form solution pieces for a datum d of make_multipeakon
     (u and F_ac piecewise linear; the pieces and their slopes are u's).
 
@@ -401,21 +380,15 @@ class _PiecewiseLinearFamily:
     row must not depend on how many times it is built for (see _each).
     """
 
-    def __init__(self, d, alpha):
-        self.alpha = alpha
-        self._u, self._F = d.u, d.F_ac
+    def __init__(self, d):
+        super().__init__(d)
         x = d.u.nodes
         s = np.diff(d.u.values) / np.diff(x)
-        self.window = d.support_hint
         self.fixed_anchors = tuple(x.tolist())
         self.u_max = float(np.abs(d.u.values).max())
-        self.F_inf = float(d.F_ac.values[-1])
         falls = s < 0.0
         lo, hi = x[:-1][falls], x[1:][falls]
         self._pieces = list(zip(lo.tolist(), hi.tolist(), (s * s)[falls].tolist(), (-2.0 / s[falls]).tolist()))
-
-    def columns(self, z):
-        return {"z": z, "u": self._u(z), "F": self._F(z)}
 
     @staticmethod
     def moving_points(t, pad):
@@ -510,12 +483,12 @@ def _take(ws, i, shape):
     return ws.take(i, shape)
 
 
-# The characteristic maps take a family, a time or a column of times, the
-# columns c = fam.columns(z) and the dissipation integral that they read
-# there (fam._J12, None where it is zero), which they overwrite.  The
-# tables' maps run over (times x points) arrays, so they update one array in
-# place (out if given; tmp is scratch of its shape), term by term in the
-# order of
+# The characteristic maps take a family, the dissipated fraction alpha, a
+# time or a column of times, the columns c = fam.columns(z) and the
+# dissipation integral that they read there (fam._J12, None where it is
+# zero), which they overwrite.  The tables' maps run over (times x points)
+# arrays, so they update one array in place (out if given; tmp is scratch
+# of its shape), term by term in the order of
 #   U = u + t F/2 - t F_inf/4 - alpha J1/2 + alpha J1_inf/4,
 #   y = z + t u + t^2 F/4 - t^2 F_inf/8 - alpha J2/2 + alpha J2_inf/4.
 
@@ -531,36 +504,34 @@ def _less(v, j, scale):
         v -= j
 
 
-def _char_velocity(fam, t, c, j1, out=None):
-    a = fam.alpha
+def _char_velocity(fam, alpha, t, c, j1, out=None):
     v = np.multiply(0.5 * t, c["F"], out=_new(t, c) if out is None else out)
     v += c["u"]
     v -= 0.25 * t * fam.F_inf
-    _less(v, j1, 0.5 * a)
-    v += 0.25 * a * fam.J1_inf(t)
+    _less(v, j1, 0.5 * alpha)
+    v += 0.25 * alpha * fam.J1_inf(t)
     return v
 
 
-def _char_position(fam, t, c, j2, out=None, tmp=None):
-    a = fam.alpha
+def _char_position(fam, alpha, t, c, j2, out=None, tmp=None):
     y = np.multiply(t, c["u"], out=_new(t, c) if out is None else out)
     y += c["z"]
     y += np.multiply(0.25 * t * t, c["F"], out=tmp)
     y -= 0.125 * t * t * fam.F_inf
-    _less(y, j2, 0.5 * a)
-    y += 0.25 * a * fam.J2_inf(t)
+    _less(y, j2, 0.5 * alpha)
+    y += 0.25 * alpha * fam.J2_inf(t)
     return y
 
 
-def _char_cumulative(fam, t, c, out=None):
+def _char_cumulative(fam, alpha, t, c, out=None):
     F = _new(t, c) if out is None else out
     F[...] = c["F"]
-    _less(F, fam._B(t, c), fam.alpha)
+    _less(F, fam._B(t, c), alpha)
     return F
 
 
-def _char_total(fam, t):
-    return fam.F_inf - fam.alpha * fam.B_inf(t)
+def _char_total(fam, alpha, t):
+    return fam.F_inf - alpha * fam.B_inf(t)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +601,7 @@ def _moving_points(fam, t, x_lo, x_hi):
     return moving, z_lo, z_hi
 
 
-def _maps(fam, t, static, moving, before, cumulative, ws=None):
+def _maps(fam, alpha, t, static, moving, before, cumulative, ws=None):
     """[y, U], or [y, U, F] if cumulative, at the times of the column t,
     one row per time: the maps on the static columns and on the moving
     points (row j of the 2-d array moving, sorted, for time j), merged in z
@@ -652,25 +623,25 @@ def _maps(fam, t, static, moving, before, cumulative, ws=None):
         if not at.size:
             row[...] = on_static
             return row
-        row.ravel()[at] = f(fam, t, extra, *integral).ravel()
+        row.ravel()[at] = f(fam, alpha, t, extra, *integral).ravel()
         row[of_static] = on_static.ravel()
         return row
 
     j1, j2 = fam._J12(t, static, ws)
     e1, e2 = fam._J12(t, extra) if at.size else (None, None)
-    on_static = _char_velocity(fam, t, static, j1, _take(ws, 3, shape))
+    on_static = _char_velocity(fam, alpha, t, static, j1, _take(ws, 3, shape))
     U = merged(on_static, 0, _char_velocity, e1)
     del j1, on_static
-    on_static = _char_position(fam, t, static, j2, _take(ws, 3, shape), _take(ws, 2, shape))
+    on_static = _char_position(fam, alpha, t, static, j2, _take(ws, 3, shape), _take(ws, 2, shape))
     rows = [merged(on_static, 1, _char_position, e2), U]
     del j2, on_static
     if cumulative:
-        on_static = _char_cumulative(fam, t, static, _take(ws, 3, shape))
+        on_static = _char_cumulative(fam, alpha, t, static, _take(ws, 3, shape))
         rows.append(merged(on_static, 2, _char_cumulative))
     return rows
 
 
-def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
+def _tables(fam, alpha, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
     """Yields, for each time of the 1-d array t, the table that covers
     [x_lo, x_hi] (1-d arrays too, or scalars for one time): its knots, u
     there, and F there if cumulative, which is for one time only.
@@ -706,7 +677,7 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
         s_lo, s_hi = z.searchsorted(z_lo[:, 0]), z.searchsorted(z_hi[:, 0], side="right")
         m_lo, m_hi = (moving < z_lo).sum(axis=1), (moving <= z_hi).sum(axis=1)
         if t.size > 1:
-            rows = _maps(fam, t, cols, moving, before, cumulative, ws)
+            rows = _maps(fam, alpha, t, cols, moving, before, cumulative, ws)
             if not _all_finite(*(row.ravel() for row in rows)):
                 raise _overflow(t.max())
             _running_max(rows[0])
@@ -728,7 +699,7 @@ def _tables(fam, z, t, x_lo, x_hi, cols=None, cumulative=False, ws=None):
             tops = [-np.inf, -np.inf]
             for (b, e), mb, me in zip(tiles, cuts, cuts[1:]):
                 static = {k: v[b:e] for k, v in cols.items()} if cols else fam.columns(z[b:e])
-                rows = _maps(fam, t, static, moving[:, mb:me], before[:, mb:me] - b, cumulative, ws)
+                rows = _maps(fam, alpha, t, static, moving[:, mb:me], before[:, mb:me] - b, cumulative, ws)
                 rows = [row[0] for row in rows]
                 if not _all_finite(*rows):
                     raise _overflow(t.max())
@@ -775,14 +746,14 @@ class ReferenceSolution:
     @functools.cached_property
     def _fam(self):
         if self.family == "cosine":
-            return CosineFamily(self.alpha)
+            return CosineFamily(cosine_datum())
         if self.family == "cusp":
-            return CuspFamily(self.a, self.b, self.alpha)
-        return _PiecewiseLinearFamily(multipeakon_datum(), self.alpha)
+            return CuspFamily(cusp_datum(self.a, self.b))
+        return _PiecewiseLinearFamily(multipeakon_datum())
 
     def total_energy(self, t) -> float:
         _check_time(t)
-        return _char_total(self._fam, t)
+        return _char_total(self._fam, self.alpha, t)
 
     def profile(self, t, x_lo=None, x_hi=None, n_base=4001) -> ReferenceProfile:
         """Dense whole-line evaluators at time t, read off the family's table.
@@ -820,7 +791,7 @@ class ReferenceSolution:
         if x_hi is None:
             x_hi = fam.window[1]
         z = _static_points(fam, max(int(n_base), 101))
-        ((y_k, u_k, F_k),) = _tables(fam, z, t, x_lo, x_hi, cumulative=True)
+        ((y_k, u_k, F_k),) = _tables(fam, self.alpha, z, t, x_lo, x_hi, cumulative=True)
 
         def u_at(x):
             return np.interp(x, y_k, u_k)
@@ -859,7 +830,7 @@ class ReferenceSolution:
         ws = _Workspace(max(_CHUNK_FLOATS, width))
 
         def rows(t, x_lo, x_hi):
-            return _tables(fam, z, t, x_lo, x_hi, cols, ws=ws)
+            return _tables(fam, self.alpha, z, t, x_lo, x_hi, cols, ws=ws)
 
         return rows, width
 
@@ -880,9 +851,15 @@ def cosine_datum() -> InitialDatum:
         return np.cos(_PI * np.clip(x, 0.0, 4.0))
 
     def F_ac(x):
-        return _lam(np.clip(x, 0.0, 4.0))
+        # the integral of pi^2 sin^2(pi s) from 0 to x in [0, 4]
+        w = np.clip(x, 0.0, 4.0)
+        return 0.5 * _PI * _PI * w - 0.25 * _PI * np.sin(2.0 * _PI * w)
 
     return InitialDatum(u=u, F_ac=F_ac, support_hint=(0.0, 4.0))
+
+
+def _cbrt_signed(w):
+    return np.sign(w) * np.abs(w) ** (1.0 / 3.0)
 
 
 def cusp_datum(a=-1.0, b=1.0) -> InitialDatum:

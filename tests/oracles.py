@@ -75,7 +75,7 @@ from hsalpha.lagrangian import LagrangianState
 from hsalpha.numerics import _running_max, exact_cumsum, stable_sum
 from hsalpha.pushforward import ATOM_MASS_TOL, ATOM_WIDTH_TOL
 from hsalpha import reference
-from hsalpha.reference import ReferenceProfile, cosine_datum, cusp_datum, multipeakon_datum
+from hsalpha.reference import ReferenceProfile
 
 _PI = math.pi
 
@@ -734,12 +734,8 @@ _INV_TOL = 1e-12
 
 
 def initial_datum(ref) -> InitialDatum:
-    """The initial datum of the reference solution ref."""
-    if ref.family == "multipeakon_appA":
-        return multipeakon_datum()
-    if ref.family == "cosine":
-        return cosine_datum()
-    return cusp_datum(ref.a, ref.b)
+    """The initial datum of the reference solution ref: its family's."""
+    return ref._fam.datum
 
 
 def cosine_u_x(x):
@@ -769,7 +765,7 @@ def _invert(ref, t, x):
 
     def g(z):
         c = fam.columns(np.asarray(z, dtype=float))
-        y = reference._char_position(fam, t, c, fam._J12(t, c)[1])
+        y = reference._char_position(fam, ref.alpha, t, c, fam._J12(t, c)[1])
         return _finite(float(y) - x, t)
 
     g_lo, g_hi = g(lo), g(hi)
@@ -811,7 +807,7 @@ def eval_u(ref, t, x) -> float:
         return multipeakon_exact(ref.alpha, t, float(x))[0]
     fam = ref._fam
     c = fam.columns(np.asarray(_invert(ref, t, float(x)), dtype=float))
-    return _finite(float(reference._char_velocity(fam, t, c, fam._J12(t, c)[0])), t)
+    return _finite(float(reference._char_velocity(fam, ref.alpha, t, c, fam._J12(t, c)[0])), t)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -827,7 +823,7 @@ def eval_F(ref, t, x) -> float:
     if ref.family == "multipeakon_appA":
         return multipeakon_exact(ref.alpha, t, float(x))[1]
     c = ref._fam.columns(np.asarray(_invert(ref, t, float(x)), dtype=float))
-    return _finite(float(reference._char_cumulative(ref._fam, t, c)), t)
+    return _finite(float(reference._char_cumulative(ref._fam, ref.alpha, t, c)), t)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -181,6 +181,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(solve + ["--example", "cosine", "--a", "5", "--b", "6"]) == 2
     assert cli.main(solve + ["--example", "appendixA", "--b", "2"]) == 2
     assert cli.main(solve + ["--example", "cusp", "--points", "[[0, 1], [1, 0]]"]) == 2
+    # points given as strings are not numbers
+    assert cli.main(solve + ["--example", "multipeakon", "--points", '[["0","0.5"],["2","0"]]']) == 2
+    assert "pairs of numbers" in capsys.readouterr().err
     cfg.write_text(json.dumps({"example": "cosine", "alpha": 0.0, "T": 1.0, "points": [[0, 1]]}))
     assert cli.main(["solve", "--config", str(cfg), "--dx", "0.25"]) == 2
     assert "reads none" in capsys.readouterr().err

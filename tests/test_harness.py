@@ -58,6 +58,14 @@ def test_config_validation():
         ExperimentConfig(**{**base, "time_samples": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig(example="multipeakon", alpha=0.0, T=1.0, points=())
+    # a point's coordinates and a rung pass the number test of alpha: a
+    # string or a bool (True == 1) is refused, an integral float is a rung
+    for points in ((("0", "0.5"), ("2", "0")), ((True, 0.5), (2, False))):
+        with pytest.raises(ConfigError, match="pairs of numbers"):
+            ExperimentConfig(example="multipeakon", alpha=0.0, T=1.0, points=points)
+    with pytest.raises(ConfigError, match="k_range"):
+        ExperimentConfig(**{**base, "k_range": (True, 2)})
+    assert ExperimentConfig(**{**base, "k_range": (2.0,)}).k_range == (2,)
     # a and b are refused for another example before the interval is read
     with pytest.raises(ConfigError, match="example cosine reads none"):
         ExperimentConfig(**{**base, "a": 2.0, "b": 1.0})
